@@ -15,10 +15,19 @@ own scalar on the diagonal.
 All types here are immutable after construction and all operations are pure,
 so values can be shared freely across worker processes.
 
-LCA queries are O(1) after an O(V log V) Euler-tour / sparse-table build,
-which is cached lazily on the tree.  Vectorized variants (``lca_many``)
-accept broadcastable index arrays and are the workhorse for building the
-distance and induced matrices.
+Every estimator queries LCAs of leaves only, so ``lca_many`` answers
+leaf-by-leaf queries from a per-tree *leaf table*: the L x L matrix of LCA
+vertex ids over the tree's L leaves, i.e. the vertex behind each entry of
+the tree's cophenetic matrix.  It is built once, lazily, in one post-order
+pass (the leaves of every subtree form a contiguous run in DFS order, so
+each internal vertex fills the blocks between its children's runs: exactly
+L^2 writes) and stored in the smallest unsigned dtype that holds a vertex
+id: two bytes a cell up to 65,536 vertices, one up to 256 (113 KB at
+L = 238).  Queries touching an internal vertex, trees without leaves and
+trees with more than ``_LEAF_TABLE_MAX_CELLS`` leaf pairs fall back to an
+Euler-tour / sparse-table index (O(1) per query after an O(V log V) build),
+also cached lazily; it answers the scalar ``lca`` and ``depth`` queries
+too.  Both caches are dropped on pickling.
 """
 
 from __future__ import annotations
@@ -42,6 +51,56 @@ __all__ = [
     "inf_norm_diff",
     "classify_agreement",
 ]
+
+
+# Largest L^2 for which a tree keeps a leaf table (L = 2048: 8 MB at 2 bytes
+# a cell, built in 0.02-0.04 s); bigger trees answer every query from the
+# Euler-tour index.  The cutoff is a round figure, not a tuned one: no
+# benchmark workload comes near it (the largest has L = 238).
+_LEAF_TABLE_MAX_CELLS = 1 << 22
+
+
+def _leaf_table(tree: "MergeTree") -> tuple[np.ndarray, np.ndarray | None]:
+    """(pos, table): pos maps a vertex to its leaf row, -1 off the leaves,
+    and table[pos[u], pos[v]] is lca(u, v).  A tree that gets no table has
+    pos -1 everywhere and table None."""
+    n = tree.n_vertices
+    n_leaves = len(tree._leaves)
+    children = tree._children
+    pos = np.full(n, -1, dtype=np.int64)
+    # a childless root has no leaf below it (a single vertex, or a cycle)
+    if not children[tree.root] or n_leaves * n_leaves > _LEAF_TABLE_MAX_CELLS:
+        return pos, None
+    table = np.empty((n_leaves, n_leaves), dtype=np.min_scalar_type(n - 1))
+    lo = [0] * n  # leaves of v's subtree occupy rows lo[v]:hi[v]
+    hi = [0] * n
+    row = 0
+    visited = 0
+    stack: list[tuple[int, bool]] = [(tree.root, False)]
+    while stack:
+        v, done = stack.pop()
+        kids = children[v]
+        if not kids:
+            visited += 1
+            pos[v] = lo[v] = row
+            table[row, row] = v
+            row += 1
+            hi[v] = row
+        elif not done:
+            visited += 1
+            stack.append((v, True))
+            stack.extend((c, False) for c in reversed(kids))
+        else:
+            lo[v] = lo[kids[0]]
+            hi[v] = hi[kids[-1]]
+            # earlier siblings' leaves are the rows lo[v]:lo[c]
+            for c in kids[1:]:
+                table[lo[c] : hi[c], lo[v] : lo[c]] = v
+                table[lo[v] : lo[c], lo[c] : hi[c]] = v
+    if visited != n:  # unreachable vertices: the index reports the cycle
+        pos[:] = -1
+        return pos, None
+    return pos, table
 
 
 class _LcaIndex:
@@ -121,7 +180,9 @@ class MergeTree:
     0..V-1 and stable for the lifetime of the tree.
     """
 
-    __slots__ = ("_scalars", "_parents", "_children", "_root", "_leaves", "_index")
+    __slots__ = (
+        "_scalars", "_parents", "_children", "_root", "_leaves", "_index", "_leaf_lca"
+    )
 
     def __init__(self, scalars: Sequence[float], parents: Sequence[int | None]):
         s = np.asarray(scalars, dtype=np.float64)
@@ -153,6 +214,7 @@ class MergeTree:
             v for v in range(len(s)) if v != self._root and not children[v]
         )
         self._index: _LcaIndex | None = None
+        self._leaf_lca: tuple[np.ndarray, np.ndarray | None] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -234,11 +296,20 @@ class MergeTree:
 
     def lca_many(self, us, vs) -> np.ndarray:
         """Vectorized LCA over broadcastable arrays of vertex ids."""
-        idx = self._ensure_index()
-        us, vs = np.broadcast_arrays(np.asarray(us), np.asarray(vs))
-        if us.size == 0:
-            return np.zeros(us.shape, dtype=np.int64)
-        return idx.lca_many(us, vs)
+        us = np.asarray(us)
+        vs = np.asarray(vs)
+        shape = np.broadcast_shapes(us.shape, vs.shape)
+        if 0 in shape:
+            return np.zeros(shape, dtype=np.int64)
+        if self._leaf_lca is None:
+            self._leaf_lca = _leaf_table(self)
+        pos, table = self._leaf_lca
+        p = pos[us]
+        q = pos[vs]
+        if p.min() >= 0 and q.min() >= 0:  # leaves only: read the table
+            return table[p, q].astype(np.int64)
+        us, vs = np.broadcast_arrays(us, vs)
+        return self._ensure_index().lca_many(us, vs)
 
     def path_distance(self, u: int, v: int) -> float:
         """Length of the tree path between u and v under the scalar metric."""
@@ -261,7 +332,8 @@ class MergeTree:
         idx = self._ensure_index()
         return float(self._scalars[v] - idx.min_desc[v])
 
-    # pickling: drop the cached index (cheap to rebuild, shrinks payloads)
+    # pickling: drop the cached index and leaf table (cheap to rebuild,
+    # shrinks payloads)
     def __getstate__(self):
         return (np.asarray(self._scalars), np.asarray(self._parents))
 
@@ -314,9 +386,6 @@ class LabelTable:
 
     def items(self) -> Iterable[tuple[int, int]]:
         return sorted(self._label_to_vertex.items())
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._label_to_vertex)
 
     def with_added(self, extra: Mapping[int, int]) -> "LabelTable":
         merged = dict(self._label_to_vertex)
@@ -389,12 +458,6 @@ class LabeledMatrix:
             )
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-
-    def row(self, label: int) -> np.ndarray:
-        try:
-            return self.entries[self.row_labels.index(label)]
-        except ValueError:
-            raise errors.UnknownLabel(f"no row for label {label}") from None
 
 
 class Agreement(Enum):

@@ -393,12 +393,13 @@ def cmd_compare(
         walls[method] = seconds
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    infos = [classify_agreement(trees[i], trees[j]) for i, j in pairs]
     greedy_ok = [
-        (i, j)
-        for i, j in pairs
-        if classify_agreement(trees[i], trees[j]).case is not Agreement.DISAGREEMENT
+        p for p, info in zip(pairs, infos) if info.case is not Agreement.DISAGREEMENT
     ]
-    disjoint = [p for p in pairs if p not in set(greedy_ok)]
+    disjoint = [
+        p for p, info in zip(pairs, infos) if info.case is Agreement.DISAGREEMENT
+    ]
 
     counts = {"G>M1": 0, "M1>G": 0, "G>M2": 0, "M2>G": 0, "ties_m1": 0, "ties_m2": 0}
     for i, j in greedy_ok:
@@ -433,10 +434,7 @@ def cmd_compare(
         k: (100.0 * counts[k] / n_greedy if n_greedy else 0.0)
         for k in ("G>M1", "M1>G", "G>M2", "M2>G")
     }
-    unknown_gaps = []
-    for i, j in pairs:
-        info = classify_agreement(trees[i], trees[j])
-        unknown_gaps.append(abs(info.n_unknown_a - info.n_unknown_b))
+    unknown_gaps = [abs(info.n_unknown_a - info.n_unknown_b) for info in infos]
     averages = {
         "avg_vertices": float(np.mean([t.tree.n_vertices for t in trees])),
         "avg_leaves": float(np.mean([len(t.tree.leaves) for t in trees])),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mtdist import (
     inf_norm_diff,
     random_base_tree,
 )
-from mtdist import errors
+from mtdist import core, errors
 
 from conftest import rescaled
 
@@ -57,6 +58,10 @@ def test_equal_scalars_rejected():
 def test_cycle_rejected():
     with pytest.raises(errors.CycleDetected):
         MergeTree([1.0, 0.5], [1, 0])
+    # a leafless cycle off the root passes construction; leaf queries see it
+    tree = MergeTree([1.0, 0.5, 0.4, 0.3, 0.2], [None, 0, 0, 4, 3])
+    with pytest.raises(errors.CycleDetected):
+        tree.lca_many([1], [2])
 
 
 def test_unary_interior_semantically_valid():
@@ -109,11 +114,79 @@ def _brute_lca(tree: MergeTree, u: int, v: int) -> int:
     raise AssertionError("no common ancestor")
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_lca_matches_bruteforce(seed):
-    tree = random_base_tree(41, seed)
+def _random_rooted_tree(n: int, seed: int) -> MergeTree:
+    # each vertex hangs below a random smaller id: vertices get any number
+    # of children, unary ones included
+    rng = np.random.default_rng(seed)
+    parents = [None] + [int(rng.integers(0, v)) for v in range(1, n)]
+    return MergeTree([float(n - v) for v in range(n)], parents)
+
+
+# inputs beside the binary random_base_tree(41, seed) trees
+LCA_TREES = {
+    **{f"nonbinary{seed}": (lambda seed=seed: _random_rooted_tree(30, seed)) for seed in range(3)},
+    "star": lambda: MergeTree([1.0, 0.0, 0.2, 0.4, 0.6], [None, 0, 0, 0, 0]),
+    "single_vertex": lambda: MergeTree([1.0], [None]),
+}
+
+
+def _lca_tree(which) -> MergeTree:
+    return random_base_tree(41, which) if isinstance(which, int) else LCA_TREES[which]()
+
+
+def _assert_lca_many_matches_bruteforce(tree: MergeTree) -> None:
+    leaves = np.asarray(tree.leaves, dtype=np.int64)
+    everyone = np.arange(tree.n_vertices)
+    queries = [
+        (leaves[:, None], leaves[None, :]),  # leaf x leaf, outer form
+        (leaves, leaves[::-1]),  # leaf x leaf, elementwise
+        (leaves[:, None], everyone[None, :]),  # leaf x internal
+        (everyone[:, None], everyone[None, :]),
+    ]
+    for us, vs in queries:
+        got = tree.lca_many(us, vs)
+        us_b, vs_b = np.broadcast_arrays(us, vs)
+        want = [_brute_lca(tree, int(u), int(v)) for u, v in zip(us_b.flat, vs_b.flat)]
+        assert got.dtype == np.int64
+        assert got.flags.c_contiguous  # row sums over it must round as before
+        assert got.shape == us_b.shape
+        assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("which", [*range(6), *LCA_TREES])
+def test_lca_matches_bruteforce(which):
+    tree = _lca_tree(which)
     for u, v in itertools.combinations(range(tree.n_vertices), 2):
         assert tree.lca(u, v) == _brute_lca(tree, u, v)
+    _assert_lca_many_matches_bruteforce(tree)
+    _, table = tree._leaf_lca  # leaf queries went through the table
+    assert (table is None) == (which == "single_vertex")
+
+
+@pytest.mark.parametrize("which", [0, "nonbinary1", "star"])
+def test_lca_many_without_leaf_table(which, monkeypatch):
+    monkeypatch.setattr(core, "_LEAF_TABLE_MAX_CELLS", 0)
+    tree = _lca_tree(which)
+    _assert_lca_many_matches_bruteforce(tree)
+    pos, table = tree._leaf_lca
+    assert table is None and np.all(pos == -1)
+
+
+def test_leaf_table_dtype_and_pickle_round_trip():
+    tree = random_base_tree(41, 0)
+    payload = pickle.dumps(tree)
+    leaves = np.asarray(tree.leaves)
+    before = tree.lca_many(leaves[:, None], leaves[None, :])
+    pos, table = tree._leaf_lca
+    assert table.dtype == np.uint8 and table.shape == (len(leaves), len(leaves))
+    assert pos[leaves].min() >= 0 and np.all(np.delete(pos, leaves) == -1)
+    assert pickle.dumps(tree) == payload  # the table never travels
+    copy = pickle.loads(payload)
+    assert copy._leaf_lca is None and copy._index is None
+    assert np.array_equal(copy.lca_many(leaves[:, None], leaves[None, :]), before)
+    big = MergeTree([2.0] + [1.0] * 299, [None] + [0] * 299)
+    big.lca_many([1], [2])
+    assert big._leaf_lca[1].dtype == np.uint16
 
 
 def _bfs_edge_sum(tree: MergeTree, u: int, v: int) -> float:
