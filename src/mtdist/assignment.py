@@ -77,15 +77,32 @@ def _augmenting_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 def _kuhn_augment(r: int, adj: list[list[int]], col_to_row: np.ndarray,
                   banned: set[int], visited: set[int]) -> bool:
-    """Find an augmenting path from free row r inside the tight subgraph."""
-    for c in adj[r]:
-        if c in banned or c in visited:
-            continue
-        visited.add(c)
-        owner = int(col_to_row[c])
-        if owner == -1 or _kuhn_augment(owner, adj, col_to_row, banned, visited):
-            col_to_row[c] = r
-            return True
+    """Find an augmenting path from free row r inside the tight subgraph.
+
+    Depth-first, trying each row's columns in adjacency order; iterative, so
+    path length is not bounded by the interpreter's recursion limit.
+    """
+    rows, cols = [r], []  # cols[k] leads from rows[k] to rows[k + 1]
+    todo = [iter(adj[r])]
+    while todo:
+        for c in todo[-1]:
+            if c in banned or c in visited:
+                continue
+            visited.add(c)
+            cols.append(c)
+            owner = int(col_to_row[c])
+            if owner == -1:
+                for row, col in zip(rows, cols):
+                    col_to_row[col] = row
+                return True
+            rows.append(owner)
+            todo.append(iter(adj[owner]))
+            break
+        else:  # rows[-1] is a dead end: back up to its parent's next column
+            todo.pop()
+            rows.pop()
+            if cols:
+                cols.pop()
     return False
 
 

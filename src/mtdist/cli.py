@@ -95,19 +95,12 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "matrix":
-        cfg = harness.RunConfig(
-            method=args.method,
-            inputs=tuple(args.inputs),
-            out_dir=args.out,
+        matrix, failures, seconds = harness.cmd_matrix(
+            args.method,
+            args.inputs,
+            args.out,
             workers=_workers(args.workers),
             heatmap=args.heatmap,
-        )
-        matrix, failures, seconds = harness.cmd_matrix(
-            cfg.method,
-            cfg.inputs,
-            cfg.out_dir,
-            workers=cfg.workers,
-            heatmap=cfg.heatmap,
         )
         print(
             f"{len(matrix.member_ids)} members, "
@@ -119,21 +112,20 @@ def _run(args) -> int:
         return EXIT_PARTIAL if failures else EXIT_OK
 
     if args.command == "compare":
-        cfg = harness.RunConfig(
-            inputs=tuple(args.inputs),
-            out_dir=args.out,
-            workers=_workers(args.workers),
-            heatmap=args.heatmap,
-        )
         report = harness.cmd_compare(
-            cfg.inputs, cfg.out_dir, workers=cfg.workers, heatmap=cfg.heatmap
+            args.inputs, args.out, workers=_workers(args.workers), heatmap=args.heatmap
         )
         print(report.summary())
-        return EXIT_OK
+        for f in report.failures:
+            print(
+                f"failed pair {f['member_a']} / {f['member_b']} ({f['method']}): "
+                f"{f['error']}",
+                file=sys.stderr,
+            )
+        return EXIT_PARTIAL if report.failures else EXIT_OK
 
     if args.command == "bench":
-        cfg = harness.RunConfig(inputs=tuple(args.inputs), repeat=args.repeat)
-        payload = harness.cmd_bench(cfg.inputs, repeat=cfg.repeat, out_path=args.out)
+        payload = harness.cmd_bench(args.inputs, repeat=args.repeat, out_path=args.out)
         for method, row in payload["timings"].items():
             print(
                 f"{method}: {row['mean_s']:.3f}s +- {row['stdev_s']:.3f}s "

@@ -43,7 +43,6 @@ from .io import (
 __all__ = [
     "PRESETS",
     "METHODS",
-    "RunConfig",
     "ComparisonReport",
     "load_corpus",
     "distance_matrix",
@@ -90,28 +89,6 @@ METHODS: dict[str, Callable[[LabeledMergeTree, LabeledMergeTree], methods.Method
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """CLI-facing bundle of a batch run's parameters."""
-
-    method: str = "elm"
-    inputs: tuple[str, ...] = ()
-    out_dir: str | None = None
-    workers: int = 1
-    repeat: int = 1
-    heatmap: bool = False
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise errors.ValidationError("worker count must be >= 1")
-        if self.repeat < 1:
-            raise errors.ValidationError("repeat count must be >= 1")
-        if self.method not in METHODS:
-            raise errors.ValidationError(
-                f"unknown method {self.method!r}; pick one of {sorted(METHODS)}"
-            )
-
-
 def default_workers() -> int:
     env = os.environ.get("MT_WORKERS", "").strip()
     if env:
@@ -125,17 +102,33 @@ def default_workers() -> int:
 def load_corpus(paths: Sequence[str | Path]) -> list[tuple[str, LabeledMergeTree]]:
     """Parse files, sorted by member id (file stem); ids must be unique.
 
-    Each file gets its own range for rewriting ``-1`` placeholder labels so
-    rewritten unknowns never collide across the corpus.
+    Member i rewrites its ``-1`` placeholder labels into its own range
+    [W * (i + 1), W * (i + 2)) with W = 10^8, so rewritten unknowns never
+    collide with each other.  A label in member i's range that another
+    member also carries would silently become a shared "known" label, so it
+    raises ValidationError.
     """
     entries = sorted((Path(p).stem, Path(p)) for p in paths)
     ids = [mid for mid, _ in entries]
     if len(set(ids)) != len(ids):
         raise errors.ValidationError("duplicate member ids (file stems) in input")
+    window = synth.UNKNOWN_LABEL_BASE * 100
     corpus = []
+    holders: dict[int, list[int]] = {}
     for index, (mid, path) in enumerate(entries):
-        base = synth.UNKNOWN_LABEL_BASE * 100 * (index + 1)
-        corpus.append((mid, read_mtree_file(path, unknown_label_base=base)))
+        lt = read_mtree_file(path, unknown_label_base=window * (index + 1))
+        corpus.append((mid, lt))
+        for label, _ in lt.labels.items():
+            if label >= window:
+                holders.setdefault(label, []).append(index)
+    for label, held in holders.items():
+        owner = label // window - 1
+        if len(held) > 1 and owner in held:
+            other = next(i for i in held if i != owner)
+            raise errors.ValidationError(
+                f"label {label} of {ids[other]} falls in the placeholder "
+                f"range of {ids[owner]}, which also carries it"
+            )
     return corpus
 
 
@@ -154,7 +147,7 @@ def _pool_pair(task):
     try:
         res = METHODS[method_key](trees[i], trees[j])
         return i, j, res.distance, res.wall_time, None
-    except errors.MtdistError as exc:
+    except Exception as exc:  # one failed pair must not abort the batch
         return i, j, float("nan"), 0.0, f"{type(exc).__name__}: {exc}"
 
 
@@ -327,6 +320,7 @@ class ComparisonReport:
     averages: dict[str, float]
     mean_wall: dict[str, float]
     disagreement_counts: dict[str, int] = field(default_factory=dict)
+    failures: list[dict[str, str]] = field(default_factory=list)
 
     def to_json(self) -> str:
         payload = {
@@ -339,6 +333,7 @@ class ComparisonReport:
             "averages": self.averages,
             "mean_wall_seconds": self.mean_wall,
             "disagreement_counts": self.disagreement_counts,
+            "failures": self.failures,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -376,7 +371,9 @@ def cmd_compare(
     Always writes per-method CSVs, the two comparison pixmaps, and
     report.json; ``heatmap`` adds per-method grayscale pixmaps.  Pairs with
     disjoint label sets cannot run the baseline; they are compared
-    first-vs-second method only and reported separately.
+    first-vs-second method only and reported separately.  Any other pair a
+    method could not compute is listed in ``failures`` and left out of the
+    win/tie counts.
     """
     if len(inputs) < 2:
         raise errors.ValidationError("need at least two input trees")
@@ -384,13 +381,6 @@ def cmd_compare(
     ids = tuple(mid for mid, _ in corpus)
     trees = [t for _, t in corpus]
     n = len(ids)
-
-    matrices: dict[str, DistanceMatrix] = {}
-    walls: dict[str, float] = {}
-    for method in ("elm", "mmb", "greedy"):
-        matrix, _failures, seconds = distance_matrix(method, corpus, workers=workers)
-        matrices[method] = matrix
-        walls[method] = seconds
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     infos = [classify_agreement(trees[i], trees[j]) for i, j in pairs]
@@ -400,9 +390,27 @@ def cmd_compare(
     disjoint = [
         p for p, info in zip(pairs, infos) if info.case is Agreement.DISAGREEMENT
     ]
+    disjoint_ids = {(ids[i], ids[j]) for i, j in disjoint}
+
+    matrices: dict[str, DistanceMatrix] = {}
+    walls: dict[str, float] = {}
+    failures: list[dict[str, str]] = []
+    for method in ("elm", "mmb", "greedy"):
+        matrix, failed, seconds = distance_matrix(method, corpus, workers=workers)
+        matrices[method] = matrix
+        walls[method] = seconds
+        failures += [
+            {"method": method, "member_a": a, "member_b": b, "error": msg}
+            for a, b, msg in failed
+            # the baseline's documented refusal of disjoint-label pairs
+            if not (method == "greedy" and (a, b) in disjoint_ids)
+        ]
+    failed_pairs = {(f["member_a"], f["member_b"]) for f in failures}
 
     counts = {"G>M1": 0, "M1>G": 0, "G>M2": 0, "M2>G": 0, "ties_m1": 0, "ties_m2": 0}
     for i, j in greedy_ok:
+        if (ids[i], ids[j]) in failed_pairs:
+            continue
         g = matrices["greedy"].values[i, j]
         m1 = matrices["elm"].values[i, j]
         m2 = matrices["mmb"].values[i, j]
@@ -420,6 +428,8 @@ def cmd_compare(
             counts["ties_m2"] += 1
     dis_counts = {"M1>M2": 0, "M2>M1": 0, "ties": 0}
     for i, j in disjoint:
+        if (ids[i], ids[j]) in failed_pairs:
+            continue
         m1 = matrices["elm"].values[i, j]
         m2 = matrices["mmb"].values[i, j]
         if _gt(m1, m2):
@@ -465,6 +475,7 @@ def cmd_compare(
         averages=averages,
         mean_wall=mean_wall,
         disagreement_counts=dis_counts,
+        failures=failures,
     )
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     return report

@@ -29,6 +29,14 @@ with fully disjoint labels there is no shared column space, so row norms of
 the per-tree pairwise leaf distance matrices are compared instead
 (| ||D1(i)||_2 - ||D2(j)||_2 |).
 
+All three run on one private pair context, ``_Pair``, built once per call:
+it holds the label split, the pivot and the unknown lists, and owns the
+steps the estimators share, namely the bipartite matching of pivot unknowns
+against the other tree's, the induced matrices over (vertex in a, vertex in
+b) pairs with their epsilon, and the result record.  Each estimator keeps
+only its own step between the matching and the objective: trimming,
+nothing, or granting labels.
+
 ``oracle_min_objective`` exhaustively minimizes the same objective over every
 trim subset and bijection on small instances, using its own naive traversal
 primitives, and is the reference the heuristics are judged against.
@@ -195,7 +203,7 @@ def _row_norm_weights(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.abs(n1[:, None] - n2[None, :])
 
 
-def _pivot_is_a(a: LabeledMergeTree, b: LabeledMergeTree, info: AgreementInfo) -> bool:
+def _pivot_is_a(info: AgreementInfo) -> bool:
     """Canonical pivot choice: more unknowns, ties to the lexicographically
     smaller unknown-label list.  Unknown labels are one-sided by definition
     (a shared leaf label is known), so equal-size lists always differ and
@@ -203,26 +211,6 @@ def _pivot_is_a(a: LabeledMergeTree, b: LabeledMergeTree, info: AgreementInfo) -
     if info.n_unknown_a != info.n_unknown_b:
         return info.n_unknown_a > info.n_unknown_b
     return info.unknown_a < info.unknown_b
-
-
-def _epsilon_matrices(
-    a: LabeledMergeTree,
-    b: LabeledMergeTree,
-    known: Sequence[int],
-    pairs_ab: Sequence[tuple[int, int]],
-) -> tuple[float, LabeledMatrix, LabeledMatrix]:
-    """Induced matrices over known + matched labels, unified under side-A names."""
-    by_unified = {l: (l, l) for l in known}
-    for la, lb in pairs_ab:
-        by_unified[la] = (la, lb)
-    unified = tuple(sorted(by_unified))
-    va = a.vertices_for([by_unified[l][0] for l in unified])
-    vb = b.vertices_for([by_unified[l][1] for l in unified])
-    ea = a.tree.scalars[a.tree.lca_many(va[:, None], va[None, :])]
-    eb = b.tree.scalars[b.tree.lca_many(vb[:, None], vb[None, :])]
-    ma = LabeledMatrix(unified, unified, ea)
-    mb = LabeledMatrix(unified, unified, eb)
-    return inf_norm_diff(ma, mb), ma, mb
 
 
 def _delta_map(
@@ -245,29 +233,6 @@ def _objective(eps: float, deltas: Mapping[int, float]) -> float:
     return max(0.5 * max(deltas.values(), default=0.0), eps)
 
 
-def _finish_full(
-    a: LabeledMergeTree, b: LabeledMergeTree, info: AgreementInfo, start: float
-) -> MethodResult:
-    eps, ma, mb = _epsilon_matrices(a, b, info.known, ())
-    return MethodResult(
-        distance=eps,
-        epsilon=eps,
-        deltas={},
-        matching=Matching(()),
-        relabeling={},
-        trimmed=frozenset(),
-        induced_a=ma,
-        induced_b=mb,
-        wall_time=perf_counter() - start,
-    )
-
-
-def _orient_pairs(pairs_po, pivot_is_a):
-    if pivot_is_a:
-        return tuple(pairs_po)
-    return tuple((o, p) for p, o in pairs_po)
-
-
 def _check_leaves_for_disagreement(a, b, info):
     if info.case is Agreement.DISAGREEMENT and (
         not a.tree.leaves or not b.tree.leaves
@@ -275,62 +240,99 @@ def _check_leaves_for_disagreement(a, b, info):
         raise errors.DisagreementEmptyTree("cannot compare a tree with no leaves")
 
 
-def _build_result(
-    *,
-    distance: float,
-    eps: float,
-    deltas: dict[int, float],
-    pairs_ab,
-    unmatched_piv,
-    pivot_is_a: bool,
-    trimmed=(),
-    ma: LabeledMatrix,
-    mb: LabeledMatrix,
-    start: float,
-    assigned: dict[int, int] | None = None,
-) -> MethodResult:
-    unmatched_piv = tuple(unmatched_piv)
-    matching = Matching(
-        pairs=tuple(sorted(pairs_ab)),
-        unmatched_a=unmatched_piv if pivot_is_a else (),
-        unmatched_b=() if pivot_is_a else unmatched_piv,
-    )
-    return MethodResult(
-        distance=distance,
-        epsilon=eps,
-        deltas=deltas,
-        matching=matching,
-        relabeling={lb: la for la, lb in pairs_ab},
-        trimmed=frozenset(trimmed),
-        induced_a=ma,
-        induced_b=mb,
-        wall_time=perf_counter() - start,
-        assigned_labels=dict(assigned or {}),
-    )
+class _Pair:
+    """The work every estimator shares for one (a, b) pair: the label split,
+    the pivot and its counterpart, their unknown labels, the matching, the
+    induced matrices and the result record."""
 
+    def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
+        self.start = perf_counter()
+        self.a, self.b = a, b
+        self.info = info = classify_agreement(a, b)
+        self.pivot_is_a = _pivot_is_a(info)
+        if self.pivot_is_a:
+            self.piv, self.oth = a, b
+            self.piv_unknown, self.oth_unknown = info.unknown_a, info.unknown_b
+        else:
+            self.piv, self.oth = b, a
+            self.piv_unknown, self.oth_unknown = info.unknown_b, info.unknown_a
 
-def _match_unknowns(
-    piv: LabeledMergeTree,
-    oth: LabeledMergeTree,
-    piv_rows: tuple[int, ...],
-    oth_rows: tuple[int, ...],
-    known: tuple[int, ...],
-    case: Agreement,
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Bipartite matching of unknown leaves; returns (pivot, other) label
-    pairs and the pivot labels left unmatched."""
-    if case is Agreement.PARTIAL:
-        d1 = unknown_to_known_distances(piv, piv_rows, known)
-        d2 = unknown_to_known_distances(oth, oth_rows, known)
-        weights = _row_gap_weights(d1.entries, d2.entries)
-    else:
-        d1 = pairwise_leaf_distances(piv, piv_rows)
-        d2 = pairwise_leaf_distances(oth, oth_rows)
-        weights = _row_norm_weights(d1.entries, d2.entries)
-    asn = assignment.solve(weights)
-    pairs = tuple((piv_rows[i], oth_rows[j]) for i, j in asn.pairs)
-    unmatched = tuple(piv_rows[i] for i in asn.unmatched_rows)
-    return pairs, unmatched
+    def match(
+        self, piv_rows: tuple[int, ...]
+    ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """Bipartite matching of the listed pivot unknowns against every
+        unknown of the other tree; returns (side-A, side-B) label pairs and
+        the pivot labels left unmatched."""
+        oth_rows = self.oth_unknown
+        if not oth_rows:
+            return (), piv_rows
+        known = self.info.known
+        if self.info.case is Agreement.PARTIAL:
+            d1 = unknown_to_known_distances(self.piv, piv_rows, known)
+            d2 = unknown_to_known_distances(self.oth, oth_rows, known)
+            weights = _row_gap_weights(d1.entries, d2.entries)
+        else:
+            d1 = pairwise_leaf_distances(self.piv, piv_rows)
+            d2 = pairwise_leaf_distances(self.oth, oth_rows)
+            weights = _row_norm_weights(d1.entries, d2.entries)
+        asn = assignment.solve(weights)
+        pairs = [(piv_rows[i], oth_rows[j]) for i, j in asn.pairs]
+        if not self.pivot_is_a:
+            pairs = [(o, p) for p, o in pairs]
+        return tuple(pairs), tuple(piv_rows[i] for i in asn.unmatched_rows)
+
+    def unified(
+        self, pairs_ab: Sequence[tuple[int, int]] = ()
+    ) -> dict[int, tuple[int, int]]:
+        """Known plus matched labels under their side-A names, each mapped to
+        its (vertex in a, vertex in b)."""
+        a, b = self.a.labels, self.b.labels
+        by_unified = {l: (a.vertex_of(l), b.vertex_of(l)) for l in self.info.known}
+        for la, lb in pairs_ab:
+            by_unified[la] = (a.vertex_of(la), b.vertex_of(lb))
+        return by_unified
+
+    def induced(
+        self, by_unified: Mapping[int, tuple[int, int]]
+    ) -> tuple[float, LabeledMatrix, LabeledMatrix]:
+        """Epsilon and the two induced matrices over ``by_unified``'s labels."""
+        unified = tuple(sorted(by_unified))
+        out = []
+        for side, lt in enumerate((self.a, self.b)):
+            v = np.asarray([by_unified[l][side] for l in unified], dtype=np.int64)
+            e = lt.tree.scalars[lt.tree.lca_many(v[:, None], v[None, :])]
+            out.append(LabeledMatrix(unified, unified, e))
+        ma, mb = out
+        return inf_norm_diff(ma, mb), ma, mb
+
+    def result(
+        self,
+        induced: tuple[float, LabeledMatrix, LabeledMatrix],
+        pairs_ab: Sequence[tuple[int, int]] = (),
+        unmatched_piv: Sequence[int] = (),
+        deltas: dict[int, float] | None = None,
+        trimmed: Sequence[int] = (),
+        assigned: dict[int, int] | None = None,
+    ) -> MethodResult:
+        eps, ma, mb = induced
+        deltas = deltas or {}
+        unmatched_piv = tuple(unmatched_piv)
+        return MethodResult(
+            distance=_objective(eps, deltas),
+            epsilon=eps,
+            deltas=deltas,
+            matching=Matching(
+                pairs=tuple(sorted(pairs_ab)),
+                unmatched_a=unmatched_piv if self.pivot_is_a else (),
+                unmatched_b=() if self.pivot_is_a else unmatched_piv,
+            ),
+            relabeling={lb: la for la, lb in pairs_ab},
+            trimmed=frozenset(trimmed),
+            induced_a=ma,
+            induced_b=mb,
+            wall_time=perf_counter() - self.start,
+            assigned_labels=dict(assigned or {}),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +341,12 @@ def _match_unknowns(
 
 def full_agreement_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
     """Entrywise max difference of the induced matrices over the shared labels."""
-    start = perf_counter()
-    info = classify_agreement(a, b)
-    if info.case is not Agreement.FULL:
+    p = _Pair(a, b)
+    if p.info.case is not Agreement.FULL:
         raise errors.NotFullAgreement(
-            f"leaf label sets differ ({info.case.value})"
+            f"leaf label sets differ ({p.info.case.value})"
         )
-    return _finish_full(a, b, info, start)
+    return p.result(p.induced(p.unified()))
 
 
 def elm_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
@@ -356,42 +357,18 @@ def elm_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
     tree's unknowns, and each trimmed leaf contributes half its merge height
     above the nearest surviving leaf.
     """
-    start = perf_counter()
-    info = classify_agreement(a, b)
-    if info.case is Agreement.FULL:
-        return _finish_full(a, b, info, start)
-    _check_leaves_for_disagreement(a, b, info)
-    pivot_is_a = _pivot_is_a(a, b, info)
-    piv, oth = (a, b) if pivot_is_a else (b, a)
-    piv_unknown = info.unknown_a if pivot_is_a else info.unknown_b
-    oth_unknown = info.unknown_b if pivot_is_a else info.unknown_a
-
-    piv_leaf_labels = piv.leaf_labels()
-    s = build_s_matrix(piv, piv_unknown, piv_leaf_labels)
-    trimmed = select_trim(s, len(piv_unknown) - len(oth_unknown))
-    survivors = tuple(l for l in piv_unknown if l not in set(trimmed))
-
-    if oth_unknown:
-        pairs_po, _ = _match_unknowns(
-            piv, oth, survivors, oth_unknown, info.known, info.case
-        )
-    else:
-        pairs_po = ()
-    pairs_ab = _orient_pairs(pairs_po, pivot_is_a)
-    eps, ma, mb = _epsilon_matrices(a, b, info.known, pairs_ab)
-    deltas = _delta_map(piv, trimmed, piv_leaf_labels)
-    return _build_result(
-        distance=_objective(eps, deltas),
-        eps=eps,
-        deltas=deltas,
-        pairs_ab=pairs_ab,
-        unmatched_piv=trimmed,
-        pivot_is_a=pivot_is_a,
-        trimmed=trimmed,
-        ma=ma,
-        mb=mb,
-        start=start,
-    )
+    p = _Pair(a, b)
+    if p.info.case is Agreement.FULL:
+        return p.result(p.induced(p.unified()))
+    _check_leaves_for_disagreement(a, b, p.info)
+    piv_leaf_labels = p.piv.leaf_labels()
+    s = build_s_matrix(p.piv, p.piv_unknown, piv_leaf_labels)
+    trimmed = select_trim(s, len(p.piv_unknown) - len(p.oth_unknown))
+    survivors = tuple(l for l in p.piv_unknown if l not in set(trimmed))
+    pairs_ab, _ = p.match(survivors)
+    induced = p.induced(p.unified(pairs_ab))
+    deltas = _delta_map(p.piv, trimmed, piv_leaf_labels)
+    return p.result(induced, pairs_ab, trimmed, deltas, trimmed=trimmed)
 
 
 def mmb_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
@@ -401,36 +378,14 @@ def mmb_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
     unmatched pivot leaf contributes half its merge height above the nearest
     leaf outside the unmatched set.
     """
-    start = perf_counter()
-    info = classify_agreement(a, b)
-    if info.case is Agreement.FULL:
-        return _finish_full(a, b, info, start)
-    _check_leaves_for_disagreement(a, b, info)
-    pivot_is_a = _pivot_is_a(a, b, info)
-    piv, oth = (a, b) if pivot_is_a else (b, a)
-    piv_unknown = info.unknown_a if pivot_is_a else info.unknown_b
-    oth_unknown = info.unknown_b if pivot_is_a else info.unknown_a
-
-    if oth_unknown:
-        pairs_po, unmatched = _match_unknowns(
-            piv, oth, piv_unknown, oth_unknown, info.known, info.case
-        )
-    else:
-        pairs_po, unmatched = (), piv_unknown
-    pairs_ab = _orient_pairs(pairs_po, pivot_is_a)
-    eps, ma, mb = _epsilon_matrices(a, b, info.known, pairs_ab)
-    deltas = _delta_map(piv, unmatched, piv.leaf_labels())
-    return _build_result(
-        distance=_objective(eps, deltas),
-        eps=eps,
-        deltas=deltas,
-        pairs_ab=pairs_ab,
-        unmatched_piv=unmatched,
-        pivot_is_a=pivot_is_a,
-        ma=ma,
-        mb=mb,
-        start=start,
-    )
+    p = _Pair(a, b)
+    if p.info.case is Agreement.FULL:
+        return p.result(p.induced(p.unified()))
+    _check_leaves_for_disagreement(a, b, p.info)
+    pairs_ab, unmatched = p.match(p.piv_unknown)
+    induced = p.induced(p.unified(pairs_ab))
+    deltas = _delta_map(p.piv, unmatched, p.piv.leaf_labels())
+    return p.result(induced, pairs_ab, unmatched, deltas)
 
 
 def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
@@ -441,38 +396,23 @@ def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
     smaller tree; the closest leaf additionally receives the label.  The
     distance is the epsilon over the full unified label set.
     """
-    start = perf_counter()
-    info = classify_agreement(a, b)
-    if info.case is Agreement.FULL:
-        return _finish_full(a, b, info, start)
-    if info.case is Agreement.DISAGREEMENT:
+    p = _Pair(a, b)
+    if p.info.case is Agreement.FULL:
+        return p.result(p.induced(p.unified()))
+    if p.info.case is Agreement.DISAGREEMENT:
         raise errors.DisagreementUnsupported(
             "baseline needs embedding coordinates when no labels are shared"
         )
-    pivot_is_a = _pivot_is_a(a, b, info)
-    piv, oth = (a, b) if pivot_is_a else (b, a)
-    piv_unknown = info.unknown_a if pivot_is_a else info.unknown_b
-    oth_unknown = info.unknown_b if pivot_is_a else info.unknown_a
-
-    if oth_unknown:
-        pairs_po, unmatched = _match_unknowns(
-            piv, oth, piv_unknown, oth_unknown, info.known, info.case
-        )
-    else:
-        pairs_po, unmatched = (), piv_unknown
-    pairs_ab = _orient_pairs(pairs_po, pivot_is_a)
-
+    pairs_ab, unmatched = p.match(p.piv_unknown)
     # newly known = original known plus matched pairs, ordered by unified name
-    by_unified = {l: (l, l) for l in info.known}
-    for la, lb in pairs_ab:
-        by_unified[la] = (la, lb)
-    newly = tuple(sorted(by_unified))
-    piv_idx, oth_idx = (0, 1) if pivot_is_a else (1, 0)
-    piv_nk = piv.vertices_for([by_unified[l][piv_idx] for l in newly])
-    oth_nk = oth.vertices_for([by_unified[l][oth_idx] for l in newly])
+    by_unified = p.unified(pairs_ab)
+    piv, oth = p.piv, p.oth
+    piv_side = 0 if p.pivot_is_a else 1
+    newly = sorted(by_unified)
+    piv_nk = np.asarray([by_unified[l][piv_side] for l in newly], dtype=np.int64)
+    oth_nk = np.asarray([by_unified[l][1 - piv_side] for l in newly], dtype=np.int64)
 
     grants: dict[int, int] = {}
-    grant_vertices: dict[int, int] = {}
     if unmatched:
         # candidate receivers: leaves of the smaller tree, by smallest label
         cand = sorted(oth.tree.leaves, key=lambda v: oth.labels.labels_of(v)[0])
@@ -480,41 +420,14 @@ def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
         ds = oth.tree.path_distance_many(cand_v[:, None], oth_nk[None, :])
         um_v = piv.vertices_for(unmatched)
         dmat = piv.tree.path_distance_many(um_v[:, None], piv_nk[None, :])
-        for label, drow in zip(unmatched, dmat):
+        for label, v, drow in zip(unmatched, um_v, dmat):
             gaps = ds - drow[None, :]
-            j = int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))
-            grant_vertices[label] = cand[j]
-            grants[label] = oth.labels.labels_of(cand[j])[0]
-
-    unified = tuple(sorted(set(newly) | set(unmatched)))
-    va_piv = np.asarray(
-        [piv.labels.vertex_of(by_unified[l][piv_idx]) if l in by_unified
-         else piv.labels.vertex_of(l) for l in unified],
-        dtype=np.int64,
-    )
-    va_oth = np.asarray(
-        [oth.labels.vertex_of(by_unified[l][oth_idx]) if l in by_unified
-         else grant_vertices[l] for l in unified],
-        dtype=np.int64,
-    )
-    e_piv = piv.tree.scalars[piv.tree.lca_many(va_piv[:, None], va_piv[None, :])]
-    e_oth = oth.tree.scalars[oth.tree.lca_many(va_oth[:, None], va_oth[None, :])]
-    m_piv = LabeledMatrix(unified, unified, e_piv)
-    m_oth = LabeledMatrix(unified, unified, e_oth)
-    eps = inf_norm_diff(m_piv, m_oth)
-    ma, mb = (m_piv, m_oth) if pivot_is_a else (m_oth, m_piv)
-    return _build_result(
-        distance=eps,
-        eps=eps,
-        deltas={},
-        pairs_ab=pairs_ab,
-        unmatched_piv=unmatched,
-        pivot_is_a=pivot_is_a,
-        ma=ma,
-        mb=mb,
-        start=start,
-        assigned=grants,
-    )
+            receiver = cand[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
+            grants[label] = oth.labels.labels_of(receiver)[0]
+            by_unified[label] = (
+                (int(v), receiver) if p.pivot_is_a else (receiver, int(v))
+            )
+    return p.result(p.induced(by_unified), pairs_ab, unmatched, assigned=grants)
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +448,12 @@ def evaluate_configuration(
     epsilon/delta computations as the estimators, so re-evaluating a
     reported configuration reproduces the reported distance exactly.
     """
-    info = classify_agreement(a, b)
-    if info.case is Agreement.FULL:
-        eps, _, _ = _epsilon_matrices(a, b, info.known, ())
+    p = _Pair(a, b)
+    if p.info.case is Agreement.FULL:
+        eps, _, _ = p.induced(p.unified())
         return eps
-    pivot_is_a = _pivot_is_a(a, b, info)
-    piv = a if pivot_is_a else b
-    eps, _, _ = _epsilon_matrices(a, b, info.known, pairs)
-    deltas = _delta_map(piv, removed, piv.leaf_labels())
-    return _objective(eps, deltas)
+    eps, _, _ = p.induced(p.unified(pairs))
+    return _objective(eps, _delta_map(p.piv, removed, p.piv.leaf_labels()))
 
 
 def _naive_lca(parents: Sequence[int], u: int, v: int) -> int:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtdist import errors, solve
+from mtdist.assignment import _lexicographic_matching
 
 
 def brute_min_cost(c: np.ndarray) -> float:
@@ -120,6 +121,17 @@ def test_lexicographic_canonical_on_tied_instances():
                     best_cost, best_pairs = cost, pairs
         assert got.total_cost == best_cost
         assert got.pairs == best_pairs
+
+
+def test_lexicographic_matching_long_augmenting_path():
+    # a zero-tie cycle, started from its rotated perfect matching: rehoming
+    # row 0's column walks an augmenting path through all other rows, longer
+    # than the interpreter's default recursion limit
+    n = 1100
+    adj = [sorted({i, (i + 1) % n}) for i in range(n)]
+    start = np.array([(i + 1) % n for i in range(n)])
+    match = _lexicographic_matching(adj, start)
+    assert match.tolist() == list(range(n))
 
 
 def test_agrees_with_scipy_on_larger_instances():

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mtdist import errors, read_mtree_file
+from mtdist import errors, harness, read_mtree_file
 from mtdist.cli import main
 from mtdist.harness import (
     cmd_bench,
@@ -16,6 +16,7 @@ from mtdist.harness import (
     cmd_dist,
     cmd_gen,
     cmd_matrix,
+    distance_matrix,
     load_corpus,
 )
 from mtdist.io import read_matrix_csv
@@ -199,6 +200,60 @@ def test_compare_disjoint_pairs_reported_separately(tmp_path):
     assert report.disagreement_pair_count == 3
     total = sum(report.disagreement_counts.values())
     assert total == 3
+    assert report.failures == []  # the baseline's refusals are documented
+
+
+def _write_compare_corpus_with_leafless_member(root):
+    # every pair is disjoint-label; the single vertex has no leaves, so elm
+    # and mmb fail on the two pairs that include it
+    shutil.copy(FIXTURES / "example1_a.mtree", root / "example1_a.mtree")
+    (root / "three.mtree").write_text(
+        "mtree 1\nv 0 2.0\nv 1 0.0 7\nv 2 0.5 8\ne 1 0\ne 2 0\n"
+    )
+    (root / "single.mtree").write_text("mtree 1\nv 0 1.0\n")
+    return sorted(str(p) for p in root.glob("*.mtree"))
+
+
+def test_compare_failures_are_reported_not_counted(tmp_path):
+    inputs = _write_compare_corpus_with_leafless_member(tmp_path)
+    report = cmd_compare(inputs, tmp_path / "out")
+    failed = sorted((f["method"], f["member_a"], f["member_b"]) for f in report.failures)
+    assert failed == [
+        ("elm", "example1_a", "single"),
+        ("elm", "single", "three"),
+        ("mmb", "example1_a", "single"),
+        ("mmb", "single", "three"),
+    ]
+    assert all(f["error"].startswith("DisagreementEmptyTree") for f in report.failures)
+    # greedy's refusal of disjoint-label pairs is documented, not a failure
+    assert report.disagreement_pair_count == 3
+    assert report.disagreement_counts == {"M1>M2": 0, "M2>M1": 0, "ties": 1}
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert saved["failures"] == report.failures
+
+
+def test_cli_compare_failures_exit_3(tmp_path, capsys):
+    inputs = _write_compare_corpus_with_leafless_member(tmp_path)
+    assert main(["compare", *inputs, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("failed pair") == 4
+    assert "single / three (mmb): DisagreementEmptyTree" in err
+
+
+def test_any_exception_in_a_pair_is_a_failure_row(monkeypatch, tmp_path):
+    def overflows(a, b):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(harness.METHODS, "elm", overflows)
+    corpus = load_corpus(_example_files(1))
+    matrix, failures, _ = distance_matrix("elm", corpus, workers=1)
+    assert np.isnan(matrix.values[0, 1])
+    assert failures == [
+        ("example1_a", "example1_b", "RecursionError: maximum recursion depth exceeded")
+    ]
+    report = cmd_compare(_example_files(1), tmp_path)
+    assert [f["method"] for f in report.failures] == ["elm"]
+    assert sum(report.counts.values()) == 0
 
 
 # -- bench -----------------------------------------------------------------------
@@ -235,6 +290,22 @@ def test_load_corpus_sorts_and_rejects_duplicates(tmp_path):
     assert [mid for mid, _ in corpus] == ["a_tree", "b_tree"]
     with pytest.raises(errors.ValidationError):
         load_corpus([str(a), str(a)])
+
+
+def test_load_corpus_rejects_placeholder_collisions(tmp_path):
+    # member "a" rewrites its -1 leaf to 10^8, the label "b" carries explicitly
+    tree = "mtree 1\nv 0 2.0\nv 1 0.0 1\nv 2 0.0 {}\ne 1 0\ne 2 0\n"
+    paths = [str(tmp_path / "a.mtree"), str(tmp_path / "b.mtree")]
+    (tmp_path / "a.mtree").write_text(tree.format(-1))
+    (tmp_path / "b.mtree").write_text(tree.format(100_000_000))
+    with pytest.raises(errors.ValidationError, match="placeholder"):
+        load_corpus(paths)
+    (tmp_path / "b.mtree").write_text(tree.format(-1))
+    corpus = load_corpus(paths)
+    assert [sorted(l for l, _ in t.labels.items()) for _, t in corpus] == [
+        [1, 100_000_000],
+        [1, 200_000_000],
+    ]
 
 
 # -- CLI -------------------------------------------------------------------------

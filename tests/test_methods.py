@@ -224,6 +224,9 @@ def test_disagreement_empty_tree_rejected():
         elm_distance(lone, a)
     with pytest.raises(errors.DisagreementEmptyTree):
         mmb_distance(a, lone)
+    # the baseline refuses every disjoint-label pair with its own error
+    with pytest.raises(errors.DisagreementUnsupported):
+        greedy_distance(lone, a)
 
 
 # -- properties ---------------------------------------------------------------------
