@@ -69,11 +69,10 @@ def _build_parser() -> _Parser:
 
 
 def _workers(flag: int | None) -> int:
-    if flag is not None:
-        if flag < 1:
-            raise errors.ValidationError("worker count must be >= 1")
-        return flag
-    return harness.default_workers()
+    workers = harness.default_workers() if flag is None else flag
+    if workers < 1:
+        raise errors.ValidationError(f"worker count must be >= 1, got {workers}")
+    return workers
 
 
 def _run(args) -> int:

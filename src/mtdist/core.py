@@ -15,19 +15,20 @@ own scalar on the diagonal.
 All types here are immutable after construction and all operations are pure,
 so values can be shared freely across worker processes.
 
-Every estimator queries LCAs of leaves only, so ``lca_many`` answers
-leaf-by-leaf queries from a per-tree *leaf table*: the L x L matrix of LCA
-vertex ids over the tree's L leaves, i.e. the vertex behind each entry of
-the tree's cophenetic matrix.  It is built once, lazily, in one post-order
-pass (the leaves of every subtree form a contiguous run in DFS order, so
-each internal vertex fills the blocks between its children's runs: exactly
-L^2 writes) and stored in the smallest unsigned dtype that holds a vertex
-id: two bytes a cell up to 65,536 vertices, one up to 256 (113 KB at
-L = 238).  Queries touching an internal vertex, trees without leaves and
-trees with more than ``_LEAF_TABLE_MAX_CELLS`` leaf pairs fall back to an
-Euler-tour / sparse-table index (O(1) per query after an O(V log V) build),
-also cached lazily; it answers the scalar ``lca`` and ``depth`` queries
-too.  Both caches are dropped on pickling.
+Every LCA query is answered from one per-tree *leaf table*: the L x L
+matrix of LCA vertex ids over the tree's L childless vertices, i.e. the
+vertex behind each entry of the tree's cophenetic matrix.  It is built once,
+lazily (``validate`` builds it as its cycle check), in one post-order pass:
+the leaves of every subtree form a contiguous run in DFS order, so each
+internal vertex fills the blocks between its children's runs, exactly L^2
+writes.  Cells use the smallest unsigned dtype that holds a vertex id: one
+byte up to 256 vertices, two up to 65,536, four above.  A query touching an
+internal vertex reads the table at one leaf below each side and keeps the
+shallowest of that LCA and the two query vertices.  There is no size
+cutoff: one ``elm`` comparison of two fully labeled trees with L = 4096
+peaks at 0.6 GB of allocations beside a 34 MB table per tree, while an
+Euler-tour / sparse-table index in the table's place peaked at 1.1 GB and
+took six times as long.  The cache is dropped on pickling.
 """
 
 from __future__ import annotations
@@ -53,43 +54,33 @@ __all__ = [
 ]
 
 
-# Largest L^2 for which a tree keeps a leaf table (L = 2048: 8 MB at 2 bytes
-# a cell, built in 0.02-0.04 s); bigger trees answer every query from the
-# Euler-tour index.  The cutoff is a round figure, not a tuned one: no
-# benchmark workload comes near it (the largest has L = 238).
-_LEAF_TABLE_MAX_CELLS = 1 << 22
-
-
-def _leaf_table(tree: "MergeTree") -> tuple[np.ndarray, np.ndarray | None]:
-    """(pos, table): pos maps a vertex to its leaf row, -1 off the leaves,
-    and table[pos[u], pos[v]] is lca(u, v).  A tree that gets no table has
-    pos -1 everywhere and table None."""
+def _build_leaf_table(tree: "MergeTree") -> tuple[np.ndarray, ...]:
+    """(pos, lo, depth, table): the table's rows are the childless vertices
+    in DFS order and table[i, j] is the LCA of rows i and j; pos maps a
+    vertex to its row (-1 off those rows), lo[v] is the first row below v
+    and depth[v] counts the edges from the root to v."""
     n = tree.n_vertices
-    n_leaves = len(tree._leaves)
     children = tree._children
-    pos = np.full(n, -1, dtype=np.int64)
-    # a childless root has no leaf below it (a single vertex, or a cycle)
-    if not children[tree.root] or n_leaves * n_leaves > _LEAF_TABLE_MAX_CELLS:
-        return pos, None
-    table = np.empty((n_leaves, n_leaves), dtype=np.min_scalar_type(n - 1))
-    lo = [0] * n  # leaves of v's subtree occupy rows lo[v]:hi[v]
+    n_rows = sum(1 for kids in children if not kids)
+    table = np.empty((n_rows, n_rows), dtype=np.min_scalar_type(n - 1))
+    rows: list[int] = []  # childless vertices in DFS order
+    lo = [0] * n  # the rows below v are lo[v]:hi[v]
     hi = [0] * n
-    row = 0
-    visited = 0
+    depth = [-1] * n
+    depth[tree.root] = 0
     stack: list[tuple[int, bool]] = [(tree.root, False)]
     while stack:
         v, done = stack.pop()
         kids = children[v]
         if not kids:
-            visited += 1
-            pos[v] = lo[v] = row
-            table[row, row] = v
-            row += 1
-            hi[v] = row
+            lo[v] = len(rows)
+            rows.append(v)
+            hi[v] = len(rows)
         elif not done:
-            visited += 1
             stack.append((v, True))
-            stack.extend((c, False) for c in reversed(kids))
+            for c in reversed(kids):
+                depth[c] = depth[v] + 1
+                stack.append((c, False))
         else:
             lo[v] = lo[kids[0]]
             hi[v] = hi[kids[-1]]
@@ -97,79 +88,13 @@ def _leaf_table(tree: "MergeTree") -> tuple[np.ndarray, np.ndarray | None]:
             for c in kids[1:]:
                 table[lo[c] : hi[c], lo[v] : lo[c]] = v
                 table[lo[v] : lo[c], lo[c] : hi[c]] = v
-    if visited != n:  # unreachable vertices: the index reports the cycle
-        pos[:] = -1
-        return pos, None
-    return pos, table
-
-
-class _LcaIndex:
-    """Euler tour + sparse table for O(1) LCA, plus per-vertex min-descendant."""
-
-    __slots__ = ("first", "euler", "edepth", "table", "logs", "min_desc")
-
-    def __init__(self, tree: "MergeTree"):
-        n = tree.n_vertices
-        order: list[int] = []  # euler tour of vertex ids
-        depths: list[int] = []
-        first = np.full(n, -1, dtype=np.int64)
-        # iterative DFS; children visited in storage order
-        stack: list[tuple[int, int, int]] = [(tree.root, 0, 0)]  # (vertex, depth, child idx)
-        children = tree._children
-        while stack:
-            v, d, ci = stack.pop()
-            if ci == 0:
-                first[v] = len(order)
-            order.append(v)
-            depths.append(d)
-            kids = children[v]
-            if ci < len(kids):
-                stack.append((v, d, ci + 1))
-                stack.append((kids[ci], d + 1, 0))
-        if np.any(first < 0):
-            missing = int(np.flatnonzero(first < 0)[0])
-            raise errors.CycleDetected(f"vertex {missing} is not reachable from the root")
-
-        self.first = first
-        self.euler = np.asarray(order, dtype=np.int64)
-        self.edepth = np.asarray(depths, dtype=np.int64)
-
-        m = len(order)
-        logs = np.zeros(m + 1, dtype=np.int64)
-        for i in range(2, m + 1):
-            logs[i] = logs[i // 2] + 1
-        self.logs = logs
-        k_max = int(logs[m]) + 1
-        table = np.empty((k_max, m), dtype=np.int64)
-        table[0] = np.arange(m)
-        for k in range(1, k_max):
-            half = 1 << (k - 1)
-            span = 1 << k
-            prev = table[k - 1]
-            left = prev[: m - span + 1]
-            right = prev[half : m - span + 1 + half]
-            table[k, : m - span + 1] = np.where(
-                self.edepth[left] <= self.edepth[right], left, right
-            )
-        self.table = table
-
-        # minimum scalar among descendants-or-self, bottom-up over the tour
-        min_desc = tree._scalars.copy()
-        for v in self.euler[::-1]:
-            p = tree._parents[v]
-            if p >= 0 and min_desc[v] < min_desc[p]:
-                min_desc[p] = min_desc[v]
-        self.min_desc = min_desc
-
-    def lca_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        lo = self.first[us]
-        hi = self.first[vs]
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-        j = self.logs[hi - lo + 1]
-        a = self.table[j, lo]
-        b = self.table[j, hi - (1 << j) + 1]
-        pick = np.where(self.edepth[a] <= self.edepth[b], a, b)
-        return self.euler[pick]
+    if -1 in depth:
+        missing = depth.index(-1)
+        raise errors.CycleDetected(f"vertex {missing} is not reachable from the root")
+    np.fill_diagonal(table, rows)
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[rows] = np.arange(n_rows)
+    return pos, np.asarray(lo), np.asarray(depth), table
 
 
 class MergeTree:
@@ -180,9 +105,7 @@ class MergeTree:
     0..V-1 and stable for the lifetime of the tree.
     """
 
-    __slots__ = (
-        "_scalars", "_parents", "_children", "_root", "_leaves", "_index", "_leaf_lca"
-    )
+    __slots__ = ("_scalars", "_parents", "_children", "_root", "_leaves", "_leaf_lca")
 
     def __init__(self, scalars: Sequence[float], parents: Sequence[int | None]):
         s = np.asarray(scalars, dtype=np.float64)
@@ -213,8 +136,7 @@ class MergeTree:
         self._leaves = tuple(
             v for v in range(len(s)) if v != self._root and not children[v]
         )
-        self._index: _LcaIndex | None = None
-        self._leaf_lca: tuple[np.ndarray, np.ndarray | None] | None = None
+        self._leaf_lca: tuple[np.ndarray, ...] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -267,7 +189,7 @@ class MergeTree:
         if not np.all(np.isfinite(self._scalars)):
             bad = int(np.flatnonzero(~np.isfinite(self._scalars))[0])
             raise errors.ValidationError(f"vertex {bad} has a non-finite scalar")
-        self._ensure_index()  # raises CycleDetected on unreachable vertices
+        self._leaf_table()  # raises CycleDetected on unreachable vertices
         nonroot = np.flatnonzero(self._parents >= 0)
         bad = nonroot[
             self._scalars[nonroot] >= self._scalars[self._parents[nonroot]]
@@ -282,17 +204,16 @@ class MergeTree:
 
     # -- topology queries ----------------------------------------------------
 
-    def _ensure_index(self) -> _LcaIndex:
-        if self._index is None:
-            self._index = _LcaIndex(self)
-        return self._index
+    def _leaf_table(self) -> tuple[np.ndarray, ...]:
+        if self._leaf_lca is None:
+            self._leaf_lca = _build_leaf_table(self)
+        return self._leaf_lca
 
     def lca(self, u: int, v: int) -> int:
         """Deepest vertex that is an ancestor-or-self of both u and v."""
         self._check_vertex(u)
         self._check_vertex(v)
-        idx = self._ensure_index()
-        return int(idx.lca_many(np.asarray([u]), np.asarray([v]))[0])
+        return int(self.lca_many([u], [v])[0])
 
     def lca_many(self, us, vs) -> np.ndarray:
         """Vectorized LCA over broadcastable arrays of vertex ids."""
@@ -301,15 +222,17 @@ class MergeTree:
         shape = np.broadcast_shapes(us.shape, vs.shape)
         if 0 in shape:
             return np.zeros(shape, dtype=np.int64)
-        if self._leaf_lca is None:
-            self._leaf_lca = _leaf_table(self)
-        pos, table = self._leaf_lca
+        pos, lo, depth, table = self._leaf_table()
         p = pos[us]
         q = pos[vs]
         if p.min() >= 0 and q.min() >= 0:  # leaves only: read the table
             return table[p, q].astype(np.int64)
-        us, vs = np.broadcast_arrays(us, vs)
-        return self._ensure_index().lca_many(us, vs)
+        # w joins a leaf below u and one below v: it lies strictly above both
+        # unless one is an ancestor of the other, and then that one lies
+        # above w, so the shallowest of the three is the LCA
+        w = table[lo[us], lo[vs]].astype(np.int64)
+        w = np.where(depth[us] < depth[w], us, w)
+        return np.where(depth[vs] < depth[w], vs, w)
 
     def path_distance(self, u: int, v: int) -> float:
         """Length of the tree path between u and v under the scalar metric."""
@@ -328,12 +251,14 @@ class MergeTree:
 
     def depth(self, v: int) -> float:
         """Scalar of v minus the minimum scalar among its descendants-or-self."""
-        self._check_vertex(v)
-        idx = self._ensure_index()
-        return float(self._scalars[v] - idx.min_desc[v])
+        v = self._check_vertex(v)
+        self._leaf_table()  # raises CycleDetected before a walk could loop
+        below = [v]
+        for x in below:
+            below.extend(self._children[x])
+        return float(self._scalars[v] - self._scalars[below].min())
 
-    # pickling: drop the cached index and leaf table (cheap to rebuild,
-    # shrinks payloads)
+    # pickling: drop the cached leaf table (cheap to rebuild, shrinks payloads)
     def __getstate__(self):
         return (np.asarray(self._scalars), np.asarray(self._parents))
 

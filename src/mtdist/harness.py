@@ -90,34 +90,29 @@ METHODS: dict[str, Callable[[LabeledMergeTree, LabeledMergeTree], methods.Method
 
 
 def default_workers() -> int:
+    """Worker count from MT_WORKERS (1 when unset); the CLI range-checks it
+    together with ``--workers``."""
     env = os.environ.get("MT_WORKERS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise errors.ValidationError(f"MT_WORKERS={env!r} is not an integer")
     return 1
 
 
-def load_corpus(paths: Sequence[str | Path]) -> list[tuple[str, LabeledMergeTree]]:
-    """Parse files, sorted by member id (file stem); ids must be unique.
-
-    Member i rewrites its ``-1`` placeholder labels into its own range
-    [W * (i + 1), W * (i + 2)) with W = 10^8, so rewritten unknowns never
-    collide with each other.  A label in member i's range that another
-    member also carries would silently become a shared "known" label, so it
-    raises ValidationError.
-    """
-    entries = sorted((Path(p).stem, Path(p)) for p in paths)
-    ids = [mid for mid, _ in entries]
-    if len(set(ids)) != len(ids):
-        raise errors.ValidationError("duplicate member ids (file stems) in input")
+def _read_members(ids: Sequence[str], paths: Sequence[str | Path]) -> list[LabeledMergeTree]:
+    """Parse member i's file with its ``-1`` placeholder labels rewritten
+    into its own range [W * (i + 1), W * (i + 2)), W = 10^8, so rewritten
+    unknowns never collide with each other.  A label in member i's range
+    that another member also carries would silently become a shared
+    "known" label, so it raises ValidationError."""
     window = synth.UNKNOWN_LABEL_BASE * 100
-    corpus = []
+    trees = []
     holders: dict[int, list[int]] = {}
-    for index, (mid, path) in enumerate(entries):
+    for index, path in enumerate(paths):
         lt = read_mtree_file(path, unknown_label_base=window * (index + 1))
-        corpus.append((mid, lt))
+        trees.append(lt)
         for label, _ in lt.labels.items():
             if label >= window:
                 holders.setdefault(label, []).append(index)
@@ -129,7 +124,17 @@ def load_corpus(paths: Sequence[str | Path]) -> list[tuple[str, LabeledMergeTree
                 f"label {label} of {ids[other]} falls in the placeholder "
                 f"range of {ids[owner]}, which also carries it"
             )
-    return corpus
+    return trees
+
+
+def load_corpus(paths: Sequence[str | Path]) -> list[tuple[str, LabeledMergeTree]]:
+    """Parse files, sorted by member id (file stem); ids must be unique.
+    Member i's placeholders are rewritten as in :func:`_read_members`."""
+    entries = sorted((Path(p).stem, Path(p)) for p in paths)
+    ids = [mid for mid, _ in entries]
+    if len(set(ids)) != len(ids):
+        raise errors.ValidationError("duplicate member ids (file stems) in input")
+    return list(zip(ids, _read_members(ids, [path for _, path in entries])))
 
 
 # -- parallel pair evaluation -------------------------------------------------
@@ -242,8 +247,7 @@ def cmd_dist(method: str, file_a: str | Path, file_b: str | Path) -> methods.Met
     """Distance between two tree files with full provenance."""
     if method not in METHODS:
         raise errors.ValidationError(f"unknown method {method!r}")
-    a = read_mtree_file(file_a, unknown_label_base=synth.UNKNOWN_LABEL_BASE * 100)
-    b = read_mtree_file(file_b, unknown_label_base=synth.UNKNOWN_LABEL_BASE * 200)
+    a, b = _read_members([str(file_a), str(file_b)], [file_a, file_b])
     return METHODS[method](a, b)
 
 

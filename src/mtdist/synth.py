@@ -25,6 +25,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from . import errors
 from .core import LabelTable, LabeledMergeTree, MergeTree
@@ -259,12 +260,11 @@ def _labels_of(mt: _MutableTree, v: int) -> list[int]:
     return [l for l, w in mt.labels.items() if w == v]
 
 
-def default_schedule(
-    spec: EnsembleSpec, base: MergeTree
+def _schedule(
+    spec: EnsembleSpec, base: MergeTree, deletion_bound: Callable[[int], int]
 ) -> tuple[PerturbationSpec, ...]:
-    """Escalating defaults: member k gets noise 0.05*k, ceil(k/5) rotations,
-    ceil(0.1*V) scalar updates, and 0..ceil(0.1*#leaves) deletions."""
-    n_leaves = len(base.leaves)
+    """Member k gets noise 0.05*k, ceil(k/5) rotations, ceil(0.1*V) scalar
+    updates and uniform 0..deletion_bound(k) deletions."""
     out = []
     for k in range(1, spec.ensemble_size):
         seed = _child_seed(spec.seed, f"member-{k}")
@@ -274,11 +274,19 @@ def default_schedule(
                 scalar_update_count=math.ceil(0.1 * base.n_vertices),
                 scalar_magnitude=0.05 * k,
                 rotation_count=math.ceil(k / 5),
-                deletion_count=rng.randint(0, math.ceil(0.1 * n_leaves)),
+                deletion_count=rng.randint(0, deletion_bound(k)),
                 seed=seed,
             )
         )
     return tuple(out)
+
+
+def default_schedule(
+    spec: EnsembleSpec, base: MergeTree
+) -> tuple[PerturbationSpec, ...]:
+    """Escalating defaults: up to ceil(0.1*#leaves) deletions per member."""
+    bound = math.ceil(0.1 * len(base.leaves))
+    return _schedule(spec, base, lambda k: bound)
 
 
 def preset_schedule(
@@ -288,21 +296,9 @@ def preset_schedule(
     index (uniform in [0, round(0.04*k*#leaves)]), giving ensembles whose
     member sizes and unknown-count imbalances spread widely."""
     n_leaves = len(base.leaves)
-    out = []
-    for k in range(1, spec.ensemble_size):
-        seed = _child_seed(spec.seed, f"member-{k}")
-        rng = random.Random(_child_seed(seed, "deletions"))
-        bound = min(n_leaves - 1, max(1, round(0.04 * k * n_leaves)))
-        out.append(
-            PerturbationSpec(
-                scalar_update_count=math.ceil(0.1 * base.n_vertices),
-                scalar_magnitude=0.05 * k,
-                rotation_count=math.ceil(k / 5),
-                deletion_count=rng.randint(0, bound),
-                seed=seed,
-            )
-        )
-    return tuple(out)
+    return _schedule(
+        spec, base, lambda k: min(n_leaves - 1, max(1, round(0.04 * k * n_leaves)))
+    )
 
 
 def generate_ensemble(

@@ -21,7 +21,7 @@ from mtdist import (
     inf_norm_diff,
     random_base_tree,
 )
-from mtdist import core, errors
+from mtdist import errors
 
 from conftest import rescaled
 
@@ -159,17 +159,36 @@ def test_lca_matches_bruteforce(which):
     for u, v in itertools.combinations(range(tree.n_vertices), 2):
         assert tree.lca(u, v) == _brute_lca(tree, u, v)
     _assert_lca_many_matches_bruteforce(tree)
-    _, table = tree._leaf_lca  # leaf queries went through the table
-    assert (table is None) == (which == "single_vertex")
+    pos, _, _, table = tree._leaf_lca  # one table over the childless vertices
+    childless = [v for v in range(tree.n_vertices) if not tree.children(v)]
+    assert table.shape == (len(childless), len(childless))
+    assert sorted(np.flatnonzero(pos >= 0).tolist()) == childless
 
 
-@pytest.mark.parametrize("which", [0, "nonbinary1", "star"])
-def test_lca_many_without_leaf_table(which, monkeypatch):
-    monkeypatch.setattr(core, "_LEAF_TABLE_MAX_CELLS", 0)
-    tree = _lca_tree(which)
-    _assert_lca_many_matches_bruteforce(tree)
-    pos, table = tree._leaf_lca
-    assert table is None and np.all(pos == -1)
+def _caterpillar(n_leaves: int) -> MergeTree:
+    # spine vertex k hangs below k - 1 and carries one leaf: depth n_leaves - 1
+    spine = n_leaves - 1
+    scalars = [float(spine - k) for k in range(spine)]
+    parents = [None] + list(range(spine - 1))
+    scalars += [-0.5] * (spine + 1)
+    parents += list(range(spine)) + [spine - 1]
+    return MergeTree(scalars, parents)
+
+
+def test_lca_many_on_deep_tree_with_many_leaves():
+    # over 2^22 leaf pairs, 2,099 levels deep
+    tree = _caterpillar(2100)
+    tree.validate()
+    rng = np.random.default_rng(7)
+    leaves = np.asarray(tree.leaves)
+    internal = np.flatnonzero([bool(tree.children(v)) for v in range(tree.n_vertices)])
+    for us, vs in [(leaves, leaves), (leaves, internal), (internal, internal)]:
+        us = rng.choice(us, size=(8, 1))
+        vs = rng.choice(vs, size=(1, 8))
+        got = tree.lca_many(us, vs)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        want = [[_brute_lca(tree, int(u), int(v)) for v in vs[0]] for u in us[:, 0]]
+        assert got.tolist() == want
 
 
 def test_leaf_table_dtype_and_pickle_round_trip():
@@ -177,16 +196,16 @@ def test_leaf_table_dtype_and_pickle_round_trip():
     payload = pickle.dumps(tree)
     leaves = np.asarray(tree.leaves)
     before = tree.lca_many(leaves[:, None], leaves[None, :])
-    pos, table = tree._leaf_lca
+    pos, _, _, table = tree._leaf_lca
     assert table.dtype == np.uint8 and table.shape == (len(leaves), len(leaves))
     assert pos[leaves].min() >= 0 and np.all(np.delete(pos, leaves) == -1)
     assert pickle.dumps(tree) == payload  # the table never travels
     copy = pickle.loads(payload)
-    assert copy._leaf_lca is None and copy._index is None
+    assert copy._leaf_lca is None
     assert np.array_equal(copy.lca_many(leaves[:, None], leaves[None, :]), before)
     big = MergeTree([2.0] + [1.0] * 299, [None] + [0] * 299)
     big.lca_many([1], [2])
-    assert big._leaf_lca[1].dtype == np.uint16
+    assert big._leaf_lca[3].dtype == np.uint16
 
 
 def _bfs_edge_sum(tree: MergeTree, u: int, v: int) -> float:
@@ -228,6 +247,20 @@ def test_depth_matches_descendant_enumeration(seed):
     for v in range(tree.n_vertices):
         want = float(tree.scalars[v]) - min(float(tree.scalars[d]) for d in desc[v])
         assert tree.depth(v) == pytest.approx(want, abs=0)
+
+
+def test_depth_on_unvalidated_tree():
+    # scalars grow toward the leaves: the minimum below a vertex is not at a leaf
+    tree = MergeTree([0.0, 1.0, 5.0, 2.0, 0.5, 3.0], [None, 0, 1, 1, 3, 3])
+    with pytest.raises(errors.NonDecreasingScalar):
+        tree.validate()
+    for v in range(tree.n_vertices):
+        below = {v}
+        for x in range(tree.n_vertices):
+            if _brute_lca(tree, x, v) == v:
+                below.add(x)
+        want = float(tree.scalars[v]) - min(float(tree.scalars[d]) for d in below)
+        assert tree.depth(v) == want
 
 
 @given(st.integers(0, 10_000))

@@ -311,6 +311,19 @@ def test_load_corpus_rejects_placeholder_collisions(tmp_path):
 # -- CLI -------------------------------------------------------------------------
 
 
+def test_cli_dist_rejects_placeholder_collisions(tmp_path, capsys):
+    # a's -1 leaf becomes 10^8, the label b carries explicitly
+    tree = "mtree 1\nv 0 2.0\nv 1 0.0 1\nv 2 0.0 {}\ne 1 0\ne 2 0\n"
+    (tmp_path / "a.mtree").write_text(tree.format(-1))
+    (tmp_path / "b.mtree").write_text(tree.format(100_000_000))
+    code = main(["dist", "elm", str(tmp_path / "a.mtree"), str(tmp_path / "b.mtree")])
+    assert code == 2
+    assert "placeholder" in capsys.readouterr().err
+    # one file against itself: each side's placeholders stay its own
+    assert main(["dist", "elm", str(tmp_path / "a.mtree"), str(tmp_path / "a.mtree")]) == 0
+    assert "distance: 0.0" in capsys.readouterr().out
+
+
 def test_cli_dist_prints_distance(capsys):
     code = main(["dist", "elm", *_example_files(1)])
     out = capsys.readouterr().out
@@ -357,6 +370,14 @@ def test_cli_respects_mt_workers_env(small_ensemble, tmp_path, monkeypatch, caps
     monkeypatch.setenv("MT_WORKERS", "2")
     code = main(["matrix", *small_ensemble, "--out", str(tmp_path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_rejects_mt_workers_below_one(value, small_ensemble, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MT_WORKERS", value)
+    assert main(["matrix", *small_ensemble, "--out", str(tmp_path)]) == 2
+    assert "worker count" in capsys.readouterr().err
+    assert main(["compare", *small_ensemble, "--out", str(tmp_path)]) == 2
 
 
 def test_cli_bench(tmp_path, capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtdist import (
     DistanceMatrix,
@@ -110,6 +112,32 @@ def test_leaf_without_label_rejected():
 def test_comments_and_blank_lines_ignored():
     text = "mtree 1\n\n# a comment\nv 0 1.0  # trailing\nv 1 0.0 1\ne 1 0\n"
     assert parse_mtree(text).tree.n_vertices == 2
+
+
+# mostly well-formed tokens, so that many documents get past the syntax checks
+_IDS = st.sampled_from(["0", "1", "2", "3", "4"] * 3 + ["-1", "-2", "x"])
+_LABELS = st.sampled_from(["1", "2", "3", "-1"] * 3 + ["0", "-2", "z"])
+_NUMS = st.sampled_from(
+    ["0", "1.5", "-1", "2", "3", "-0.5"] * 2 + ["nan", "inf", "1e400", "1e-320", "y"]
+)
+_VERTEX = st.tuples(_IDS, _NUMS, st.lists(_LABELS, max_size=2)).map(
+    lambda t: " ".join(["v", t[0], t[1], *t[2]])
+)
+_EDGE = st.tuples(_IDS, _IDS).map(lambda t: f"e {t[0]} {t[1]}")
+_JUNK = st.lists(st.sampled_from(["v", "e", "mtree", "1", "#", "-1", "z"]), max_size=4)
+_LINES = st.one_of(_VERTEX, _VERTEX, _VERTEX, _EDGE, _EDGE, _EDGE, _JUNK.map(" ".join))
+
+
+@given(st.sampled_from([True] * 4 + [False]), st.lists(_LINES, max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_parse_mtree_accepts_valid_trees_or_raises_mtdist_errors(header, lines):
+    # any other exception (IndexError, KeyError, ValueError, ...) fails the test
+    text = "\n".join((["mtree 1"] if header else []) + lines)
+    try:
+        lt = parse_mtree(text)
+    except errors.MtdistError:
+        return
+    lt.validate()
 
 
 # -- matrices -----------------------------------------------------------------
