@@ -17,18 +17,20 @@ so values can be shared freely across worker processes.
 
 Every LCA query is answered from one per-tree *leaf table*: the L x L
 matrix of LCA vertex ids over the tree's L childless vertices, i.e. the
-vertex behind each entry of the tree's cophenetic matrix.  It is built once,
-lazily (``validate`` builds it as its cycle check), in one post-order pass:
-the leaves of every subtree form a contiguous run in DFS order, so each
-internal vertex fills the blocks between its children's runs, exactly L^2
-writes.  Cells use the smallest unsigned dtype that holds a vertex id: one
-byte up to 256 vertices, two up to 65,536, four above.  A query touching an
-internal vertex reads the table at one leaf below each side and keeps the
+vertex behind each entry of the tree's cophenetic matrix.  The first LCA
+query builds it (``validate`` and ``depth`` only walk the tree, so loading
+or generating a tree never does), in one post-order pass: the leaves of
+every subtree form a contiguous run in DFS order, so each internal vertex
+fills the blocks between its children's runs, exactly L^2 writes.  Cells
+use the smallest unsigned dtype that holds a vertex id: one byte up to 256
+vertices, two up to 65,536, four above.  A query touching an internal
+vertex reads the table at one leaf below each side and keeps the
 shallowest of that LCA and the two query vertices.  There is no size
-cutoff: one ``elm`` comparison of two fully labeled trees with L = 4096
-peaks at 0.6 GB of allocations beside a 34 MB table per tree, while an
-Euler-tour / sparse-table index in the table's place peaked at 1.1 GB and
-took six times as long.  The cache is dropped on pickling.
+cutoff, and the table stays cached on its tree, so a process holds one per
+tree it has queried: 34 MB a tree at L = 4096.  There, a serial ``elm``
+distance matrix over 20 trees peaked at 3.9 GB RSS and took 212 s, against
+3.3 GB and 619 s with the Euler-tour / sparse-table index that used to
+serve trees above 2^22 leaf pairs.  The cache is dropped on pickling.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class MergeTree:
         if not np.all(np.isfinite(self._scalars)):
             bad = int(np.flatnonzero(~np.isfinite(self._scalars))[0])
             raise errors.ValidationError(f"vertex {bad} has a non-finite scalar")
-        self._leaf_table()  # raises CycleDetected on unreachable vertices
+        self._below(self._root)  # raises CycleDetected on unreachable vertices
         nonroot = np.flatnonzero(self._parents >= 0)
         bad = nonroot[
             self._scalars[nonroot] >= self._scalars[self._parents[nonroot]]
@@ -203,6 +205,23 @@ class MergeTree:
             )
 
     # -- topology queries ----------------------------------------------------
+
+    def _below(self, v: int) -> list[int]:
+        """v and its descendants.  Raises CycleDetected first if the root does
+        not reach every vertex: only those can lie on a cycle, where a walk
+        from v would never end."""
+        reached = [self._root]
+        for x in reached:
+            reached.extend(self._children[x])
+        if len(reached) < self.n_vertices:
+            missing = min(set(range(self.n_vertices)).difference(reached))
+            raise errors.CycleDetected(f"vertex {missing} is not reachable from the root")
+        if v == self._root:
+            return reached
+        below = [v]
+        for x in below:
+            below.extend(self._children[x])
+        return below
 
     def _leaf_table(self) -> tuple[np.ndarray, ...]:
         if self._leaf_lca is None:
@@ -227,6 +246,8 @@ class MergeTree:
         q = pos[vs]
         if p.min() >= 0 and q.min() >= 0:  # leaves only: read the table
             return table[p, q].astype(np.int64)
+        if min(us.min(), vs.min()) < 0:
+            raise errors.InvalidVertex("negative vertex id")
         # w joins a leaf below u and one below v: it lies strictly above both
         # unless one is an ancestor of the other, and then that one lies
         # above w, so the shallowest of the three is the LCA
@@ -252,11 +273,7 @@ class MergeTree:
     def depth(self, v: int) -> float:
         """Scalar of v minus the minimum scalar among its descendants-or-self."""
         v = self._check_vertex(v)
-        self._leaf_table()  # raises CycleDetected before a walk could loop
-        below = [v]
-        for x in below:
-            below.extend(self._children[x])
-        return float(self._scalars[v] - self._scalars[below].min())
+        return float(self._scalars[v] - self._scalars[self._below(v)].min())
 
     # pickling: drop the cached leaf table (cheap to rebuild, shrinks payloads)
     def __getstate__(self):

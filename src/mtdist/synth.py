@@ -240,11 +240,8 @@ def perturb(lt: LabeledMergeTree, spec: PerturbationSpec) -> LabeledMergeTree:
         leaves = sorted(mt.leaves())
         if len(leaves) <= 1:
             raise errors.TooManyDeletions("would delete the last leaf")
-        unknown = [
-            v
-            for v in leaves
-            if any(l > UNKNOWN_LABEL_BASE for l in _labels_of(mt, v))
-        ]
+        holders = {w for l, w in mt.labels.items() if l > UNKNOWN_LABEL_BASE}
+        unknown = [v for v in leaves if v in holders]
         pool = unknown if unknown else leaves
         victim = pool[rng.randrange(len(pool))]
         parent = mt.parents[victim]
@@ -254,10 +251,6 @@ def perturb(lt: LabeledMergeTree, spec: PerturbationSpec) -> LabeledMergeTree:
             mt.splice_if_unary(parent)
 
     return mt.freeze()
-
-
-def _labels_of(mt: _MutableTree, v: int) -> list[int]:
-    return [l for l, w in mt.labels.items() if w == v]
 
 
 def _schedule(

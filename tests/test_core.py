@@ -21,7 +21,8 @@ from mtdist import (
     inf_norm_diff,
     random_base_tree,
 )
-from mtdist import errors
+from mtdist import EnsembleSpec, core, errors, generate_ensemble
+from mtdist.io import parse_mtree, write_mtree
 
 from conftest import rescaled
 
@@ -62,6 +63,9 @@ def test_cycle_rejected():
     tree = MergeTree([1.0, 0.5, 0.4, 0.3, 0.2], [None, 0, 0, 4, 3])
     with pytest.raises(errors.CycleDetected):
         tree.lca_many([1], [2])
+    for check in (tree.validate, lambda: tree.depth(3)):
+        with pytest.raises(errors.CycleDetected, match="vertex 3 is not reachable"):
+            check()
 
 
 def test_unary_interior_semantically_valid():
@@ -191,6 +195,21 @@ def test_lca_many_on_deep_tree_with_many_leaves():
         assert got.tolist() == want
 
 
+def test_validate_load_and_generate_build_no_leaf_table(monkeypatch):
+    # the table is L^2 cells: only LCA queries may pay for it
+    def refuse(tree):
+        raise AssertionError("leaf table built")
+
+    monkeypatch.setattr(core, "_build_leaf_table", refuse)
+    tree = _caterpillar(20_000)  # its table would take 800 MB
+    tree.validate()
+    assert tree.depth(tree.root) == tree.scalars[0] + 0.5
+    members = generate_ensemble(EnsembleSpec(max_vertices=61, ensemble_size=3))
+    for lt in members:
+        parse_mtree(write_mtree(lt))
+        assert lt.tree._leaf_lca is None
+
+
 def test_leaf_table_dtype_and_pickle_round_trip():
     tree = random_base_tree(41, 0)
     payload = pickle.dumps(tree)
@@ -286,6 +305,8 @@ def test_invalid_vertex_raises():
         t.lca(0, 99)
     with pytest.raises(errors.InvalidVertex):
         t.depth(-1)
+    with pytest.raises(errors.InvalidVertex):
+        t.lca_many([-4], [3])  # would wrap around to the root
 
 
 # -- induced matrices ----------------------------------------------------------
