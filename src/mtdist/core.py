@@ -241,13 +241,13 @@ class MergeTree:
         shape = np.broadcast_shapes(us.shape, vs.shape)
         if 0 in shape:
             return np.zeros(shape, dtype=np.int64)
+        if min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= self.n_vertices:
+            raise errors.InvalidVertex(f"vertex ids must lie in 0..{self.n_vertices - 1}")
         pos, lo, depth, table = self._leaf_table()
         p = pos[us]
         q = pos[vs]
         if p.min() >= 0 and q.min() >= 0:  # leaves only: read the table
             return table[p, q].astype(np.int64)
-        if min(us.min(), vs.min()) < 0:
-            raise errors.InvalidVertex("negative vertex id")
         # w joins a leaf below u and one below v: it lies strictly above both
         # unless one is an ancestor of the other, and then that one lies
         # above w, so the shallowest of the three is the LCA

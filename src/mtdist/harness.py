@@ -9,13 +9,18 @@ baseline refusing a disjoint-label pair) degrade to NaN cells instead of
 aborting a long batch; callers receive the failure list.
 
 Pair evaluations are pure and independent, so they can fan out to a process
-pool; results are keyed by pair index, which makes output byte-identical for
-any worker count.  Timing runs force serial execution and measure method
-execution only (parsing excluded).
+pool; results come back in pair order, which makes output byte-identical for
+any worker count.  ``distance_matrix`` and ``cmd_compare`` share one
+pair-mapping helper, so a comparison is one pass over the pairs with at most
+one pool: each pair is evaluated once, on one pair context that runs
+``mmb``, ``greedy`` and ``elm`` in turn and solves each distinct matching
+once.  Timing runs force serial execution and measure method execution only
+(parsing excluded).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pickle
@@ -137,23 +142,101 @@ def load_corpus(paths: Sequence[str | Path]) -> list[tuple[str, LabeledMergeTree
     return list(zip(ids, _read_members(ids, [path for _, path in entries])))
 
 
-# -- parallel pair evaluation -------------------------------------------------
+# -- pair evaluation ----------------------------------------------------------
 
+# Workers (and the serial loop) find the corpus here; the serial loop clears
+# it on the way out so the trees and their leaf tables do not outlive a call.
 _POOL_STATE: dict = {}
+
+# The estimators the comparison runs on one shared pair context, in this
+# order: greedy reuses mmb's matching, and elm reuses it when it trims
+# nothing, so the shared set-up and the matching are charged to mmb.
+PAIR_STEPS: dict[str, Callable[[methods._Pair], methods.MethodResult]] = {
+    "mmb": methods._mmb,
+    "greedy": methods._greedy,
+    "elm": methods._elm,
+}
 
 
 def _pool_init(blob: bytes) -> None:
     _POOL_STATE["trees"] = pickle.loads(blob)
 
 
-def _pool_pair(task):
-    method_key, i, j = task
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _map_pairs(fn, trees: list[LabeledMergeTree], workers: int) -> list:
+    """``fn((i, j))`` for every pair i < j of ``trees`` in canonical order,
+    serially or on a pool of ``workers`` processes; ``fn`` reads the trees
+    from ``_POOL_STATE`` and must not raise."""
+    tasks = _pairs(len(trees))
+    if workers > 1 and len(tasks) > 1:
+        blob = pickle.dumps(trees)
+        # chunks of up to 8 pairs, but about four per worker on a small
+        # corpus, so its few pairs still spread over the workers
+        chunk = max(1, min(8, len(tasks) // (4 * workers)))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_pool_init, initargs=(blob,)
+        ) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunk))
+    _POOL_STATE["trees"] = trees
+    try:
+        return [fn(task) for task in tasks]
+    finally:
+        _POOL_STATE.pop("trees", None)
+
+
+def _failure_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _method_pair(method: str, task: tuple[int, int]):
+    i, j = task
     trees = _POOL_STATE["trees"]
     try:
-        res = METHODS[method_key](trees[i], trees[j])
-        return i, j, res.distance, res.wall_time, None
+        res = METHODS[method](trees[i], trees[j])
+        return res.distance, res.wall_time, None
     except Exception as exc:  # one failed pair must not abort the batch
-        return i, j, float("nan"), 0.0, f"{type(exc).__name__}: {exc}"
+        return float("nan"), 0.0, _failure_text(exc)
+
+
+def _compare_pair(task: tuple[int, int]) -> dict[str, tuple]:
+    """Every ``PAIR_STEPS`` estimator on one shared pair context; a method
+    that raises loses only its own cell.  Each wall time runs from that
+    method's own start, the first one's from the context's construction."""
+    i, j = task
+    trees = _POOL_STATE["trees"]
+    pair = None
+    cells = {}
+    for method, step in PAIR_STEPS.items():
+        try:
+            if pair is None:
+                pair = methods._Pair(trees[i], trees[j])
+            else:
+                pair.start = perf_counter()
+            res = step(pair)
+            cells[method] = (res.distance, res.wall_time, None)
+        except Exception as exc:  # one failed pair must not abort the batch
+            cells[method] = (float("nan"), 0.0, _failure_text(exc))
+    return cells
+
+
+def _assemble(
+    ids: Sequence[str], cells: Sequence[tuple]
+) -> tuple[DistanceMatrix, list[tuple[str, str, str]], float]:
+    """Mirror per-pair (value, wall, error) cells into a matrix; returns it
+    with the failures and the summed method seconds."""
+    n = len(ids)
+    values = np.zeros((n, n))
+    failures: list[tuple[str, str, str]] = []
+    total = 0.0
+    for (i, j), (value, wall, err) in zip(_pairs(n), cells):
+        values[i, j] = values[j, i] = value
+        total += wall
+        if err is not None:
+            failures.append((ids[i], ids[j], err))
+    return DistanceMatrix(tuple(ids), values), failures, total
 
 
 def distance_matrix(
@@ -167,28 +250,9 @@ def distance_matrix(
     ``method_seconds`` sums the per-pair method execution times (parse and
     scheduling overhead excluded).
     """
-    ids = [mid for mid, _ in corpus]
     trees = [t for _, t in corpus]
-    n = len(ids)
-    values = np.zeros((n, n))
-    tasks = [(method, i, j) for i in range(n) for j in range(i + 1, n)]
-    failures: list[tuple[str, str, str]] = []
-    total = 0.0
-    if workers > 1 and len(tasks) > 1:
-        blob = pickle.dumps(trees)
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(blob,)
-        ) as pool:
-            results = list(pool.map(_pool_pair, tasks, chunksize=8))
-    else:
-        _POOL_STATE["trees"] = trees
-        results = [_pool_pair(t) for t in tasks]
-    for i, j, value, wall, err in results:
-        values[i, j] = values[j, i] = value
-        total += wall
-        if err is not None:
-            failures.append((ids[i], ids[j], err))
-    return DistanceMatrix(tuple(ids), values), failures, total
+    cells = _map_pairs(functools.partial(_method_pair, method), trees, workers)
+    return _assemble([mid for mid, _ in corpus], cells)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -372,7 +436,9 @@ def cmd_compare(
 ) -> ComparisonReport:
     """Run all three estimators over a corpus and tabulate who wins where.
 
-    Always writes per-method CSVs, the two comparison pixmaps, and
+    Each pair is evaluated once: one pair context runs ``mmb``, ``greedy``
+    and ``elm`` (see ``PAIR_STEPS``), and the CSVs equal three ``cmd_matrix``
+    runs.  Always writes per-method CSVs, the two comparison pixmaps, and
     report.json; ``heatmap`` adds per-method grayscale pixmaps.  Pairs with
     disjoint label sets cannot run the baseline; they are compared
     first-vs-second method only and reported separately.  Any other pair a
@@ -384,9 +450,8 @@ def cmd_compare(
     corpus = load_corpus(inputs)
     ids = tuple(mid for mid, _ in corpus)
     trees = [t for _, t in corpus]
-    n = len(ids)
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = _pairs(len(ids))
     infos = [classify_agreement(trees[i], trees[j]) for i, j in pairs]
     greedy_ok = [
         p for p, info in zip(pairs, infos) if info.case is not Agreement.DISAGREEMENT
@@ -396,11 +461,12 @@ def cmd_compare(
     ]
     disjoint_ids = {(ids[i], ids[j]) for i, j in disjoint}
 
+    cells = _map_pairs(_compare_pair, trees, workers)
     matrices: dict[str, DistanceMatrix] = {}
     walls: dict[str, float] = {}
     failures: list[dict[str, str]] = []
     for method in ("elm", "mmb", "greedy"):
-        matrix, failed, seconds = distance_matrix(method, corpus, workers=workers)
+        matrix, failed, seconds = _assemble(ids, [c[method] for c in cells])
         matrices[method] = matrix
         walls[method] = seconds
         failures += [

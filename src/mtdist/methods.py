@@ -29,13 +29,17 @@ with fully disjoint labels there is no shared column space, so row norms of
 the per-tree pairwise leaf distance matrices are compared instead
 (| ||D1(i)||_2 - ||D2(j)||_2 |).
 
-All three run on one private pair context, ``_Pair``, built once per call:
-it holds the label split, the pivot and the unknown lists, and owns the
-steps the estimators share, namely the bipartite matching of pivot unknowns
-against the other tree's, the induced matrices over (vertex in a, vertex in
-b) pairs with their epsilon, and the result record.  Each estimator keeps
-only its own step between the matching and the objective: trimming,
-nothing, or granting labels.
+All three run on one private pair context, ``_Pair``: it holds the label
+split, the pivot and the unknown lists, and owns the steps the estimators
+share, namely the bipartite matching of pivot unknowns against the other
+tree's, the induced matrices over (vertex in a, vertex in b) pairs with their
+epsilon, and the result record.  Each public estimator is a thin wrapper that
+builds a fresh ``_Pair`` and runs the estimator's own step (``_elm``,
+``_mmb``, ``_greedy``) on it: trimming, nothing, or granting labels between
+the matching and the objective.  ``_Pair.match`` memoises its result by the
+tuple of pivot rows, so several estimators run on one ``_Pair`` (as the
+harness's comparison does) solve each distinct matching once: ``greedy``
+reuses ``mmb``'s, and ``elm`` reuses it whenever it trims nothing.
 
 ``oracle_min_objective`` exhaustively minimizes the same objective over every
 trim subset and bijection on small instances, using its own naive traversal
@@ -248,6 +252,7 @@ class _Pair:
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self.start = perf_counter()
         self.a, self.b = a, b
+        self._matches: dict[tuple[int, ...], tuple] = {}
         self.info = info = classify_agreement(a, b)
         self.pivot_is_a = _pivot_is_a(info)
         if self.pivot_is_a:
@@ -262,7 +267,17 @@ class _Pair:
     ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
         """Bipartite matching of the listed pivot unknowns against every
         unknown of the other tree; returns (side-A, side-B) label pairs and
-        the pivot labels left unmatched."""
+        the pivot labels left unmatched.  Solved once per row tuple: a later
+        estimator on the same pair asking for the same rows gets the
+        memoised result."""
+        found = self._matches.get(piv_rows)
+        if found is None:
+            found = self._matches[piv_rows] = self._solve_match(piv_rows)
+        return found
+
+    def _solve_match(
+        self, piv_rows: tuple[int, ...]
+    ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
         oth_rows = self.oth_unknown
         if not oth_rows:
             return (), piv_rows
@@ -357,18 +372,7 @@ def elm_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
     tree's unknowns, and each trimmed leaf contributes half its merge height
     above the nearest surviving leaf.
     """
-    p = _Pair(a, b)
-    if p.info.case is Agreement.FULL:
-        return p.result(p.induced(p.unified()))
-    _check_leaves_for_disagreement(a, b, p.info)
-    piv_leaf_labels = p.piv.leaf_labels()
-    s = build_s_matrix(p.piv, p.piv_unknown, piv_leaf_labels)
-    trimmed = select_trim(s, len(p.piv_unknown) - len(p.oth_unknown))
-    survivors = tuple(l for l in p.piv_unknown if l not in set(trimmed))
-    pairs_ab, _ = p.match(survivors)
-    induced = p.induced(p.unified(pairs_ab))
-    deltas = _delta_map(p.piv, trimmed, piv_leaf_labels)
-    return p.result(induced, pairs_ab, trimmed, deltas, trimmed=trimmed)
+    return _elm(_Pair(a, b))
 
 
 def mmb_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
@@ -378,14 +382,7 @@ def mmb_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
     unmatched pivot leaf contributes half its merge height above the nearest
     leaf outside the unmatched set.
     """
-    p = _Pair(a, b)
-    if p.info.case is Agreement.FULL:
-        return p.result(p.induced(p.unified()))
-    _check_leaves_for_disagreement(a, b, p.info)
-    pairs_ab, unmatched = p.match(p.piv_unknown)
-    induced = p.induced(p.unified(pairs_ab))
-    deltas = _delta_map(p.piv, unmatched, p.piv.leaf_labels())
-    return p.result(induced, pairs_ab, unmatched, deltas)
+    return _mmb(_Pair(a, b))
 
 
 def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
@@ -396,7 +393,34 @@ def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
     smaller tree; the closest leaf additionally receives the label.  The
     distance is the epsilon over the full unified label set.
     """
-    p = _Pair(a, b)
+    return _greedy(_Pair(a, b))
+
+
+def _elm(p: _Pair) -> MethodResult:
+    if p.info.case is Agreement.FULL:
+        return p.result(p.induced(p.unified()))
+    _check_leaves_for_disagreement(p.a, p.b, p.info)
+    piv_leaf_labels = p.piv.leaf_labels()
+    s = build_s_matrix(p.piv, p.piv_unknown, piv_leaf_labels)
+    trimmed = select_trim(s, len(p.piv_unknown) - len(p.oth_unknown))
+    survivors = tuple(l for l in p.piv_unknown if l not in set(trimmed))
+    pairs_ab, _ = p.match(survivors)
+    induced = p.induced(p.unified(pairs_ab))
+    deltas = _delta_map(p.piv, trimmed, piv_leaf_labels)
+    return p.result(induced, pairs_ab, trimmed, deltas, trimmed=trimmed)
+
+
+def _mmb(p: _Pair) -> MethodResult:
+    if p.info.case is Agreement.FULL:
+        return p.result(p.induced(p.unified()))
+    _check_leaves_for_disagreement(p.a, p.b, p.info)
+    pairs_ab, unmatched = p.match(p.piv_unknown)
+    induced = p.induced(p.unified(pairs_ab))
+    deltas = _delta_map(p.piv, unmatched, p.piv.leaf_labels())
+    return p.result(induced, pairs_ab, unmatched, deltas)
+
+
+def _greedy(p: _Pair) -> MethodResult:
     if p.info.case is Agreement.FULL:
         return p.result(p.induced(p.unified()))
     if p.info.case is Agreement.DISAGREEMENT:

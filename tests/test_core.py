@@ -307,6 +307,10 @@ def test_invalid_vertex_raises():
         t.depth(-1)
     with pytest.raises(errors.InvalidVertex):
         t.lca_many([-4], [3])  # would wrap around to the root
+    with pytest.raises(errors.InvalidVertex):
+        t.lca_many([-2], [3])  # would wrap around to leaf 2
+    with pytest.raises(errors.InvalidVertex):
+        t.lca_many([9], [3])
 
 
 # -- induced matrices ----------------------------------------------------------

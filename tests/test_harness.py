@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mtdist import errors, harness, read_mtree_file
+from mtdist import assignment, errors, harness, read_mtree_file
 from mtdist.cli import main
+from mtdist.core import Agreement
 from mtdist.harness import (
     cmd_bench,
     cmd_compare,
@@ -240,20 +242,122 @@ def test_cli_compare_failures_exit_3(tmp_path, capsys):
     assert "single / three (mmb): DisagreementEmptyTree" in err
 
 
-def test_any_exception_in_a_pair_is_a_failure_row(monkeypatch, tmp_path):
-    def overflows(a, b):
-        raise RecursionError("maximum recursion depth exceeded")
+def _overflows(*args):
+    raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setitem(harness.METHODS, "elm", overflows)
+
+def test_any_exception_in_a_pair_is_a_failure_row(monkeypatch, tmp_path):
+    monkeypatch.setitem(harness.METHODS, "elm", _overflows)
     corpus = load_corpus(_example_files(1))
     matrix, failures, _ = distance_matrix("elm", corpus, workers=1)
     assert np.isnan(matrix.values[0, 1])
     assert failures == [
         ("example1_a", "example1_b", "RecursionError: maximum recursion depth exceeded")
     ]
+    # compare runs its estimators on one pair context, not through METHODS
+    monkeypatch.setitem(harness.PAIR_STEPS, "elm", _overflows)
     report = cmd_compare(_example_files(1), tmp_path)
     assert [f["method"] for f in report.failures] == ["elm"]
+    assert report.failures[0]["error"].startswith("RecursionError")
     assert sum(report.counts.values()) == 0
+    # the pair's other two values are kept
+    assert np.isnan(read_matrix_csv(tmp_path / "distances_elm.csv").values[0, 1])
+    for method in ("mmb", "greedy"):
+        assert np.isfinite(read_matrix_csv(tmp_path / f"distances_{method}.csv").values[0, 1])
+
+
+class _Abort(BaseException):
+    """Escapes the per-pair failure handling."""
+
+
+def test_serial_runs_leave_no_trees_behind(small_ensemble, monkeypatch, tmp_path):
+    distance_matrix("elm", load_corpus(small_ensemble), workers=1)
+    assert "trees" not in harness._POOL_STATE
+    cmd_compare(small_ensemble, tmp_path / "ok", workers=1)
+    assert "trees" not in harness._POOL_STATE
+    monkeypatch.setitem(harness.PAIR_STEPS, "mmb", _overflows)
+    report = cmd_compare(small_ensemble, tmp_path / "failed", workers=1)
+    assert {f["method"] for f in report.failures} == {"mmb"}
+    assert "trees" not in harness._POOL_STATE
+
+    def aborts(*args):
+        raise _Abort
+
+    monkeypatch.setitem(harness.PAIR_STEPS, "elm", aborts)
+    with pytest.raises(_Abort):
+        cmd_compare(small_ensemble, tmp_path / "aborted", workers=1)
+    assert "trees" not in harness._POOL_STATE
+
+
+def _write_mixed_corpus(root):
+    # the disjoint-label and leafless members plus a PARTIAL pair
+    # (example1_a/b) and a FULL pair (example1_a and its copy)
+    _write_compare_corpus_with_leafless_member(root)
+    shutil.copy(FIXTURES / "example1_a.mtree", root / "example1_c.mtree")
+    shutil.copy(FIXTURES / "example1_b.mtree", root / "example1_b.mtree")
+    return sorted(str(p) for p in root.glob("*.mtree"))
+
+
+def test_compare_outputs_equal_matrix_runs_for_any_worker_count(tmp_path):
+    (tmp_path / "in").mkdir()
+    inputs = _write_mixed_corpus(tmp_path / "in")
+    trees = [t for _, t in load_corpus(inputs)]
+    cases = {
+        harness.classify_agreement(trees[i], trees[j]).case
+        for i, j in harness._pairs(len(trees))
+    }
+    assert cases == {Agreement.FULL, Agreement.PARTIAL, Agreement.DISAGREEMENT}
+    reports = []
+    for workers in (1, 2):
+        out = tmp_path / f"compare_w{workers}"
+        cmd_compare(inputs, out, workers=workers, heatmap=True)
+        report = json.loads((out / "report.json").read_text())
+        del report["mean_wall_seconds"]
+        reports.append(report)
+        for method in ("elm", "mmb", "greedy"):
+            ref = tmp_path / f"matrix_{method}"
+            if not ref.exists():
+                cmd_matrix(method, inputs, ref, heatmap=True)
+            for ext in ("csv", "ppm"):
+                name = f"distances_{method}.{ext}"
+                assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    assert reports[0] == reports[1]
+    assert len(reports[0]["failures"]) == 8  # elm and mmb on single's four pairs
+
+
+def test_compare_solves_each_matching_once(small_ensemble, monkeypatch, tmp_path):
+    trees = [t for _, t in load_corpus(small_ensemble)]
+    pairs = harness._pairs(len(trees))
+    assert all(
+        harness.classify_agreement(trees[i], trees[j]).case is Agreement.PARTIAL
+        for i, j in pairs
+    )
+    current = {}
+    solved = []  # (method, pair, cost bytes)
+
+    def tagged(method, step):
+        def run(pair):
+            current["at"] = (method, (id(pair.a), id(pair.b)))
+            return step(pair)
+
+        return run
+
+    for method, step in list(harness.PAIR_STEPS.items()):
+        monkeypatch.setitem(harness.PAIR_STEPS, method, tagged(method, step))
+    solve = assignment.solve
+
+    def counted(cost):
+        solved.append((*current["at"], np.asarray(cost).tobytes()))
+        return solve(cost)
+
+    monkeypatch.setattr(assignment, "solve", counted)
+    cmd_compare(small_ensemble, tmp_path, workers=1)
+    per_pair = Counter(pair for _, pair, _ in solved)
+    assert solved and max(per_pair.values()) <= 2
+    by_mmb = {(pair, cost) for method, pair, cost in solved if method == "mmb"}
+    assert not [
+        1 for method, pair, cost in solved if method == "greedy" and (pair, cost) in by_mmb
+    ]
 
 
 # -- bench -----------------------------------------------------------------------
