@@ -27,10 +27,8 @@ vertices, two up to 65,536, four above.  A query touching an internal
 vertex reads the table at one leaf below each side and keeps the
 shallowest of that LCA and the two query vertices.  There is no size
 cutoff, and the table stays cached on its tree, so a process holds one per
-tree it has queried: 34 MB a tree at L = 4096.  There, a serial ``elm``
-distance matrix over 20 trees peaked at 3.9 GB RSS and took 212 s, against
-3.3 GB and 619 s with the Euler-tour / sparse-table index that used to
-serve trees above 2^22 leaf pairs.  The cache is dropped on pickling.
+tree it has queried: 34 MB a tree at L = 4096.  The cache is dropped on
+pickling.
 """
 
 from __future__ import annotations

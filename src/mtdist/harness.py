@@ -8,14 +8,14 @@ symmetric with a zero diagonal.  Per-pair failures (for instance the
 baseline refusing a disjoint-label pair) degrade to NaN cells instead of
 aborting a long batch; callers receive the failure list.
 
-Pair evaluations are pure and independent, so they can fan out to a process
-pool; results come back in pair order, which makes output byte-identical for
-any worker count.  ``distance_matrix`` and ``cmd_compare`` share one
-pair-mapping helper, so a comparison is one pass over the pairs with at most
-one pool: each pair is evaluated once, on one pair context that runs
-``mmb``, ``greedy`` and ``elm`` in turn and solves each distinct matching
-once.  Timing runs force serial execution and measure method execution only
-(parsing excluded).
+Pair evaluations are pure and independent, so they can fan out to a pool of
+at most one process per pair; results come back in pair order, which makes
+output byte-identical for any worker count.  ``distance_matrix`` and
+``cmd_compare`` share one pair-mapping helper, so a comparison is one pass
+over the pairs with at most one pool.  Its pair record holds the cells of
+``mmb``, ``greedy`` and ``elm``, run in turn on one pair context, and the
+pair's agreement case, from which the report is tallied.  Timing runs force
+serial execution and measure method execution only (parsing excluded).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import pickle
 import platform
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Sequence
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import errors, methods, synth
-from .core import Agreement, LabeledMergeTree, classify_agreement
+from .core import Agreement, LabeledMergeTree, classify_agreement  # noqa: F401 re-export
 from .io import (
     DistanceMatrix,
     read_mtree_file,
@@ -168,10 +168,12 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 def _map_pairs(fn, trees: list[LabeledMergeTree], workers: int) -> list:
     """``fn((i, j))`` for every pair i < j of ``trees`` in canonical order,
-    serially or on a pool of ``workers`` processes; ``fn`` reads the trees
-    from ``_POOL_STATE`` and must not raise."""
+    serially or on a pool of at most ``workers`` processes, never more than
+    there are pairs; ``fn`` reads the trees from ``_POOL_STATE``."""
     tasks = _pairs(len(trees))
-    if workers > 1 and len(tasks) > 1:
+    # the pool forks all its workers at once, so one per pair at most
+    workers = min(workers, len(tasks))
+    if workers > 1:
         blob = pickle.dumps(trees)
         # chunks of up to 8 pairs, but about four per worker on a small
         # corpus, so its few pairs still spread over the workers
@@ -187,39 +189,38 @@ def _map_pairs(fn, trees: list[LabeledMergeTree], workers: int) -> list:
         _POOL_STATE.pop("trees", None)
 
 
-def _failure_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _method_pair(method: str, task: tuple[int, int]):
-    i, j = task
-    trees = _POOL_STATE["trees"]
+def _cell(step: Callable[..., methods.MethodResult], *args) -> tuple:
+    """``step(*args)`` as a (distance, seconds, None) cell, timed around the
+    call; if it raises, (nan, 0.0, error text), so one failed pair cannot
+    abort the batch."""
+    start = perf_counter()
     try:
-        res = METHODS[method](trees[i], trees[j])
-        return res.distance, res.wall_time, None
-    except Exception as exc:  # one failed pair must not abort the batch
-        return float("nan"), 0.0, _failure_text(exc)
+        distance = step(*args).distance
+    except Exception as exc:
+        return float("nan"), 0.0, f"{type(exc).__name__}: {exc}"
+    return distance, perf_counter() - start, None
 
 
-def _compare_pair(task: tuple[int, int]) -> dict[str, tuple]:
-    """Every ``PAIR_STEPS`` estimator on one shared pair context; a method
-    that raises loses only its own cell.  Each wall time runs from that
-    method's own start, the first one's from the context's construction."""
+def _method_pair(method: str, task: tuple[int, int]) -> tuple:
     i, j = task
     trees = _POOL_STATE["trees"]
-    pair = None
-    cells = {}
-    for method, step in PAIR_STEPS.items():
-        try:
-            if pair is None:
-                pair = methods._Pair(trees[i], trees[j])
-            else:
-                pair.start = perf_counter()
-            res = step(pair)
-            cells[method] = (res.distance, res.wall_time, None)
-        except Exception as exc:  # one failed pair must not abort the batch
-            cells[method] = (float("nan"), 0.0, _failure_text(exc))
-    return cells
+    return _cell(METHODS[method], trees[i], trees[j])
+
+
+def _compare_pair(task: tuple[int, int]) -> tuple[dict[str, tuple], Agreement, int]:
+    """The pair record: a cell per ``PAIR_STEPS`` estimator, all run on one
+    shared pair context (a method that raises loses only its own cell), with
+    the pair's agreement case and its |n_unknown_a - n_unknown_b|."""
+    i, j = task
+    trees = _POOL_STATE["trees"]
+    start = perf_counter()
+    pair = methods._Pair(trees[i], trees[j])
+    setup = perf_counter() - start
+    cells = {method: _cell(step, pair) for method, step in PAIR_STEPS.items()}
+    # the shared set-up is charged to the first step, mmb
+    distance, seconds, err = cells["mmb"]
+    cells["mmb"] = (distance, seconds + setup if err is None else 0.0, err)
+    return cells, pair.info.case, abs(pair.info.n_unknown_a - pair.info.n_unknown_b)
 
 
 def _assemble(
@@ -391,18 +392,8 @@ class ComparisonReport:
     failures: list[dict[str, str]] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "member_ids": list(self.member_ids),
-            "pair_count": self.pair_count,
-            "greedy_pair_count": self.greedy_pair_count,
-            "disagreement_pair_count": self.disagreement_pair_count,
-            "counts": self.counts,
-            "percentages": self.percentages,
-            "averages": self.averages,
-            "mean_wall_seconds": self.mean_wall,
-            "disagreement_counts": self.disagreement_counts,
-            "failures": self.failures,
-        }
+        payload = asdict(self)
+        payload["mean_wall_seconds"] = payload.pop("mean_wall")
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def summary(self) -> str:
@@ -427,6 +418,11 @@ def _gt(x: float, y: float) -> bool:
     return x > y + _COMPARE_TOL * max(1.0, abs(y))
 
 
+def _tally(counts: dict[str, int], x: float, y: float, more: str, less: str, tie: str) -> None:
+    """Count x against y under ``more``, ``less`` or ``tie``."""
+    counts[more if _gt(x, y) else less if _gt(y, x) else tie] += 1
+
+
 def cmd_compare(
     inputs: Sequence[str | Path],
     out_dir: str | Path,
@@ -436,8 +432,9 @@ def cmd_compare(
 ) -> ComparisonReport:
     """Run all three estimators over a corpus and tabulate who wins where.
 
-    Each pair is evaluated once: one pair context runs ``mmb``, ``greedy``
-    and ``elm`` (see ``PAIR_STEPS``), and the CSVs equal three ``cmd_matrix``
+    Each pair is evaluated once, into one record (``_compare_pair``) from
+    which every count is tallied; its pair context runs ``mmb``, ``greedy``
+    and ``elm`` (see ``PAIR_STEPS``), so the CSVs equal three ``cmd_matrix``
     runs.  Always writes per-method CSVs, the two comparison pixmaps, and
     report.json; ``heatmap`` adds per-method grayscale pixmaps.  Pairs with
     disjoint label sets cannot run the baseline; they are compared
@@ -451,77 +448,49 @@ def cmd_compare(
     ids = tuple(mid for mid, _ in corpus)
     trees = [t for _, t in corpus]
 
-    pairs = _pairs(len(ids))
-    infos = [classify_agreement(trees[i], trees[j]) for i, j in pairs]
-    greedy_ok = [
-        p for p, info in zip(pairs, infos) if info.case is not Agreement.DISAGREEMENT
-    ]
-    disjoint = [
-        p for p, info in zip(pairs, infos) if info.case is Agreement.DISAGREEMENT
-    ]
-    disjoint_ids = {(ids[i], ids[j]) for i, j in disjoint}
+    records = _map_pairs(_compare_pair, trees, workers)
+    counts = dict.fromkeys(("G>M1", "M1>G", "G>M2", "M2>G", "ties_m1", "ties_m2"), 0)
+    dis_counts = dict.fromkeys(("M1>M2", "M2>M1", "ties"), 0)
+    n_disjoint = 0
+    for cells, case, _ in records:
+        disjoint = case is Agreement.DISAGREEMENT
+        if disjoint:
+            # the baseline's documented refusal: a NaN cell, not a failure
+            cells["greedy"] = (*cells["greedy"][:2], None)
+            n_disjoint += 1
+        if any(err is not None for _, _, err in cells.values()):
+            continue
+        m1, m2, g = (cells[m][0] for m in ("elm", "mmb", "greedy"))
+        if disjoint:
+            _tally(dis_counts, m1, m2, "M1>M2", "M2>M1", "ties")
+        else:
+            _tally(counts, g, m1, "G>M1", "M1>G", "ties_m1")
+            _tally(counts, g, m2, "G>M2", "M2>G", "ties_m2")
 
-    cells = _map_pairs(_compare_pair, trees, workers)
     matrices: dict[str, DistanceMatrix] = {}
     walls: dict[str, float] = {}
     failures: list[dict[str, str]] = []
     for method in ("elm", "mmb", "greedy"):
-        matrix, failed, seconds = _assemble(ids, [c[method] for c in cells])
-        matrices[method] = matrix
-        walls[method] = seconds
+        matrices[method], failed, walls[method] = _assemble(
+            ids, [cells[method] for cells, _, _ in records]
+        )
         failures += [
             {"method": method, "member_a": a, "member_b": b, "error": msg}
             for a, b, msg in failed
-            # the baseline's documented refusal of disjoint-label pairs
-            if not (method == "greedy" and (a, b) in disjoint_ids)
         ]
-    failed_pairs = {(f["member_a"], f["member_b"]) for f in failures}
 
-    counts = {"G>M1": 0, "M1>G": 0, "G>M2": 0, "M2>G": 0, "ties_m1": 0, "ties_m2": 0}
-    for i, j in greedy_ok:
-        if (ids[i], ids[j]) in failed_pairs:
-            continue
-        g = matrices["greedy"].values[i, j]
-        m1 = matrices["elm"].values[i, j]
-        m2 = matrices["mmb"].values[i, j]
-        if _gt(g, m1):
-            counts["G>M1"] += 1
-        elif _gt(m1, g):
-            counts["M1>G"] += 1
-        else:
-            counts["ties_m1"] += 1
-        if _gt(g, m2):
-            counts["G>M2"] += 1
-        elif _gt(m2, g):
-            counts["M2>G"] += 1
-        else:
-            counts["ties_m2"] += 1
-    dis_counts = {"M1>M2": 0, "M2>M1": 0, "ties": 0}
-    for i, j in disjoint:
-        if (ids[i], ids[j]) in failed_pairs:
-            continue
-        m1 = matrices["elm"].values[i, j]
-        m2 = matrices["mmb"].values[i, j]
-        if _gt(m1, m2):
-            dis_counts["M1>M2"] += 1
-        elif _gt(m2, m1):
-            dis_counts["M2>M1"] += 1
-        else:
-            dis_counts["ties"] += 1
-
-    n_greedy = len(greedy_ok)
+    n_pairs = len(records)
+    n_greedy = n_pairs - n_disjoint
     pct = {
         k: (100.0 * counts[k] / n_greedy if n_greedy else 0.0)
         for k in ("G>M1", "M1>G", "G>M2", "M2>G")
     }
-    unknown_gaps = [abs(info.n_unknown_a - info.n_unknown_b) for info in infos]
     averages = {
         "avg_vertices": float(np.mean([t.tree.n_vertices for t in trees])),
         "avg_leaves": float(np.mean([len(t.tree.leaves) for t in trees])),
-        "avg_unknown_gap": float(np.mean(unknown_gaps)) if unknown_gaps else 0.0,
+        "avg_unknown_gap": float(np.mean([gap for _, _, gap in records])),
     }
-    n_pairs = len(pairs)
-    mean_wall = {m: (walls[m] / n_pairs if n_pairs else 0.0) for m in walls}
+    mean_wall = {m: walls[m] / n_pairs for m in walls}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -539,7 +508,7 @@ def cmd_compare(
         member_ids=ids,
         pair_count=n_pairs,
         greedy_pair_count=n_greedy,
-        disagreement_pair_count=len(disjoint),
+        disagreement_pair_count=n_disjoint,
         counts=counts,
         percentages=pct,
         averages=averages,

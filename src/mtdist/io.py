@@ -64,7 +64,7 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
     """
     scalars: dict[int, float] = {}
     raw_labels: dict[int, list[int]] = {}
-    edges: list[tuple[int, int]] = []
+    edges: list[tuple[int, int, int]] = []  # (child, parent, line number)
     saw_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -112,7 +112,7 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
                 child, parent = int(parts[1]), int(parts[2])
             except ValueError:
                 raise errors.MtreeSyntaxError(line_no, "bad edge ids") from None
-            edges.append((child, parent))
+            edges.append((child, parent, line_no))
         else:
             raise errors.MtreeSyntaxError(line_no, f"unknown record {parts[0]!r}")
     if not saw_header:
@@ -120,16 +120,16 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
     if not scalars:
         raise errors.MtreeSyntaxError(1, "no vertices")
 
-    for child, parent in edges:
+    for child, parent, _ in edges:
         for vid in (child, parent):
             if vid not in scalars:
                 raise errors.DisconnectedVertex(
                     f"edge ({child}, {parent}) references undefined vertex {vid}"
                 )
     parent_of: dict[int, int] = {}
-    for child, parent in edges:
+    for child, parent, line_no in edges:
         if child in parent_of:
-            raise errors.MtreeSyntaxError(0, f"vertex {child} has two parents")
+            raise errors.MtreeSyntaxError(line_no, f"vertex {child} has two parents")
         parent_of[child] = parent
 
     ids = sorted(scalars)
@@ -286,14 +286,22 @@ def write_matrix_csv(matrix: DistanceMatrix, path) -> None:
 
 
 def read_matrix_csv(path) -> DistanceMatrix:
+    """Inverse of :func:`write_matrix_csv`; each row must start with the
+    member id the header lists at its position."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise errors.MtreeSyntaxError(1, "empty matrix file")
     header = lines[0].split(",")
     if header[0] != "id":
         raise errors.MtreeSyntaxError(1, "expected 'id' corner cell")
     ids = tuple(header[1:])
     rows = []
-    for line in lines[1 : 1 + len(ids)]:
+    for line_no, (mid, line) in enumerate(zip(ids, lines[1:]), start=2):
         cells = line.split(",")
+        if cells[0] != mid:
+            raise errors.MtreeSyntaxError(
+                line_no, f"row id {cells[0]!r} where the header puts {mid!r}"
+            )
         rows.append([float(x) for x in cells[1:]])
     return DistanceMatrix(ids, np.asarray(rows))
 

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mtdist import assignment, errors, harness, read_mtree_file
+from mtdist import assignment, core, errors, harness, methods, read_mtree_file
 from mtdist.cli import main
 from mtdist.core import Agreement
 from mtdist.harness import (
@@ -323,6 +323,68 @@ def test_compare_outputs_equal_matrix_runs_for_any_worker_count(tmp_path):
                 assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     assert reports[0] == reports[1]
     assert len(reports[0]["failures"]) == 8  # elm and mmb on single's four pairs
+
+
+def test_compare_report_on_mixed_corpus(tmp_path):
+    (tmp_path / "in").mkdir()
+    report = cmd_compare(_write_mixed_corpus(tmp_path / "in"), tmp_path / "out")
+    # FULL example1_a/c ties; both PARTIAL example1 pairs: greedy 2 > 0.5
+    assert report.counts == {
+        "G>M1": 2, "M1>G": 0, "G>M2": 2, "M2>G": 0, "ties_m1": 1, "ties_m2": 1
+    }
+    # seven disjoint-label pairs, the four with the leafless member failed
+    assert report.disagreement_counts == {"M1>M2": 0, "M2>M1": 1, "ties": 2}
+    assert (report.greedy_pair_count, report.disagreement_pair_count) == (3, 7)
+    assert report.averages == {"avg_vertices": 4.6, "avg_leaves": 2.6, "avg_unknown_gap": 2.0}
+
+
+def test_compare_classifies_each_pair_once(small_ensemble, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(a, b):
+        calls.append((id(a), id(b)))
+        return core.classify_agreement(a, b)
+
+    for module in (methods, harness):
+        monkeypatch.setattr(module, "classify_agreement", counted)
+    report = cmd_compare(small_ensemble, tmp_path, workers=1)
+    assert len(calls) == len(set(calls)) == report.pair_count
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and maps in this process."""
+
+    started: list[int] = []
+
+    def __init__(self, *, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        harness._POOL_STATE.pop("trees", None)
+
+    def map(self, fn, tasks, chunksize):
+        return map(fn, tasks)
+
+
+def test_pool_starts_no_more_workers_than_pairs(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "started", [])
+    inputs = _write_compare_corpus_with_leafless_member(tmp_path)  # 3 pairs
+    serial = cmd_compare(inputs, tmp_path / "w1", workers=1)
+    assert _SerialPool.started == []
+    wide = cmd_compare(inputs, tmp_path / "w64", workers=64)
+    corpus = load_corpus(inputs)
+    matrix, _, _ = distance_matrix("mmb", corpus, workers=2)
+    assert _SerialPool.started == [3, 2]
+    assert (wide.counts, wide.failures) == (serial.counts, serial.failures)
+    assert np.array_equal(
+        matrix.values, distance_matrix("mmb", corpus, workers=1)[0].values, equal_nan=True
+    )
 
 
 def test_compare_solves_each_matching_once(small_ensemble, monkeypatch, tmp_path):

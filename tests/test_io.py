@@ -97,6 +97,13 @@ def test_syntax_errors_carry_line_numbers():
         parse_mtree("mtree 1\nv 0\n")
 
 
+def test_second_parent_reported_at_its_edge_line():
+    text = "mtree 1\nv 0 3.0\nv 1 2.0\nv 2 0.0 1\ne 2 0\n# again\ne 2 1\n"
+    with pytest.raises(errors.MtreeSyntaxError, match="vertex 2 has two parents") as info:
+        parse_mtree(text)
+    assert info.value.line_no == 7
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(errors.DuplicateLabel):
         parse_mtree("mtree 1\nv 0 1.0\nv 1 0.0 2 2\ne 1 0\n")
@@ -152,6 +159,19 @@ def test_matrix_csv_round_trip(tmp_path):
     back = read_matrix_csv(path)
     assert back.member_ids == ("m0", "m1")
     assert np.array_equal(back.values, m.values)
+
+
+def test_matrix_csv_rejects_empty_file_and_misplaced_rows(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("")
+    with pytest.raises(errors.MtreeSyntaxError) as info:
+        read_matrix_csv(path)
+    assert info.value.line_no == 1
+    # well-formed cells, but the rows are in the other order than the header
+    path.write_text("id,a,b\nb,1.5,0.0\na,0.0,1.5\n")
+    with pytest.raises(errors.MtreeSyntaxError, match="'b'") as info:
+        read_matrix_csv(path)
+    assert info.value.line_no == 2
 
 
 def test_matrix_csv_singleton(tmp_path):
