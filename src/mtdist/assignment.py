@@ -8,6 +8,12 @@ Rectangular instances are padded to square with a sentinel cost strictly
 greater than n * max entry; sentinel pairs are dropped afterwards and the
 short side's leftovers populate the unmatched lists.
 
+The same loop exists twice.  ``_scalar_hungarian`` runs it over Python
+lists and ``_numpy_hungarian`` over numpy arrays; padded sizes up to
+``SCALAR_MAX_SIZE`` take the scalar loop, larger ones the numpy loop.  At
+small sizes the fixed cost of a dozen small numpy calls per step outweighs
+the arithmetic they do; at large sizes the interpreted loop loses.
+
 Determinism: among matchings of optimal total cost, the returned pair list is
 the lexicographically smallest by (row, col).  After the primal solve, the
 zero-reduced-cost subgraph (every perfect matching inside it is optimal) is
@@ -15,6 +21,14 @@ canonicalized row by row, choosing the smallest column that still leaves the
 remaining rows perfectly matchable.  Ties are detected within a small
 relative tolerance; if the canonical pass would increase the summed cost at
 all, the solver's own matching is kept.
+
+So the returned matching can depend on the solver's own matching and
+potentials, down to the last bit: they decide which edges are tight, and
+the guard falls back to the solver's matching.  Both loops therefore do the
+same floating-point operations in the same order (the same reduced costs,
+the first-index argmin, the same potential updates) and return bit-identical
+(col_to_row, u, v).  Any change to that order can change distances and the
+benchmark's reference digests.
 """
 
 from __future__ import annotations
@@ -26,6 +40,10 @@ import numpy as np
 from . import errors
 
 __all__ = ["Assignment", "solve"]
+
+# Padded sizes up to this run the scalar loop, larger ones the numpy loop.
+# The two broke even near 160 on padded rectangles on a 2-core x86-64 host.
+SCALAR_MAX_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -40,6 +58,66 @@ class Assignment:
 
 def _augmenting_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve a square instance; returns (col_to_row, u, v) potentials."""
+    if cost.shape[0] > SCALAR_MAX_SIZE:
+        return _numpy_hungarian(cost)
+    return _scalar_hungarian(cost)
+
+
+def _scalar_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loop of :func:`_numpy_hungarian` over Python lists.
+
+    Each step visits only the free columns, in ascending order, and the used
+    rows and columns.  Every potential and minv entry goes through the same
+    float operations in the same order, so the outputs are bit-identical.
+    The free columns' ``minv -= delta`` of one step is applied at the start
+    of the next step's scan, still before that step's comparison.
+    """
+    n = cost.shape[0]
+    rows = cost.tolist()
+    u = [0.0] * n
+    v = [0.0] * n
+    p = [-1] * (n + 1)  # p[j] = row matched to column j; index n is virtual
+    inf = float("inf")
+    for i in range(n):
+        p[n] = i
+        j0 = n
+        minv = [inf] * n
+        way = [n] * n
+        free = list(range(n))
+        used_rows, used_cols = [i], []
+        delta = 0.0  # nothing pending before the first scan: inf - 0.0 is inf
+        while True:
+            row = rows[p[j0]]
+            ui = u[p[j0]]
+            last, delta, j1 = delta, inf, -1
+            for j in free:
+                m = minv[j] - last
+                c = row[j] - ui - v[j]
+                if c < m:
+                    m = c
+                    way[j] = j0
+                minv[j] = m
+                if m < delta:
+                    delta, j1 = m, j
+            free.remove(j1)
+            for r in used_rows:
+                u[r] += delta
+            for j in used_cols:
+                v[j] -= delta
+            j0 = j1
+            if p[j0] == -1:
+                break
+            used_rows.append(p[j0])
+            used_cols.append(j0)
+        while j0 != n:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    return np.array(p[:n], dtype=np.int64), np.array(u), np.array(v)
+
+
+def _numpy_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vectorised loop: one numpy pass over all n columns per step."""
     n = cost.shape[0]
     u = np.zeros(n)
     v = np.zeros(n + 1)  # index n is the virtual column
@@ -75,72 +153,69 @@ def _augmenting_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return p[:n], u, v[:n]
 
 
-def _kuhn_augment(r: int, adj: list[list[int]], col_to_row: np.ndarray,
-                  banned: set[int], visited: set[int]) -> bool:
-    """Find an augmenting path from free row r inside the tight subgraph.
-
-    Depth-first, trying each row's columns in adjacency order; iterative, so
-    path length is not bounded by the interpreter's recursion limit.
-    """
-    rows, cols = [r], []  # cols[k] leads from rows[k] to rows[k + 1]
-    todo = [iter(adj[r])]
-    while todo:
-        for c in todo[-1]:
-            if c in banned or c in visited:
-                continue
-            visited.add(c)
-            cols.append(c)
-            owner = int(col_to_row[c])
-            if owner == -1:
-                for row, col in zip(rows, cols):
-                    col_to_row[col] = row
-                return True
-            rows.append(owner)
-            todo.append(iter(adj[owner]))
-            break
-        else:  # rows[-1] is a dead end: back up to its parent's next column
-            todo.pop()
-            rows.pop()
-            if cols:
-                cols.pop()
-    return False
-
-
 def _lexicographic_matching(adj: list[list[int]], row_to_col: np.ndarray) -> np.ndarray:
     """Lexicographically smallest perfect matching within the tight subgraph.
 
-    Starts from a known perfect matching and fixes rows in ascending order,
-    rerouting through augmenting paths when a smaller column is feasible.
+    Starts from a known perfect matching and fixes rows in ascending order.
+    To try a smaller column c for row i, row i takes c and c's owner looks
+    for an augmenting path back to i's old column: depth-first, each row's
+    columns in adjacency order, never through c or a fixed column, visiting
+    each column once per attempt.  Iterative, so path length is not bounded
+    by the interpreter's recursion limit.
     """
     n = len(adj)
-    match = row_to_col.copy()
-    col_to_row = np.full(n, -1, dtype=np.int64)
+    match = row_to_col.tolist()
+    col_to_row = [0] * n
     for i, c in enumerate(match):
         col_to_row[c] = i
-    fixed: set[int] = set()
+    # mark[c] == attempt: c is the column being tried or already visited in
+    # this attempt; mark[c] == fixed: c belongs to an earlier row for good.
+    # There is at most one attempt per edge, so fixed exceeds every attempt.
+    fixed = n * n + 1
+    mark = [0] * n
+    attempt = 0
     for i in range(n):
-        mi = int(match[i])
+        mi = match[i]
         for c in adj[i]:
-            if c in fixed:
+            if mark[c] == fixed:
                 continue
             if c == mi:
                 break
-            owner = int(col_to_row[c])
-            # tentatively give c to row i, free its old column, rehome owner
-            col_to_row[c] = i
+            attempt += 1
+            mark[c] = attempt
+            owner = col_to_row[c]
             col_to_row[mi] = -1
-            match[i] = c
-            if _kuhn_augment(owner, adj, col_to_row, banned=fixed | {c}, visited=set()):
-                # owner found a new column; record row->col for all rows
-                for cc in range(n):
-                    if col_to_row[cc] >= 0:
-                        match[col_to_row[cc]] = cc
+            rows, cols = [owner], []  # cols[k] leads from rows[k] to rows[k + 1]
+            todo = [iter(adj[owner])]
+            found = False
+            while todo and not found:
+                for cc in todo[-1]:
+                    if mark[cc] >= attempt:
+                        continue
+                    mark[cc] = attempt
+                    cols.append(cc)
+                    nxt = col_to_row[cc]
+                    if nxt == -1:
+                        found = True
+                    else:
+                        rows.append(nxt)
+                        todo.append(iter(adj[nxt]))
+                    break
+                else:  # rows[-1] is a dead end: back up to its parent's next column
+                    todo.pop()
+                    rows.pop()
+                    if cols:
+                        cols.pop()
+            if found:
+                col_to_row[c] = i
+                match[i] = c
+                for row, col in zip(rows, cols):
+                    col_to_row[col] = row
+                    match[row] = col
                 break
-            col_to_row[c] = owner
             col_to_row[mi] = i
-            match[i] = mi
-        fixed.add(int(match[i]))
-    return match
+        mark[match[i]] = fixed
+    return np.array(match, dtype=np.int64)
 
 
 def solve(cost) -> Assignment:

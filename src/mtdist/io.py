@@ -287,7 +287,8 @@ def write_matrix_csv(matrix: DistanceMatrix, path) -> None:
 
 def read_matrix_csv(path) -> DistanceMatrix:
     """Inverse of :func:`write_matrix_csv`; each row must start with the
-    member id the header lists at its position."""
+    member id the header lists at its position and hold one number per
+    member, and there is one row per member."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise errors.MtreeSyntaxError(1, "empty matrix file")
@@ -302,7 +303,18 @@ def read_matrix_csv(path) -> DistanceMatrix:
             raise errors.MtreeSyntaxError(
                 line_no, f"row id {cells[0]!r} where the header puts {mid!r}"
             )
-        rows.append([float(x) for x in cells[1:]])
+        if len(cells) != len(ids) + 1:
+            raise errors.MtreeSyntaxError(
+                line_no, f"{len(cells) - 1} values where the header lists {len(ids)} members"
+            )
+        try:
+            rows.append([float(x) for x in cells[1:]])
+        except ValueError:
+            raise errors.MtreeSyntaxError(line_no, "non-numeric matrix cell") from None
+    if len(lines) != len(ids) + 1:
+        raise errors.MtreeSyntaxError(
+            len(rows) + 2, f"{len(lines) - 1} rows where the header lists {len(ids)} members"
+        )
     return DistanceMatrix(ids, np.asarray(rows))
 
 

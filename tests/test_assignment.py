@@ -9,8 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtdist import errors, solve
-from mtdist.assignment import _lexicographic_matching
+from mtdist import assignment, errors, solve
+from mtdist.assignment import (
+    SCALAR_MAX_SIZE,
+    _lexicographic_matching,
+    _numpy_hungarian,
+    _scalar_hungarian,
+)
 
 
 def brute_min_cost(c: np.ndarray) -> float:
@@ -121,6 +126,129 @@ def test_lexicographic_canonical_on_tied_instances():
                     best_cost, best_pairs = cost, pairs
         assert got.total_cost == best_cost
         assert got.pairs == best_pairs
+
+
+def padded_like_solve(c: np.ndarray) -> np.ndarray:
+    n, m = c.shape
+    size = max(n, m)
+    sentinel = size * max(float(c.max()), 0.0) + 1.0
+    padded = np.full((size, size), sentinel)
+    padded[:n, :m] = c
+    return padded
+
+
+def random_instances(rng, sizes):
+    """Tall, wide and square matrices of each size, with uniform floats and
+    with small-integer ties, padded to square as solve pads them."""
+    for size in sizes:
+        short = int(rng.integers(1, size + 1))
+        for n, m in ((size, short), (short, size), (size, size)):
+            yield padded_like_solve(rng.uniform(0, 10, size=(n, m)))
+            yield padded_like_solve(rng.integers(0, 4, size=(n, m)).astype(float))
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [range(1, 41), [SCALAR_MAX_SIZE, SCALAR_MAX_SIZE + 1]],
+    ids=["small", "around_scalar_max_size"],
+)
+def test_scalar_loop_equals_numpy_loop_bit_for_bit(sizes):
+    rng = np.random.default_rng(2024)
+    for padded in random_instances(rng, sizes):
+        for got, want in zip(_scalar_hungarian(padded), _numpy_hungarian(padded)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_padded_size_picks_the_loop(monkeypatch):
+    calls = []
+    monkeypatch.setattr(assignment, "_scalar_hungarian", lambda c: calls.append("scalar"))
+    monkeypatch.setattr(assignment, "_numpy_hungarian", lambda c: calls.append("numpy"))
+    assignment._augmenting_hungarian(np.zeros((SCALAR_MAX_SIZE, SCALAR_MAX_SIZE)))
+    assignment._augmenting_hungarian(np.zeros((SCALAR_MAX_SIZE + 1, SCALAR_MAX_SIZE + 1)))
+    assert calls == ["scalar", "numpy"]
+
+
+def reference_kuhn_augment(r, adj, col_to_row, banned, visited):
+    rows, cols = [r], []
+    todo = [iter(adj[r])]
+    while todo:
+        for c in todo[-1]:
+            if c in banned or c in visited:
+                continue
+            visited.add(c)
+            cols.append(c)
+            owner = int(col_to_row[c])
+            if owner == -1:
+                for row, col in zip(rows, cols):
+                    col_to_row[col] = row
+                return True
+            rows.append(owner)
+            todo.append(iter(adj[owner]))
+            break
+        else:
+            todo.pop()
+            rows.pop()
+            if cols:
+                cols.pop()
+    return False
+
+
+def reference_lexicographic_matching(adj, row_to_col):
+    """The set-copy form of the lexicographic pass, with a fresh banned and
+    visited set per attempt and an O(n) rebuild after each success."""
+    n = len(adj)
+    match = row_to_col.copy()
+    col_to_row = np.full(n, -1, dtype=np.int64)
+    for i, c in enumerate(match):
+        col_to_row[c] = i
+    fixed: set[int] = set()
+    for i in range(n):
+        mi = int(match[i])
+        for c in adj[i]:
+            if c in fixed:
+                continue
+            if c == mi:
+                break
+            owner = int(col_to_row[c])
+            col_to_row[c] = i
+            col_to_row[mi] = -1
+            match[i] = c
+            if reference_kuhn_augment(owner, adj, col_to_row, fixed | {c}, set()):
+                for cc in range(n):
+                    if col_to_row[cc] >= 0:
+                        match[col_to_row[cc]] = cc
+                break
+            col_to_row[c] = owner
+            col_to_row[mi] = i
+            match[i] = mi
+        fixed.add(int(match[i]))
+    return match
+
+
+def test_lexicographic_matching_equals_set_copy_reference_on_ties():
+    # integer costs leave many zero-reduced-cost edges, so the pass reroutes
+    # often; the tight graph and start matching are built as solve builds them
+    rng = np.random.default_rng(77)
+    rerouted = 0
+    for _ in range(300):
+        n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+        c = rng.integers(0, 3, size=(n, m)).astype(float)
+        padded = padded_like_solve(c)
+        size = padded.shape[0]
+        col_to_row, u, v = _numpy_hungarian(padded)
+        row_to_col = np.empty(size, dtype=np.int64)
+        row_to_col[col_to_row] = np.arange(size)
+        reduced = padded - u[:, None] - v[None, :]
+        matched_slack = float(np.abs(reduced[np.arange(size), row_to_col]).max())
+        tight = reduced <= max(1e-9 * max(1.0, float(c.max())), 2.0 * matched_slack)
+        adj = [np.flatnonzero(tight[i]).tolist() for i in range(size)]
+        got = _lexicographic_matching(adj, row_to_col)
+        want = reference_lexicographic_matching(adj, row_to_col)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        rerouted += not np.array_equal(got, row_to_col)
+    assert rerouted > 100
 
 
 def test_lexicographic_matching_long_augmenting_path():

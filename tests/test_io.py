@@ -174,6 +174,34 @@ def test_matrix_csv_rejects_empty_file_and_misplaced_rows(tmp_path):
     assert info.value.line_no == 2
 
 
+def test_matrix_csv_rejects_short_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,a,b\na,0.0\nb,1.0,0.0\n")
+    with pytest.raises(errors.MtreeSyntaxError, match="1 values") as info:
+        read_matrix_csv(path)
+    assert info.value.line_no == 2
+
+
+def test_matrix_csv_rejects_non_numeric_cell(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,a,b\na,0.0,x\nb,1.0,0.0\n")
+    with pytest.raises(errors.MtreeSyntaxError, match="non-numeric") as info:
+        read_matrix_csv(path)
+    assert info.value.line_no == 2
+
+
+def test_matrix_csv_rejects_extra_and_missing_rows(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,a,b\na,0.0,1.0\nb,1.0,0.0\nc,2.0,2.0\n")
+    with pytest.raises(errors.MtreeSyntaxError, match="3 rows") as info:
+        read_matrix_csv(path)
+    assert info.value.line_no == 4
+    path.write_text("id,a,b\na,0.0,1.0\n")
+    with pytest.raises(errors.MtreeSyntaxError, match="1 rows") as info:
+        read_matrix_csv(path)
+    assert info.value.line_no == 3
+
+
 def test_matrix_csv_singleton(tmp_path):
     m = DistanceMatrix(("id",), np.array([[0.0]]))
     path = tmp_path / "one.csv"
