@@ -8,11 +8,10 @@ Rectangular instances are padded to square with a sentinel cost strictly
 greater than n * max entry; sentinel pairs are dropped afterwards and the
 short side's leftovers populate the unmatched lists.
 
-The same loop exists twice.  ``_scalar_hungarian`` runs it over Python
-lists and ``_numpy_hungarian`` over numpy arrays; padded sizes up to
-``SCALAR_MAX_SIZE`` take the scalar loop, larger ones the numpy loop.  At
-small sizes the fixed cost of a dozen small numpy calls per step outweighs
-the arithmetic they do; at large sizes the interpreted loop loses.
+The loop runs over Python lists, not numpy arrays: at the benchmark's
+sizes (padded n <= 50) the fixed cost of a dozen small numpy calls per
+step outweighed the arithmetic they did.  A vectorised loop wins only on
+padded sizes of about 160 and above, which no workload reaches.
 
 Determinism: among matchings of optimal total cost, the returned pair list is
 the lexicographically smallest by (row, col).  After the primal solve, the
@@ -24,11 +23,11 @@ all, the solver's own matching is kept.
 
 So the returned matching can depend on the solver's own matching and
 potentials, down to the last bit: they decide which edges are tight, and
-the guard falls back to the solver's matching.  Both loops therefore do the
-same floating-point operations in the same order (the same reduced costs,
-the first-index argmin, the same potential updates) and return bit-identical
-(col_to_row, u, v).  Any change to that order can change distances and the
-benchmark's reference digests.
+the guard falls back to the solver's matching.  The loop therefore does the
+same floating-point operations in the same order as the numpy loop it
+replaced (kept in the tests as the reference): the same reduced costs, the
+first-index argmin, the same potential updates.  Any change to that order
+can change distances and the benchmark's reference digests.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ import numpy as np
 from . import errors
 
 __all__ = ["Assignment", "solve"]
-
-# Padded sizes up to this run the scalar loop, larger ones the numpy loop.
-# The two broke even near 160 on padded rectangles on a 2-core x86-64 host.
-SCALAR_MAX_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -57,20 +52,12 @@ class Assignment:
 
 
 def _augmenting_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve a square instance; returns (col_to_row, u, v) potentials."""
-    if cost.shape[0] > SCALAR_MAX_SIZE:
-        return _numpy_hungarian(cost)
-    return _scalar_hungarian(cost)
+    """Solve a square instance; returns (col_to_row, u, v) potentials.
 
-
-def _scalar_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The loop of :func:`_numpy_hungarian` over Python lists.
-
-    Each step visits only the free columns, in ascending order, and the used
-    rows and columns.  Every potential and minv entry goes through the same
-    float operations in the same order, so the outputs are bit-identical.
-    The free columns' ``minv -= delta`` of one step is applied at the start
-    of the next step's scan, still before that step's comparison.
+    Each step scans only the free columns, in ascending order, and then
+    shifts the potentials of the used rows and columns.  The free columns'
+    ``minv -= delta`` of one step is applied at the start of the next
+    step's scan, still before that step's comparison.
     """
     n = cost.shape[0]
     rows = cost.tolist()
@@ -114,43 +101,6 @@ def _scalar_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
             p[j0] = p[j1]
             j0 = j1
     return np.array(p[:n], dtype=np.int64), np.array(u), np.array(v)
-
-
-def _numpy_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vectorised loop: one numpy pass over all n columns per step."""
-    n = cost.shape[0]
-    u = np.zeros(n)
-    v = np.zeros(n + 1)  # index n is the virtual column
-    p = np.full(n + 1, -1, dtype=np.int64)  # p[j] = row matched to column j
-    for i in range(n):
-        p[n] = i
-        j0 = n
-        minv = np.full(n, np.inf)
-        way = np.full(n, n, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = cost[i0] - u[i0] - v[:n]
-            free = ~used[:n]
-            upd = free & (cur < minv)
-            minv[upd] = cur[upd]
-            way[upd] = j0
-            masked = np.where(free, minv, np.inf)
-            j1 = int(np.argmin(masked))
-            delta = float(masked[j1])
-            used_cols = np.flatnonzero(used)
-            u[p[used_cols]] += delta
-            v[used_cols] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if p[j0] == -1:
-                break
-        while j0 != n:
-            j1 = int(way[j0])
-            p[j0] = p[j1]
-            j0 = j1
-    return p[:n], u, v[:n]
 
 
 def _lexicographic_matching(adj: list[list[int]], row_to_col: np.ndarray) -> np.ndarray:
@@ -222,7 +172,8 @@ def solve(cost) -> Assignment:
     """Minimum-total-cost maximum matching of a dense cost matrix.
 
     Empty instances (no rows or no columns) yield an empty assignment.
-    Raises NonFiniteCost on NaN or infinite entries.
+    Raises NonFiniteCost on NaN or infinite entries, and on entries so large
+    that the padding or the dual potentials would overflow.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
@@ -236,6 +187,9 @@ def solve(cost) -> Assignment:
     size = max(n, m)
     max_entry = float(c.max()) if c.size else 0.0
     sentinel = size * max(max_entry, 0.0) + 1.0
+    # the potentials move by up to size * spread of the padded matrix
+    if not np.isfinite(size * (sentinel - min(float(c.min()), 0.0))):
+        raise errors.NonFiniteCost("cost magnitudes overflow the solver's float range")
     padded = np.full((size, size), sentinel)
     padded[:n, :m] = c
 

@@ -9,13 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtdist import assignment, errors, solve
-from mtdist.assignment import (
-    SCALAR_MAX_SIZE,
-    _lexicographic_matching,
-    _numpy_hungarian,
-    _scalar_hungarian,
-)
+from mtdist import errors, solve
+from mtdist.assignment import _augmenting_hungarian, _lexicographic_matching
 
 
 def brute_min_cost(c: np.ndarray) -> float:
@@ -147,26 +142,52 @@ def random_instances(rng, sizes):
             yield padded_like_solve(rng.integers(0, 4, size=(n, m)).astype(float))
 
 
-@pytest.mark.parametrize(
-    "sizes",
-    [range(1, 41), [SCALAR_MAX_SIZE, SCALAR_MAX_SIZE + 1]],
-    ids=["small", "around_scalar_max_size"],
-)
-def test_scalar_loop_equals_numpy_loop_bit_for_bit(sizes):
+def reference_numpy_hungarian(cost: np.ndarray):
+    """The vectorised form of the kernel loop: one numpy pass over all n
+    columns per step.  The list loop must match it bit for bit."""
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n + 1)  # index n is the virtual column
+    p = np.full(n + 1, -1, dtype=np.int64)  # p[j] = row matched to column j
+    for i in range(n):
+        p[n] = i
+        j0 = n
+        minv = np.full(n, np.inf)
+        way = np.full(n, n, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            cur = cost[i0] - u[i0] - v[:n]
+            free = ~used[:n]
+            upd = free & (cur < minv)
+            minv[upd] = cur[upd]
+            way[upd] = j0
+            masked = np.where(free, minv, np.inf)
+            j1 = int(np.argmin(masked))
+            delta = float(masked[j1])
+            used_cols = np.flatnonzero(used)
+            u[p[used_cols]] += delta
+            v[used_cols] -= delta
+            minv[free] -= delta
+            j0 = j1
+            if p[j0] == -1:
+                break
+        while j0 != n:
+            j1 = int(way[j0])
+            p[j0] = p[j1]
+            j0 = j1
+    return p[:n], u, v[:n]
+
+
+@pytest.mark.parametrize("sizes", [range(1, 41), [64, 129]], ids=["small", "large"])
+def test_kernel_loop_equals_numpy_reference_bit_for_bit(sizes):
     rng = np.random.default_rng(2024)
     for padded in random_instances(rng, sizes):
-        for got, want in zip(_scalar_hungarian(padded), _numpy_hungarian(padded)):
+        want_all = reference_numpy_hungarian(padded)
+        for got, want in zip(_augmenting_hungarian(padded), want_all):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-
-
-def test_padded_size_picks_the_loop(monkeypatch):
-    calls = []
-    monkeypatch.setattr(assignment, "_scalar_hungarian", lambda c: calls.append("scalar"))
-    monkeypatch.setattr(assignment, "_numpy_hungarian", lambda c: calls.append("numpy"))
-    assignment._augmenting_hungarian(np.zeros((SCALAR_MAX_SIZE, SCALAR_MAX_SIZE)))
-    assignment._augmenting_hungarian(np.zeros((SCALAR_MAX_SIZE + 1, SCALAR_MAX_SIZE + 1)))
-    assert calls == ["scalar", "numpy"]
 
 
 def reference_kuhn_augment(r, adj, col_to_row, banned, visited):
@@ -236,7 +257,7 @@ def test_lexicographic_matching_equals_set_copy_reference_on_ties():
         c = rng.integers(0, 3, size=(n, m)).astype(float)
         padded = padded_like_solve(c)
         size = padded.shape[0]
-        col_to_row, u, v = _numpy_hungarian(padded)
+        col_to_row, u, v = _augmenting_hungarian(padded)
         row_to_col = np.empty(size, dtype=np.int64)
         row_to_col[col_to_row] = np.arange(size)
         reduced = padded - u[:, None] - v[None, :]
@@ -279,3 +300,18 @@ def test_empty_and_nonfinite():
         solve([[np.nan]])
     with pytest.raises(errors.NonFiniteCost):
         solve([[np.inf, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [[[1e308], [1e308]], [[1e308, -1e308], [1e308, -1e308]], [[-1e308, 1e308]]],
+    ids=["sentinel", "spread", "wide"],
+)
+def test_overflowing_finite_costs_raise_nonfinite(cost):
+    with pytest.raises(errors.NonFiniteCost):
+        solve(cost)
+
+
+def test_large_finite_costs_still_solve():
+    a = solve([[1e300, 3e300], [2e300, 1e300], [5e299, 1e300]])
+    assert a.pairs == ((1, 1), (2, 0))
