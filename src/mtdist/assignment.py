@@ -204,7 +204,10 @@ def solve(cost) -> Assignment:
     # matched-slack term keeps the solver's own edges classified tight
     tol = max(1e-9 * max(1.0, max_entry), 2.0 * matched_slack)
     tight = reduced <= tol
-    adj = [np.flatnonzero(tight[i]).tolist() for i in range(size)]
+    # np.nonzero lists each row's columns in ascending order, row after row
+    cols = np.nonzero(tight)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(tight, axis=1)).tolist()
+    adj = [cols[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
     canonical = _lexicographic_matching(adj, row_to_col)
     base_cost = float(padded[np.arange(size), row_to_col].sum())

@@ -278,8 +278,9 @@ def _fmt(x: float) -> str:
 
 
 def write_matrix_csv(matrix: DistanceMatrix, path) -> None:
-    """Bit-stable CSV: header 'id,<members>'; one row per member."""
-    lines = ["id," + ",".join(matrix.member_ids)]
+    """Bit-stable CSV: header 'id,<members>' ('id' alone for no members);
+    one row per member."""
+    lines = [",".join(("id",) + matrix.member_ids)]
     for mid, row in zip(matrix.member_ids, matrix.values):
         lines.append(mid + "," + ",".join(_fmt(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -315,7 +316,7 @@ def read_matrix_csv(path) -> DistanceMatrix:
         raise errors.MtreeSyntaxError(
             len(rows) + 2, f"{len(lines) - 1} rows where the header lists {len(ids)} members"
         )
-    return DistanceMatrix(ids, np.asarray(rows))
+    return DistanceMatrix(ids, np.asarray(rows, dtype=np.float64).reshape(len(ids), len(ids)))
 
 
 # ---------------------------------------------------------------------------

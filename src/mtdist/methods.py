@@ -32,14 +32,23 @@ the per-tree pairwise leaf distance matrices are compared instead
 All three run on one private pair context, ``_Pair``: it holds the label
 split, the pivot and the unknown lists, and owns the steps the estimators
 share, namely the bipartite matching of pivot unknowns against the other
-tree's, the induced matrices over (vertex in a, vertex in b) pairs with their
-epsilon, and the result record.  Each public estimator is a thin wrapper that
-builds a fresh ``_Pair`` and runs the estimator's own step (``_elm``,
-``_mmb``, ``_greedy``) on it: trimming, nothing, or granting labels between
-the matching and the objective.  ``_Pair.match`` memoises its result by the
-tuple of pivot rows, so several estimators run on one ``_Pair`` (as the
-harness's comparison does) solve each distinct matching once: ``greedy``
-reuses ``mmb``'s, and ``elm`` reuses it whenever it trims nothing.
+tree's, epsilon over (vertex in a, vertex in b) pairs, and the result record.
+Each public estimator is a thin wrapper that builds a fresh ``_Pair`` and
+runs the estimator's own step (``_elm``, ``_mmb``, ``_greedy``) on it:
+trimming, nothing, or granting labels between the matching and the
+objective.  ``_Pair.match`` memoises its result by the tuple of pivot rows,
+so several estimators run on one ``_Pair`` (as the harness's comparison
+does) solve each distinct matching once: ``greedy`` reuses ``mmb``'s, and
+``elm`` reuses it whenever it trims nothing.
+
+The known x known block of the LCA-scalar matrices is the same for every
+estimator on a pair, so the pair owns it and its epsilon: the first epsilon
+gathers the full block, known labels first, and keeps that corner; later
+ones gather only their matched or granted rows against all columns and take
+the larger of the corner's maximum and theirs, which is the max over the
+same entries.  The
+induced matrices of a result are assembled from those blocks, in sorted label
+order, only when read.
 
 ``oracle_min_objective`` exhaustively minimizes the same objective over every
 trim subset and bijection on small instances, using its own naive traversal
@@ -48,6 +57,7 @@ primitives, and is the reference the heuristics are judged against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -106,6 +116,35 @@ class Matching:
     unmatched_b: tuple[int, ...] = ()
 
 
+@dataclass(frozen=True, eq=False)
+class _Induced:
+    """Epsilon over ``labels`` (known first, then matched or granted), with
+    the per-side blocks of the LCA-scalar matrices it was taken from: the
+    known x known corner, and the other labels' rows against every column."""
+
+    epsilon: float
+    labels: tuple[int, ...]
+    k: int
+    known: tuple[np.ndarray, np.ndarray]
+    rows: tuple[np.ndarray, np.ndarray]
+
+    def matrix(self, side: int) -> LabeledMatrix:
+        """The side's induced matrix in sorted label order.  The blocks are
+        symmetric, so the known rows' other columns are a transpose."""
+        n, k, rows = len(self.labels), self.k, self.rows[side]
+        m = np.empty((n, n))
+        m[:k, :k] = self.known[side]
+        m[k:] = rows
+        m[:k, k:] = rows[:, :k].T
+        perm = np.argsort(np.asarray(self.labels, dtype=np.int64))
+        labels = tuple(sorted(self.labels))
+        return LabeledMatrix(labels, labels, m[np.ix_(perm, perm)])
+
+
+_EMPTY = np.zeros((0, 0))
+_NO_BLOCKS = _Induced(0.0, (), 0, (_EMPTY, _EMPTY), (_EMPTY, _EMPTY))
+
+
 @dataclass(frozen=True)
 class MethodResult:
     """A distance value with full provenance.
@@ -114,6 +153,9 @@ class MethodResult:
     ``relabeling`` maps matched side-B labels to their side-A partners;
     ``assigned_labels`` (baseline only) maps an unmatched pivot label to an
     existing label of the leaf that received it on the other side.
+    ``induced_a``/``induced_b`` are the two induced matrices over the known
+    plus matched (and granted) labels, in sorted label order, assembled from
+    ``blocks`` on first read; without blocks they are empty.
     """
 
     distance: float
@@ -122,14 +164,21 @@ class MethodResult:
     matching: Matching
     relabeling: dict[int, int]
     trimmed: frozenset[int]
-    induced_a: LabeledMatrix
-    induced_b: LabeledMatrix
     wall_time: float
     assigned_labels: dict[int, int] = field(default_factory=dict)
+    blocks: _Induced = field(default=_NO_BLOCKS, repr=False, compare=False)
 
     @property
     def max_delta(self) -> float:
         return max(self.deltas.values(), default=0.0)
+
+    @functools.cached_property
+    def induced_a(self) -> LabeledMatrix:
+        return self.blocks.matrix(0)
+
+    @functools.cached_property
+    def induced_b(self) -> LabeledMatrix:
+        return self.blocks.matrix(1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +296,14 @@ def _check_leaves_for_disagreement(a, b, info):
 class _Pair:
     """The work every estimator shares for one (a, b) pair: the label split,
     the pivot and its counterpart, their unknown labels, the matching, the
-    induced matrices and the result record."""
+    known x known block with its epsilon, and the result record."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self.start = perf_counter()
         self.a, self.b = a, b
         self._matches: dict[tuple[int, ...], tuple] = {}
+        # the known x known corner per side, set by the first call to induced
+        self._known: tuple[np.ndarray, np.ndarray] | None = None
         self.info = info = classify_agreement(a, b)
         self.pivot_is_a = _pivot_is_a(info)
         if self.pivot_is_a:
@@ -296,45 +347,69 @@ class _Pair:
             pairs = [(o, p) for p, o in pairs]
         return tuple(pairs), tuple(piv_rows[i] for i in asn.unmatched_rows)
 
-    def unified(
-        self, pairs_ab: Sequence[tuple[int, int]] = ()
-    ) -> dict[int, tuple[int, int]]:
-        """Known plus matched labels under their side-A names, each mapped to
-        its (vertex in a, vertex in b)."""
+    def matched(self, pairs_ab: Sequence[tuple[int, int]]) -> dict[int, tuple[int, int]]:
+        """Matched labels under their side-A names, each mapped to its
+        (vertex in a, vertex in b)."""
         a, b = self.a.labels, self.b.labels
-        by_unified = {l: (a.vertex_of(l), b.vertex_of(l)) for l in self.info.known}
-        for la, lb in pairs_ab:
-            by_unified[la] = (a.vertex_of(la), b.vertex_of(lb))
-        return by_unified
+        return {la: (a.vertex_of(la), b.vertex_of(lb)) for la, lb in pairs_ab}
 
-    def induced(
-        self, by_unified: Mapping[int, tuple[int, int]]
-    ) -> tuple[float, LabeledMatrix, LabeledMatrix]:
-        """Epsilon and the two induced matrices over ``by_unified``'s labels."""
-        unified = tuple(sorted(by_unified))
-        out = []
-        for side, lt in enumerate((self.a, self.b)):
-            v = np.asarray([by_unified[l][side] for l in unified], dtype=np.int64)
-            e = lt.tree.scalars[lt.tree.lca_many(v[:, None], v[None, :])]
-            out.append(LabeledMatrix(unified, unified, e))
-        ma, mb = out
-        return inf_norm_diff(ma, mb), ma, mb
+    @functools.cached_property
+    def _known_vertices(self) -> tuple[np.ndarray, np.ndarray]:
+        known = self.info.known
+        return self.a.vertices_for(known), self.b.vertices_for(known)
+
+    def columns(
+        self, extra: Mapping[int, tuple[int, int]]
+    ) -> tuple[tuple[int, ...], list[np.ndarray]]:
+        """The known labels then ``extra``'s, with their vertices in a and in
+        b in that order."""
+        cols = [
+            np.concatenate((kv, np.asarray([v[side] for v in extra.values()], dtype=np.int64)))
+            for side, kv in enumerate(self._known_vertices)
+        ]
+        return self.info.known + tuple(extra), cols
+
+    @functools.cached_property
+    def _known_eps(self) -> float:
+        known = self.info.known
+        return inf_norm_diff(*(LabeledMatrix(known, known, c) for c in self._known))
+
+    def induced(self, extra: Mapping[int, tuple[int, int]]) -> _Induced:
+        """Epsilon over the known labels plus ``extra``'s, each mapped to its
+        (vertex in a, vertex in b).  The first call gathers the full block
+        per side, takes epsilon over it and keeps its known x known corner;
+        later calls gather only the extra rows against all columns, and
+        their epsilon is the larger of the corner's and the rows'."""
+        labels, cols = self.columns(extra)
+        k = len(self.info.known)
+        first = self._known is None
+        blocks = [
+            lt.tree.scalars[lt.tree.lca_many((v if first else v[k:])[:, None], v[None, :])]
+            for lt, v in zip((self.a, self.b), cols)
+        ]
+        if first:
+            eps = inf_norm_diff(*(LabeledMatrix(labels, labels, g) for g in blocks))
+            self._known = (blocks[0][:k, :k], blocks[1][:k, :k])
+            blocks = [g[k:] for g in blocks]
+        else:
+            rows_eps = inf_norm_diff(*(LabeledMatrix(labels[k:], labels, g) for g in blocks))
+            eps = max(self._known_eps, rows_eps)
+        return _Induced(eps, labels, k, self._known, (blocks[0], blocks[1]))
 
     def result(
         self,
-        induced: tuple[float, LabeledMatrix, LabeledMatrix],
+        induced: _Induced,
         pairs_ab: Sequence[tuple[int, int]] = (),
         unmatched_piv: Sequence[int] = (),
         deltas: dict[int, float] | None = None,
         trimmed: Sequence[int] = (),
         assigned: dict[int, int] | None = None,
     ) -> MethodResult:
-        eps, ma, mb = induced
         deltas = deltas or {}
         unmatched_piv = tuple(unmatched_piv)
         return MethodResult(
-            distance=_objective(eps, deltas),
-            epsilon=eps,
+            distance=_objective(induced.epsilon, deltas),
+            epsilon=induced.epsilon,
             deltas=deltas,
             matching=Matching(
                 pairs=tuple(sorted(pairs_ab)),
@@ -343,10 +418,9 @@ class _Pair:
             ),
             relabeling={lb: la for la, lb in pairs_ab},
             trimmed=frozenset(trimmed),
-            induced_a=ma,
-            induced_b=mb,
             wall_time=perf_counter() - self.start,
             assigned_labels=dict(assigned or {}),
+            blocks=induced,
         )
 
 
@@ -361,7 +435,7 @@ def full_agreement_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodR
         raise errors.NotFullAgreement(
             f"leaf label sets differ ({p.info.case.value})"
         )
-    return p.result(p.induced(p.unified()))
+    return p.result(p.induced({}))
 
 
 def elm_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
@@ -398,46 +472,46 @@ def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
 
 def _elm(p: _Pair) -> MethodResult:
     if p.info.case is Agreement.FULL:
-        return p.result(p.induced(p.unified()))
+        return p.result(p.induced({}))
     _check_leaves_for_disagreement(p.a, p.b, p.info)
     piv_leaf_labels = p.piv.leaf_labels()
     s = build_s_matrix(p.piv, p.piv_unknown, piv_leaf_labels)
     trimmed = select_trim(s, len(p.piv_unknown) - len(p.oth_unknown))
     survivors = tuple(l for l in p.piv_unknown if l not in set(trimmed))
     pairs_ab, _ = p.match(survivors)
-    induced = p.induced(p.unified(pairs_ab))
+    induced = p.induced(p.matched(pairs_ab))
     deltas = _delta_map(p.piv, trimmed, piv_leaf_labels)
     return p.result(induced, pairs_ab, trimmed, deltas, trimmed=trimmed)
 
 
 def _mmb(p: _Pair) -> MethodResult:
     if p.info.case is Agreement.FULL:
-        return p.result(p.induced(p.unified()))
+        return p.result(p.induced({}))
     _check_leaves_for_disagreement(p.a, p.b, p.info)
     pairs_ab, unmatched = p.match(p.piv_unknown)
-    induced = p.induced(p.unified(pairs_ab))
+    induced = p.induced(p.matched(pairs_ab))
     deltas = _delta_map(p.piv, unmatched, p.piv.leaf_labels())
     return p.result(induced, pairs_ab, unmatched, deltas)
 
 
 def _greedy(p: _Pair) -> MethodResult:
     if p.info.case is Agreement.FULL:
-        return p.result(p.induced(p.unified()))
+        return p.result(p.induced({}))
     if p.info.case is Agreement.DISAGREEMENT:
         raise errors.DisagreementUnsupported(
             "baseline needs embedding coordinates when no labels are shared"
         )
     pairs_ab, unmatched = p.match(p.piv_unknown)
-    # newly known = original known plus matched pairs, ordered by unified name
-    by_unified = p.unified(pairs_ab)
+    extra = p.matched(pairs_ab)
     piv, oth = p.piv, p.oth
-    piv_side = 0 if p.pivot_is_a else 1
-    newly = sorted(by_unified)
-    piv_nk = np.asarray([by_unified[l][piv_side] for l in newly], dtype=np.int64)
-    oth_nk = np.asarray([by_unified[l][1 - piv_side] for l in newly], dtype=np.int64)
-
     grants: dict[int, int] = {}
     if unmatched:
+        # newly known = original known plus matched labels, by unified name
+        labels, cols = p.columns(extra)
+        newly = np.argsort(np.asarray(labels, dtype=np.int64))
+        piv_side = 0 if p.pivot_is_a else 1
+        piv_nk = cols[piv_side][newly]
+        oth_nk = cols[1 - piv_side][newly]
         # candidate receivers: leaves of the smaller tree, by smallest label
         cand = sorted(oth.tree.leaves, key=lambda v: oth.labels.labels_of(v)[0])
         cand_v = np.asarray(cand, dtype=np.int64)
@@ -448,10 +522,8 @@ def _greedy(p: _Pair) -> MethodResult:
             gaps = ds - drow[None, :]
             receiver = cand[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
             grants[label] = oth.labels.labels_of(receiver)[0]
-            by_unified[label] = (
-                (int(v), receiver) if p.pivot_is_a else (receiver, int(v))
-            )
-    return p.result(p.induced(by_unified), pairs_ab, unmatched, assigned=grants)
+            extra[label] = (int(v), receiver) if p.pivot_is_a else (receiver, int(v))
+    return p.result(p.induced(extra), pairs_ab, unmatched, assigned=grants)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +546,8 @@ def evaluate_configuration(
     """
     p = _Pair(a, b)
     if p.info.case is Agreement.FULL:
-        eps, _, _ = p.induced(p.unified())
-        return eps
-    eps, _, _ = p.induced(p.unified(pairs))
+        return p.induced({}).epsilon
+    eps = p.induced(p.matched(pairs)).epsilon
     return _objective(eps, _delta_map(p.piv, removed, p.piv.leaf_labels()))
 
 

@@ -209,6 +209,19 @@ def test_matrix_csv_singleton(tmp_path):
     assert path.read_text() == "id,id\nid,0.0\n"
 
 
+def test_matrix_csv_empty_round_trip(tmp_path):
+    path = tmp_path / "none.csv"
+    write_matrix_csv(DistanceMatrix((), np.zeros((0, 0))), path)
+    assert path.read_text() == "id\n"
+    back = read_matrix_csv(path)
+    assert back.member_ids == ()
+    assert back.values.shape == (0, 0)
+    # a row under an empty header is still one row too many
+    path.write_text("id\na,0.0\n")
+    with pytest.raises(errors.MtreeSyntaxError, match="1 rows"):
+        read_matrix_csv(path)
+
+
 def test_matrix_checks():
     good = DistanceMatrix(("a", "b"), np.array([[0.0, 2.0], [2.0, 0.0]]))
     good.check()

@@ -7,6 +7,7 @@ import pytest
 
 from mtdist import (
     Agreement,
+    LabeledMatrix,
     LabelTable,
     LabeledMergeTree,
     MergeTree,
@@ -17,6 +18,10 @@ from mtdist import (
     evaluate_configuration,
     full_agreement_distance,
     greedy_distance,
+    harness,
+    induced_matrix,
+    inf_norm_diff,
+    methods,
     mmb_distance,
     oracle_min_objective,
     pairwise_leaf_distances,
@@ -25,7 +30,7 @@ from mtdist import (
 )
 from mtdist.methods import SMatrix
 
-from conftest import random_pair, rescaled
+from conftest import load_example, random_pair, rescaled
 
 
 # -- building blocks -------------------------------------------------------------
@@ -313,3 +318,86 @@ def test_shift_invariance_and_scale_covariance(seed):
         assert scaled.distance == 2.0 * base.distance
         assert scaled.trimmed == base.trimmed
         assert scaled.matching.pairs == base.matching.pairs
+
+
+# -- one epsilon per pair ---------------------------------------------------------
+
+
+def _shared_eps_pairs():
+    """FULL, PARTIAL (golden fixtures, random, either pivot side) and
+    DISAGREEMENT pairs."""
+    full = _full_pair()
+    out = [full, (full[0], full[0])]
+    out += [load_example(n) for n in (1, 2, 3)]
+    for seed in range(4):
+        a, b = random_pair(seed, max_vertices=31)
+        out += [(a, b), (b, a)]
+    out.append(_disjoint_pair())
+    return out
+
+
+def _run(step, *args):
+    """The step's result, or the type of the error it raised."""
+    try:
+        return step(*args)
+    except errors.MtdistError as exc:
+        return type(exc)
+
+
+def _expected_induced(r, a, b) -> tuple[LabeledMatrix, LabeledMatrix]:
+    """``induced_matrix`` over r's sorted unified labels on each side: a
+    matched side-B label stands under its side-A partner's name, and a
+    granted label sits on its receiving leaf of the other tree."""
+    to_b = {la: lb for lb, la in r.relabeling.items()}
+    a_labels = dict(a.labels.items())
+    for label, anchor in r.assigned_labels.items():
+        if label in a_labels:
+            b = b.with_extra_labels({label: b.labels.vertex_of(anchor)})
+        else:
+            a = a.with_extra_labels({label: a.labels.vertex_of(anchor)})
+    unified = sorted(
+        set(classify_agreement(a, b).known) | set(to_b) | set(r.assigned_labels)
+    )
+    return induced_matrix(a, unified), induced_matrix(b, [to_b.get(l, l) for l in unified])
+
+
+@pytest.mark.parametrize("index", range(len(_shared_eps_pairs())))
+def test_shared_pair_steps_equal_fresh_calls(index):
+    a, b = _shared_eps_pairs()[index]
+    steps = harness.PAIR_STEPS
+    fresh = {m: _run(harness.METHODS[m], a, b) for m in steps}
+    for order in (list(steps), list(reversed(steps))):
+        pair = methods._Pair(a, b)
+        for m in order:
+            got, want = _run(steps[m], pair), fresh[m]
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert got.distance == want.distance
+            assert got.epsilon == want.epsilon
+            assert got.deltas == want.deltas
+            assert got.matching == want.matching
+            assert got.assigned_labels == want.assigned_labels
+
+
+@pytest.mark.parametrize("index", range(len(_shared_eps_pairs())))
+def test_induced_matrices_built_on_read_equal_induced_matrix(index):
+    a, b = _shared_eps_pairs()[index]
+    pair = methods._Pair(a, b)
+    for m, step in harness.PAIR_STEPS.items():
+        r = _run(step, pair)
+        if isinstance(r, type):
+            continue
+        want_a, want_b = _expected_induced(r, a, b)
+        assert r.induced_a.row_labels == r.induced_a.col_labels == want_a.row_labels
+        assert r.induced_b.row_labels == want_a.row_labels
+        assert np.array_equal(r.induced_a.entries, want_a.entries)
+        assert np.array_equal(r.induced_b.entries, want_b.entries)
+        assert inf_norm_diff(r.induced_a, r.induced_b) == r.epsilon
+
+
+def test_oracle_result_carries_empty_matrices(example1):
+    r = harness.METHODS["oracle"](*example1)
+    for m in (r.induced_a, r.induced_b):
+        assert m.row_labels == m.col_labels == ()
+        assert m.entries.shape == (0, 0)
