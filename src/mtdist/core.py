@@ -475,4 +475,6 @@ def inf_norm_diff(a: LabeledMatrix, b: LabeledMatrix) -> float:
         ri = [b.row_labels.index(l) for l in a.row_labels]
         ci = [b.col_labels.index(l) for l in a.col_labels]
         bb = b.entries[np.ix_(ri, ci)]
-    return float(np.max(np.abs(a.entries - bb)))
+    # abs in place: one matrix-sized temporary, not two
+    diff = a.entries - bb
+    return float(np.max(np.abs(diff, out=diff)))

@@ -71,7 +71,7 @@ _COMPARE_TOL = 1e-9
 def _oracle_result(a: LabeledMergeTree, b: LabeledMergeTree) -> methods.MethodResult:
     start = perf_counter()
     value = methods.oracle_min_objective(a, b)
-    # no blocks: the induced matrices read as empty
+    # nothing to gather: the induced matrices read as empty
     return methods.MethodResult(
         distance=value,
         epsilon=float("nan"),

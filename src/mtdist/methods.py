@@ -42,13 +42,13 @@ does) solve each distinct matching once: ``greedy`` reuses ``mmb``'s, and
 ``elm`` reuses it whenever it trims nothing.
 
 The known x known block of the LCA-scalar matrices is the same for every
-estimator on a pair, so the pair owns it and its epsilon: the first epsilon
-gathers the full block, known labels first, and keeps that corner; later
-ones gather only their matched or granted rows against all columns and take
-the larger of the corner's maximum and theirs, which is the max over the
-same entries.  The
-induced matrices of a result are assembled from those blocks, in sorted label
-order, only when read.
+estimator on a pair, so the pair takes its epsilon once and keeps only that
+float.  Every epsilon gathers just its matched or granted rows against all
+columns (known labels first) and takes the larger of the block's epsilon and
+the rows': the rest of the full block mirrors those rows, and a max does not
+depend on how its entries are grouped.  A result keeps the labels and
+vertices its epsilon was taken over, and gathers its induced matrices from
+them, in sorted label order, only when read.
 
 ``oracle_min_objective`` exhaustively minimizes the same objective over every
 trim subset and bijection on small instances, using its own naive traversal
@@ -71,6 +71,7 @@ from .core import (
     AgreementInfo,
     LabeledMatrix,
     LabeledMergeTree,
+    MergeTree,
     classify_agreement,
     inf_norm_diff,
 )
@@ -116,35 +117,6 @@ class Matching:
     unmatched_b: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class _Induced:
-    """Epsilon over ``labels`` (known first, then matched or granted), with
-    the per-side blocks of the LCA-scalar matrices it was taken from: the
-    known x known corner, and the other labels' rows against every column."""
-
-    epsilon: float
-    labels: tuple[int, ...]
-    k: int
-    known: tuple[np.ndarray, np.ndarray]
-    rows: tuple[np.ndarray, np.ndarray]
-
-    def matrix(self, side: int) -> LabeledMatrix:
-        """The side's induced matrix in sorted label order.  The blocks are
-        symmetric, so the known rows' other columns are a transpose."""
-        n, k, rows = len(self.labels), self.k, self.rows[side]
-        m = np.empty((n, n))
-        m[:k, :k] = self.known[side]
-        m[k:] = rows
-        m[:k, k:] = rows[:, :k].T
-        perm = np.argsort(np.asarray(self.labels, dtype=np.int64))
-        labels = tuple(sorted(self.labels))
-        return LabeledMatrix(labels, labels, m[np.ix_(perm, perm)])
-
-
-_EMPTY = np.zeros((0, 0))
-_NO_BLOCKS = _Induced(0.0, (), 0, (_EMPTY, _EMPTY), (_EMPTY, _EMPTY))
-
-
 @dataclass(frozen=True)
 class MethodResult:
     """A distance value with full provenance.
@@ -154,8 +126,9 @@ class MethodResult:
     ``assigned_labels`` (baseline only) maps an unmatched pivot label to an
     existing label of the leaf that received it on the other side.
     ``induced_a``/``induced_b`` are the two induced matrices over the known
-    plus matched (and granted) labels, in sorted label order, assembled from
-    ``blocks`` on first read; without blocks they are empty.
+    plus matched (and granted) labels, in sorted label order.  They are
+    gathered on first read from ``unified``: those labels, both trees, and
+    each label's vertex per side.  Without it they are empty.
     """
 
     distance: float
@@ -166,7 +139,7 @@ class MethodResult:
     trimmed: frozenset[int]
     wall_time: float
     assigned_labels: dict[int, int] = field(default_factory=dict)
-    blocks: _Induced = field(default=_NO_BLOCKS, repr=False, compare=False)
+    unified: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def max_delta(self) -> float:
@@ -174,11 +147,19 @@ class MethodResult:
 
     @functools.cached_property
     def induced_a(self) -> LabeledMatrix:
-        return self.blocks.matrix(0)
+        return self._induced(0)
 
     @functools.cached_property
     def induced_b(self) -> LabeledMatrix:
-        return self.blocks.matrix(1)
+        return self._induced(1)
+
+    def _induced(self, side: int) -> LabeledMatrix:
+        if not self.unified:
+            return LabeledMatrix((), (), np.zeros((0, 0)))
+        labels, trees, verts = self.unified
+        v = verts[side][np.argsort(np.asarray(labels, dtype=np.int64))]
+        labels = tuple(sorted(labels))
+        return LabeledMatrix(labels, labels, _lca_scalars(trees[side], v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +174,13 @@ def _require_leaves(lt: LabeledMergeTree, labels: Sequence[int]) -> np.ndarray:
     return verts
 
 
+def _lca_scalars(tree: MergeTree, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entry (i, j) = scalar(lca(rows[i], cols[j]))."""
+    return tree.scalars[tree.lca_many(rows[:, None], cols[None, :])]
+
+
 def _merge_heights(lt: LabeledMergeTree, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    lcas = lt.tree.lca_many(rows[:, None], cols[None, :])
-    s = lt.tree.scalars
-    return s[lcas] - s[rows][:, None]
+    return _lca_scalars(lt.tree, rows, cols) - lt.tree.scalars[rows][:, None]
 
 
 def build_s_matrix(
@@ -275,7 +259,8 @@ def _delta_map(
     removed = tuple(removed)
     if not removed:
         return {}
-    survivors = [l for l in leaf_labels if l not in set(removed)]
+    removed_set = set(removed)
+    survivors = [l for l in leaf_labels if l not in removed_set]
     rows = pivot.vertices_for(removed)
     cols = pivot.vertices_for(survivors)
     heights = _merge_heights(pivot, rows, cols)
@@ -296,14 +281,12 @@ def _check_leaves_for_disagreement(a, b, info):
 class _Pair:
     """The work every estimator shares for one (a, b) pair: the label split,
     the pivot and its counterpart, their unknown labels, the matching, the
-    known x known block with its epsilon, and the result record."""
+    epsilon of the known x known block, and the result record."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self.start = perf_counter()
         self.a, self.b = a, b
         self._matches: dict[tuple[int, ...], tuple] = {}
-        # the known x known corner per side, set by the first call to induced
-        self._known: tuple[np.ndarray, np.ndarray] | None = None
         self.info = info = classify_agreement(a, b)
         self.pivot_is_a = _pivot_is_a(info)
         if self.pivot_is_a:
@@ -371,45 +354,43 @@ class _Pair:
 
     @functools.cached_property
     def _known_eps(self) -> float:
+        """Epsilon over the known x known block, gathered once per pair; only
+        the float is kept."""
         known = self.info.known
-        return inf_norm_diff(*(LabeledMatrix(known, known, c) for c in self._known))
+        blocks = [
+            _lca_scalars(lt.tree, v, v) for lt, v in zip((self.a, self.b), self._known_vertices)
+        ]
+        return inf_norm_diff(*(LabeledMatrix(known, known, g) for g in blocks))
 
-    def induced(self, extra: Mapping[int, tuple[int, int]]) -> _Induced:
+    def induced(self, extra: Mapping[int, tuple[int, int]]) -> tuple[float, tuple]:
         """Epsilon over the known labels plus ``extra``'s, each mapped to its
-        (vertex in a, vertex in b).  The first call gathers the full block
-        per side, takes epsilon over it and keeps its known x known corner;
-        later calls gather only the extra rows against all columns, and
-        their epsilon is the larger of the corner's and the rows'."""
+        (vertex in a, vertex in b), and the labels, trees and vertices a
+        result gathers its induced matrices from.  Only the extra rows are
+        gathered, against all columns: the block's other entries are the
+        known x known corner and the rows' mirror image, so the larger of
+        the corner's epsilon and the rows' is the full block's."""
         labels, cols = self.columns(extra)
         k = len(self.info.known)
-        first = self._known is None
-        blocks = [
-            lt.tree.scalars[lt.tree.lca_many((v if first else v[k:])[:, None], v[None, :])]
-            for lt, v in zip((self.a, self.b), cols)
-        ]
-        if first:
-            eps = inf_norm_diff(*(LabeledMatrix(labels, labels, g) for g in blocks))
-            self._known = (blocks[0][:k, :k], blocks[1][:k, :k])
-            blocks = [g[k:] for g in blocks]
-        else:
-            rows_eps = inf_norm_diff(*(LabeledMatrix(labels[k:], labels, g) for g in blocks))
-            eps = max(self._known_eps, rows_eps)
-        return _Induced(eps, labels, k, self._known, (blocks[0], blocks[1]))
+        trees = (self.a.tree, self.b.tree)
+        rows = [_lca_scalars(t, v[k:], v) for t, v in zip(trees, cols)]
+        rows_eps = inf_norm_diff(*(LabeledMatrix(labels[k:], labels, g) for g in rows))
+        return max(self._known_eps, rows_eps), (labels, trees, tuple(cols))
 
     def result(
         self,
-        induced: _Induced,
+        induced: tuple[float, tuple],
         pairs_ab: Sequence[tuple[int, int]] = (),
         unmatched_piv: Sequence[int] = (),
         deltas: dict[int, float] | None = None,
         trimmed: Sequence[int] = (),
         assigned: dict[int, int] | None = None,
     ) -> MethodResult:
+        eps, unified = induced
         deltas = deltas or {}
         unmatched_piv = tuple(unmatched_piv)
         return MethodResult(
-            distance=_objective(induced.epsilon, deltas),
-            epsilon=induced.epsilon,
+            distance=_objective(eps, deltas),
+            epsilon=eps,
             deltas=deltas,
             matching=Matching(
                 pairs=tuple(sorted(pairs_ab)),
@@ -420,7 +401,7 @@ class _Pair:
             trimmed=frozenset(trimmed),
             wall_time=perf_counter() - self.start,
             assigned_labels=dict(assigned or {}),
-            blocks=induced,
+            unified=unified,
         )
 
 
@@ -477,7 +458,8 @@ def _elm(p: _Pair) -> MethodResult:
     piv_leaf_labels = p.piv.leaf_labels()
     s = build_s_matrix(p.piv, p.piv_unknown, piv_leaf_labels)
     trimmed = select_trim(s, len(p.piv_unknown) - len(p.oth_unknown))
-    survivors = tuple(l for l in p.piv_unknown if l not in set(trimmed))
+    trimmed_set = set(trimmed)
+    survivors = tuple(l for l in p.piv_unknown if l not in trimmed_set)
     pairs_ab, _ = p.match(survivors)
     induced = p.induced(p.matched(pairs_ab))
     deltas = _delta_map(p.piv, trimmed, piv_leaf_labels)
@@ -546,8 +528,8 @@ def evaluate_configuration(
     """
     p = _Pair(a, b)
     if p.info.case is Agreement.FULL:
-        return p.induced({}).epsilon
-    eps = p.induced(p.matched(pairs)).epsilon
+        return p.induced({})[0]
+    eps = p.induced(p.matched(pairs))[0]
     return _objective(eps, _delta_map(p.piv, removed, p.piv.leaf_labels()))
 
 
@@ -634,7 +616,8 @@ def oracle_min_objective(
 
     best = np.inf
     for removed in itertools.combinations(piv_unknown, k):
-        survivors = [l for l in piv_unknown if l not in set(removed)]
+        removed_set = set(removed)
+        survivors = [l for l in piv_unknown if l not in removed_set]
         dmax = delta_of(removed)
         for perm in itertools.permutations(oth_unknown):
             pairs_po = tuple(zip(survivors, perm))

@@ -396,6 +396,66 @@ def test_induced_matrices_built_on_read_equal_induced_matrix(index):
         assert inf_norm_diff(r.induced_a, r.induced_b) == r.epsilon
 
 
+def _arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays_in(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays_in(item)
+
+
+@pytest.mark.parametrize("index", range(len(_shared_eps_pairs())))
+def test_pair_keeps_no_matrix_after_every_step(index):
+    pair = methods._Pair(*_shared_eps_pairs()[index])
+    for step in harness.PAIR_STEPS.values():
+        _run(step, pair)
+    held = list(_arrays_in(list(vars(pair).values())))
+    assert all(arr.ndim < 2 for arr in held)
+
+
+_PARTIAL_PAIRS = [
+    pair for pair in _shared_eps_pairs() if classify_agreement(*pair).case is Agreement.PARTIAL
+]
+
+
+@pytest.mark.parametrize("index", range(len(_PARTIAL_PAIRS)))
+def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypatch):
+    """Per side: K^2 cells for the known block, X * (K + X) for the X
+    matched or granted labels' rows; never the full (K + X)^2 block."""
+    a, b = _PARTIAL_PAIRS[index]
+    info = classify_agreement(a, b)
+    assert a.tree is not b.tree
+    cells: dict[int, int] = {}
+    inside = []
+    lca_many, induced = MergeTree.lca_many, methods._Pair.induced
+
+    def counting_lca_many(tree, us, vs):
+        if inside:
+            size = np.broadcast(np.asarray(us), np.asarray(vs)).size
+            cells[id(tree)] = cells.get(id(tree), 0) + size
+        return lca_many(tree, us, vs)
+
+    def flagged_induced(pair, extra):
+        inside.append(True)
+        try:
+            return induced(pair, extra)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MergeTree, "lca_many", counting_lca_many)
+    monkeypatch.setattr(methods._Pair, "induced", flagged_induced)
+    k = len(info.known)
+    for m in harness.PAIR_STEPS:
+        cells.clear()
+        r = harness.METHODS[m](a, b)
+        x = len(r.relabeling) + len(r.assigned_labels)
+        want = k * k + x * (k + x)
+        assert cells == {id(a.tree): want, id(b.tree): want}
+
+
 def test_oracle_result_carries_empty_matrices(example1):
     r = harness.METHODS["oracle"](*example1)
     for m in (r.induced_a, r.induced_b):
