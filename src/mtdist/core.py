@@ -18,8 +18,8 @@ so values can be shared freely across worker processes.
 Every LCA query is answered from one per-tree *leaf table*: the L x L
 matrix of LCA vertex ids over the tree's L childless vertices, i.e. the
 vertex behind each entry of the tree's cophenetic matrix.  The first LCA
-query builds it (``validate`` and ``depth`` only walk the tree, so loading
-or generating a tree never does), in one post-order pass: the leaves of
+query builds it (``validate`` only walks the tree, so loading or
+generating a tree never does), in one post-order pass: the leaves of
 every subtree form a contiguous run in DFS order, so each internal vertex
 fills the blocks between its children's runs, exactly L^2 writes.  Cells
 use the smallest unsigned dtype that holds a vertex id: one byte up to 256
@@ -189,7 +189,13 @@ class MergeTree:
         if not np.all(np.isfinite(self._scalars)):
             bad = int(np.flatnonzero(~np.isfinite(self._scalars))[0])
             raise errors.ValidationError(f"vertex {bad} has a non-finite scalar")
-        self._below(self._root)  # raises CycleDetected on unreachable vertices
+        # only vertices the root does not reach can lie on a cycle
+        reached = [self._root]
+        for x in reached:
+            reached.extend(self._children[x])
+        if len(reached) < self.n_vertices:
+            missing = min(set(range(self.n_vertices)).difference(reached))
+            raise errors.CycleDetected(f"vertex {missing} is not reachable from the root")
         nonroot = np.flatnonzero(self._parents >= 0)
         bad = nonroot[
             self._scalars[nonroot] >= self._scalars[self._parents[nonroot]]
@@ -203,23 +209,6 @@ class MergeTree:
             )
 
     # -- topology queries ----------------------------------------------------
-
-    def _below(self, v: int) -> list[int]:
-        """v and its descendants.  Raises CycleDetected first if the root does
-        not reach every vertex: only those can lie on a cycle, where a walk
-        from v would never end."""
-        reached = [self._root]
-        for x in reached:
-            reached.extend(self._children[x])
-        if len(reached) < self.n_vertices:
-            missing = min(set(range(self.n_vertices)).difference(reached))
-            raise errors.CycleDetected(f"vertex {missing} is not reachable from the root")
-        if v == self._root:
-            return reached
-        below = [v]
-        for x in below:
-            below.extend(self._children[x])
-        return below
 
     def _leaf_table(self) -> tuple[np.ndarray, ...]:
         if self._leaf_lca is None:
@@ -267,11 +256,6 @@ class MergeTree:
         lcas = self.lca_many(us, vs)
         s = self._scalars
         return (s[lcas] - s[us]) + (s[lcas] - s[vs])
-
-    def depth(self, v: int) -> float:
-        """Scalar of v minus the minimum scalar among its descendants-or-self."""
-        v = self._check_vertex(v)
-        return float(self._scalars[v] - self._scalars[self._below(v)].min())
 
     # pickling: drop the cached leaf table (cheap to rebuild, shrinks payloads)
     def __getstate__(self):
@@ -351,6 +335,10 @@ class LabeledMergeTree:
 
     def validate(self) -> None:
         self.tree.validate()
+        self.validate_labels()
+
+    def validate_labels(self) -> None:
+        """The label checks of :meth:`validate` alone, for a valid tree."""
         for label, vertex in self.labels.items():
             if not 0 <= vertex < self.tree.n_vertices:
                 raise errors.InvalidVertex(

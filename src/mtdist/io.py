@@ -152,9 +152,13 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
                 raise errors.DuplicateLabel(f"label {label} on two vertices")
             label_map[label] = dense[vid]
 
+    # validate before splicing: a splice keeps a valid tree valid, but it
+    # would drop a self-loop, a detached cycle or a one-child vertex above
+    # its parent without a word
+    tree.validate()
     tree, label_map = _collapse_unary(tree, label_map)
     lt = LabeledMergeTree(tree, LabelTable(label_map))
-    lt.validate()
+    lt.validate_labels()
     return lt
 
 
@@ -195,25 +199,16 @@ def _collapse_unary(
 def _canonical_order(lt: LabeledMergeTree) -> list[int]:
     """Vertices in BFS order with children sorted by a structural key."""
     tree = lt.tree
+    bfs = [tree.root]
+    for v in bfs:
+        bfs.extend(tree.children(v))
     key: dict[int, tuple] = {}
-    # post-order traversal to build keys bottom-up
-    stack = [(tree.root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            kids = sorted((key[c] for c in tree.children(v)))
-            key[v] = (float(tree.scalars[v]), lt.labels.labels_of(v), tuple(kids))
-        else:
-            stack.append((v, True))
-            for c in tree.children(v):
-                stack.append((c, False))
+    for v in reversed(bfs):  # children before parents: keys build bottom-up
+        kids = sorted(key[c] for c in tree.children(v))
+        key[v] = (float(tree.scalars[v]), lt.labels.labels_of(v), tuple(kids))
     order = [tree.root]
-    queue = [tree.root]
-    while queue:
-        v = queue.pop(0)
-        for c in sorted(tree.children(v), key=lambda c: key[c]):
-            order.append(c)
-            queue.append(c)
+    for v in order:
+        order.extend(sorted(tree.children(v), key=key.__getitem__))
     return order
 
 

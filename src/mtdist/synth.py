@@ -21,6 +21,7 @@ worker counts.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import random
@@ -72,7 +73,6 @@ class EnsembleSpec:
     ensemble_size: int = 20
     label_fraction: float = 0.5
     seed: int = 0
-    perturbation_schedule: tuple[PerturbationSpec, ...] | None = None
 
     def __post_init__(self):
         if self.max_vertices < 3:
@@ -81,12 +81,6 @@ class EnsembleSpec:
             raise errors.ValidationError("ensemble_size must be >= 1")
         if not 0.0 <= self.label_fraction <= 1.0:
             raise errors.ValidationError("label_fraction must lie in [0, 1]")
-        sched = self.perturbation_schedule
-        if sched is not None and len(sched) != self.ensemble_size - 1:
-            raise errors.ValidationError(
-                "schedule needs one entry per perturbed member "
-                f"({self.ensemble_size - 1}), got {len(sched)}"
-            )
 
 
 def random_base_tree(max_vertices: int, seed: int) -> MergeTree:
@@ -135,122 +129,98 @@ def assign_labels(
     return lt
 
 
-class _MutableTree:
-    """Scratch representation used during perturbation."""
-
-    def __init__(self, lt: LabeledMergeTree):
-        t = lt.tree
-        self.scalars = [float(x) for x in t.scalars]
-        self.parents = [None if p < 0 else int(p) for p in t.parents]
-        self.alive = [True] * t.n_vertices
-        self.labels = {l: v for l, v in lt.labels.items()}
-
-    def children_map(self) -> dict[int, list[int]]:
-        kids: dict[int, list[int]] = {v: [] for v in range(len(self.scalars)) if self.alive[v]}
-        for v, p in enumerate(self.parents):
-            if self.alive[v] and p is not None:
-                kids[p].append(v)
-        return kids
-
-    def root(self) -> int:
-        for v, p in enumerate(self.parents):
-            if self.alive[v] and p is None:
-                return v
-        raise errors.CycleDetected("lost the root during perturbation")
-
-    def leaves(self) -> list[int]:
-        kids = self.children_map()
-        r = self.root()
-        return [v for v, ks in kids.items() if not ks and v != r]
-
-    def splice_if_unary(self, v: int) -> None:
-        """Remove v when it is a live non-root vertex with exactly one child."""
-        if not self.alive[v] or self.parents[v] is None:
-            return
-        kids = [c for c, p in enumerate(self.parents) if self.alive[c] and p == v]
-        if len(kids) != 1:
-            return
-        (child,) = kids
-        self.parents[child] = self.parents[v]
-        self.alive[v] = False
-
-    def freeze(self) -> LabeledMergeTree:
-        keep = [v for v in range(len(self.scalars)) if self.alive[v]]
-        remap = {v: i for i, v in enumerate(keep)}
-        tree = MergeTree(
-            [self.scalars[v] for v in keep],
-            [remap[self.parents[v]] if self.parents[v] is not None else None for v in keep],
-        )
-        table = LabelTable({l: remap[v] for l, v in self.labels.items() if self.alive[v]})
-        lt = LabeledMergeTree(tree, table)
-        lt.validate()
-        return lt
-
-
 def perturb(lt: LabeledMergeTree, spec: PerturbationSpec) -> LabeledMergeTree:
-    """Apply scalar updates, rotations, then leaf deletions; see module doc."""
+    """Apply scalar updates, rotations, then leaf deletions; see module doc.
+
+    Works on plain per-vertex lists.  The root never moves, is never a leaf
+    and is never spliced, so each splice and rotation updates only the two
+    children sets it touches.
+    """
     rng = random.Random(_child_seed(spec.seed, "perturb"))
-    mt = _MutableTree(lt)
-    n_leaves = len(lt.tree.leaves)
+    tree = lt.tree
+    n = tree.n_vertices
+    n_leaves = len(tree.leaves)
     if spec.deletion_count > n_leaves - 1:
         raise errors.TooManyDeletions(
             f"cannot delete {spec.deletion_count} of {n_leaves} leaves"
         )
+    root = tree.root
+    scalars = tree.scalars.tolist()
+    parents = tree.parents.tolist()  # the root's entry is never read
+    kids = [set(tree.children(v)) for v in range(n)]  # empty once v is gone
+    alive = [True] * n
+
+    def splice_if_unary(v: int) -> None:
+        """Remove v when it is a non-root vertex with exactly one child."""
+        if v != root and len(kids[v]) == 1:
+            child = kids[v].pop()
+            up = parents[v]
+            parents[child] = up
+            kids[up].remove(v)
+            kids[up].add(child)
+            alive[v] = False
 
     # 1. scalar updates with top-down monotonicity repair
-    live = [v for v in range(len(mt.scalars)) if mt.alive[v]]
-    count = min(spec.scalar_update_count, len(live))
-    for v in sorted(rng.sample(live, count)):
-        mt.scalars[v] += rng.uniform(-spec.scalar_magnitude, spec.scalar_magnitude)
-    span = max(mt.scalars) - min(mt.scalars)
+    for v in sorted(rng.sample(range(n), min(spec.scalar_update_count, n))):
+        scalars[v] += rng.uniform(-spec.scalar_magnitude, spec.scalar_magnitude)
+    span = max(scalars) - min(scalars)
     gap = 1e-9 * (span if span > 0 else 1.0)
-    order = [mt.root()]
-    kids = mt.children_map()
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for c in kids.get(v, ()):
-            if mt.scalars[c] >= mt.scalars[v]:
-                mt.scalars[c] = mt.scalars[v] - gap
+    order = [root]
+    for v in order:
+        for c in kids[v]:
+            if scalars[c] >= scalars[v]:
+                scalars[c] = scalars[v] - gap
             order.append(c)
 
     # 2. rotations: reattach an internal vertex under its grandparent
     for _ in range(spec.rotation_count):
-        kids = mt.children_map()
-        candidates = sorted(
-            v
-            for v in kids
-            if kids[v]
-            and mt.parents[v] is not None
-            and mt.parents[mt.parents[v]] is not None
-        )
+        candidates = [
+            v for v in range(n) if kids[v] and v != root and parents[v] != root
+        ]
         if not candidates:
             break
         v = candidates[rng.randrange(len(candidates))]
-        p = mt.parents[v]
-        g = mt.parents[p]
-        mt.parents[v] = g
-        if mt.scalars[v] >= mt.scalars[g]:  # defensive; moving up preserves order
-            mt.scalars[v] = mt.scalars[g] - gap
-        mt.splice_if_unary(p)
+        p = parents[v]
+        g = parents[p]
+        parents[v] = g
+        kids[p].remove(v)
+        kids[g].add(v)
+        if scalars[v] >= scalars[g]:  # defensive; moving up preserves order
+            scalars[v] = scalars[g] - gap
+        splice_if_unary(p)
 
     # 3. leaf deletions, sparing known-labeled leaves while unknowns remain
+    holders = {v for l, v in lt.labels.items() if l > UNKNOWN_LABEL_BASE}
+    leaves = [v for v in range(n) if alive[v] and not kids[v] and v != root]
+    unknown = [v for v in leaves if v in holders]
     for _ in range(spec.deletion_count):
-        leaves = sorted(mt.leaves())
         if len(leaves) <= 1:
             raise errors.TooManyDeletions("would delete the last leaf")
-        holders = {w for l, w in mt.labels.items() if l > UNKNOWN_LABEL_BASE}
-        unknown = [v for v in leaves if v in holders]
         pool = unknown if unknown else leaves
-        victim = pool[rng.randrange(len(pool))]
-        parent = mt.parents[victim]
-        mt.alive[victim] = False
-        mt.labels = {l: v for l, v in mt.labels.items() if v != victim}
-        if parent is not None:
-            mt.splice_if_unary(parent)
+        victim = pool.pop(rng.randrange(len(pool)))
+        if pool is unknown:
+            del leaves[bisect.bisect_left(leaves, victim)]
+        alive[victim] = False
+        parent = parents[victim]
+        kids[parent].remove(victim)
+        if kids[parent] or parent == root:
+            splice_if_unary(parent)
+        else:  # a one-child vertex left childless is a leaf now
+            bisect.insort(leaves, parent)
+            if parent in holders:
+                bisect.insort(unknown, parent)
 
-    return mt.freeze()
+    keep = [v for v in range(n) if alive[v]]
+    remap = {v: i for i, v in enumerate(keep)}
+    out = LabeledMergeTree(
+        MergeTree(
+            [scalars[v] for v in keep],
+            [None if v == root else remap[parents[v]] for v in keep],
+        ),
+        LabelTable({l: remap[v] for l, v in lt.labels.items() if alive[v]}),
+    )
+    out.validate()
+    return out
 
 
 def _schedule(
@@ -306,9 +276,7 @@ def generate_ensemble(
     labeled = assign_labels(
         base, spec.label_fraction, _child_seed(spec.seed, "fractions")
     )
-    if spec.perturbation_schedule is not None:
-        schedule = spec.perturbation_schedule
-    elif schedule_kind == "preset":
+    if schedule_kind == "preset":
         schedule = preset_schedule(spec, base)
     else:
         schedule = default_schedule(spec, base)

@@ -63,9 +63,8 @@ def test_cycle_rejected():
     tree = MergeTree([1.0, 0.5, 0.4, 0.3, 0.2], [None, 0, 0, 4, 3])
     with pytest.raises(errors.CycleDetected):
         tree.lca_many([1], [2])
-    for check in (tree.validate, lambda: tree.depth(3)):
-        with pytest.raises(errors.CycleDetected, match="vertex 3 is not reachable"):
-            check()
+    with pytest.raises(errors.CycleDetected, match="vertex 3 is not reachable"):
+        tree.validate()
 
 
 def test_unary_interior_semantically_valid():
@@ -80,7 +79,7 @@ def test_unary_root_allowed():
     t.validate()
 
 
-# -- lca / distances / depth ---------------------------------------------------
+# -- lca / distances -----------------------------------------------------------
 
 
 def test_lca_self_and_root():
@@ -94,13 +93,6 @@ def test_path_distance_identity_and_chain():
     t = chain_tree()
     assert t.path_distance(2, 2) == 0.0
     assert t.path_distance(2, 0) == 3.0
-
-
-def test_depth_leaf_and_root():
-    t = chain_tree()
-    assert t.depth(2) == 0.0
-    assert t.depth(0) == 3.0
-    assert t.depth(1) == 1.0
 
 
 def _brute_lca(tree: MergeTree, u: int, v: int) -> int:
@@ -203,7 +195,6 @@ def test_validate_load_and_generate_build_no_leaf_table(monkeypatch):
     monkeypatch.setattr(core, "_build_leaf_table", refuse)
     tree = _caterpillar(20_000)  # its table would take 800 MB
     tree.validate()
-    assert tree.depth(tree.root) == tree.scalars[0] + 0.5
     members = generate_ensemble(EnsembleSpec(max_vertices=61, ensemble_size=3))
     for lt in members:
         parse_mtree(write_mtree(lt))
@@ -255,33 +246,6 @@ def test_path_distance_matches_bfs_edge_sum(seed):
         )
 
 
-@pytest.mark.parametrize("seed", [5, 23])
-def test_depth_matches_descendant_enumeration(seed):
-    tree = random_base_tree(31, seed)
-    desc = {v: {v} for v in range(tree.n_vertices)}
-    for v in reversed(range(tree.n_vertices)):  # children have larger ids here
-        p = tree.parent(v)
-        if p is not None:
-            desc[p] |= desc[v]
-    for v in range(tree.n_vertices):
-        want = float(tree.scalars[v]) - min(float(tree.scalars[d]) for d in desc[v])
-        assert tree.depth(v) == pytest.approx(want, abs=0)
-
-
-def test_depth_on_unvalidated_tree():
-    # scalars grow toward the leaves: the minimum below a vertex is not at a leaf
-    tree = MergeTree([0.0, 1.0, 5.0, 2.0, 0.5, 3.0], [None, 0, 1, 1, 3, 3])
-    with pytest.raises(errors.NonDecreasingScalar):
-        tree.validate()
-    for v in range(tree.n_vertices):
-        below = {v}
-        for x in range(tree.n_vertices):
-            if _brute_lca(tree, x, v) == v:
-                below.add(x)
-        want = float(tree.scalars[v]) - min(float(tree.scalars[d]) for d in below)
-        assert tree.depth(v) == want
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_path_distance_metric_axioms(seed):
@@ -303,8 +267,6 @@ def test_invalid_vertex_raises():
     t = chain_tree()
     with pytest.raises(errors.InvalidVertex):
         t.lca(0, 99)
-    with pytest.raises(errors.InvalidVertex):
-        t.depth(-1)
     with pytest.raises(errors.InvalidVertex):
         t.lca_many([-4], [3])  # would wrap around to the root
     with pytest.raises(errors.InvalidVertex):

@@ -78,6 +78,24 @@ def test_minus_one_labels_rewritten():
     assert shifted.leaf_labels() == (4, 1000)
 
 
+_TWO_LEAVES = "mtree 1\nv 0 0.0\nv 1 -1.0 1\nv 2 -1.0 2\ne 1 0\ne 2 0\n"
+
+
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        ("v 3 -0.5\ne 3 3\n", errors.CycleDetected),
+        ("v 3 -0.5\nv 4 -0.6\ne 3 4\ne 4 3\n", errors.CycleDetected),
+        ("v 3 0.5\nv 4 -2.0 3\ne 3 0\ne 4 3\n", errors.NonDecreasingScalar),
+    ],
+    ids=["self-loop", "detached-two-cycle", "one-child-above-parent"],
+)
+def test_invalid_tree_refused_before_unary_splice(extra, error):
+    # splicing first used to drop the offending vertices and load a valid tree
+    with pytest.raises(error):
+        parse_mtree(_TWO_LEAVES + extra)
+
+
 def test_missing_root_line():
     text = "mtree 1\nv 1 1.0 1\nv 2 0.5 2\ne 1 0\ne 2 0\n"
     with pytest.raises((errors.DisconnectedVertex, errors.MultipleRoots)):

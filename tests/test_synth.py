@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from mtdist import (
     Agreement,
     EnsembleSpec,
+    LabelTable,
+    LabeledMergeTree,
+    MergeTree,
     PerturbationSpec,
     assign_labels,
     classify_agreement,
@@ -19,6 +24,7 @@ from mtdist import (
     random_base_tree,
     write_mtree,
 )
+from mtdist.harness import cmd_gen
 from mtdist.synth import UNKNOWN_LABEL_BASE, preset_schedule
 
 
@@ -109,6 +115,19 @@ def test_perturb_spares_known_leaves_first():
     assert set(survivors) <= {l for l in lt.leaf_labels() if l <= UNKNOWN_LABEL_BASE}
 
 
+def test_perturb_deletes_a_one_child_vertex_left_childless():
+    # vertex 1 has one child, the unknown leaf 3; once 3 goes, 1 is a
+    # labeled leaf like any other and the next deletion may pick it
+    tree = MergeTree([0.0, -1.0, -2.0, -1.5, -2.0], [None, 0, 0, 1, 0])
+    labels = LabelTable({1: 1, 2: 2, 3: 4, UNKNOWN_LABEL_BASE + 1: 3})
+    lt = LabeledMergeTree(tree, labels)
+    survivors = {
+        perturb(lt, PerturbationSpec(0, 0.0, 0, 2, seed)).leaf_labels()
+        for seed in range(12)
+    }
+    assert survivors == {(1, 2), (1, 3), (2, 3)}
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_perturbed_trees_stay_valid(seed):
     lt = assign_labels(random_base_tree(33, seed), 0.5, seed)
@@ -179,5 +198,30 @@ def test_ensemble_spec_validation():
         EnsembleSpec(max_vertices=2)
     with pytest.raises(errors.ValidationError):
         EnsembleSpec(max_vertices=9, label_fraction=1.5)
-    with pytest.raises(errors.ValidationError):
-        EnsembleSpec(max_vertices=9, ensemble_size=3, perturbation_schedule=(_zero_spec(),))
+
+
+@pytest.mark.parametrize(
+    "options, want",
+    [
+        (
+            dict(preset="random_50", seed=7),
+            "b39c5c5b06190215e1ea5fb9b3203bb5cb3fb18a300fa02b2290c358d070b486",
+        ),
+        (
+            dict(max_vertices=60, label_fraction=1.0, seed=1),
+            "171169714eb08ba127ee51f271d4a493fb08943df51591b920dd8dc44e870313",
+        ),
+        (
+            dict(preset="random_50", label_fraction=0.0, seed=2),
+            "7e4f1a8f1297e288e5502ed9bdb83f0b7b320d8bbdb47f6b0443e36cdb43cdf2",
+        ),
+    ],
+)
+def test_gen_bytes_pinned(options, want, tmp_path):
+    # one digest over every written file's name and bytes, manifest included;
+    # a change to the generator's RNG use or tree surgery moves it
+    cmd_gen(tmp_path, **options)
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == want
