@@ -46,9 +46,11 @@ estimator on a pair, so the pair takes its epsilon once and keeps only that
 float.  Every epsilon gathers just its matched or granted rows against all
 columns (known labels first) and takes the larger of the block's epsilon and
 the rows': the rest of the full block mirrors those rows, and a max does not
-depend on how its entries are grouped.  A result keeps the labels and
-vertices its epsilon was taken over, and gathers its induced matrices from
-them, in sorted label order, only when read.
+depend on how its entries are grouped.  So these gathers, like the row gaps
+behind the matching and greedy's grants, run in row blocks of at most
+``_BLOCK_CELLS`` cells: no pair holds an n1 x n2 x K tensor.  A result keeps
+the labels and vertices its epsilon was taken over, and gathers its induced
+matrices from them, in sorted label order, only when read.
 
 ``oracle_min_objective`` exhaustively minimizes the same objective over every
 trim subset and bijection on small instances, using its own naive traversal
@@ -227,10 +229,25 @@ def pairwise_leaf_distances(lt: LabeledMergeTree, labels: Sequence[int]) -> Labe
     return LabeledMatrix(labels, labels, d)
 
 
-def _row_gap_weights(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """W(i, j) = || d1[i] - d2[j] ||_2 (matrices share a column space)."""
-    diff = d1[:, None, :] - d2[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+# Cells one row block may hold.  Every benchmark-size gather (122,500 cells
+# at most) fits in one block; a cap of 2**20 let greedy's blocks outgrow its
+# old per-leaf temporaries and raised known_500's peak RSS from 48 to 60 MB.
+_BLOCK_CELLS = 1 << 17
+
+
+def _row_blocks(first: int, stop: int, row_cells: int):
+    """Slices of rows first..stop, each of at most _BLOCK_CELLS cells or one row."""
+    step = max(1, _BLOCK_CELLS // max(row_cells, 1))
+    return (slice(lo, min(lo + step, stop)) for lo in range(first, stop, step))
+
+
+def _row_gaps(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """G(i, j) = || d1[i] - d2[j] ||_2^2 over shared columns, in blocks of d1's rows."""
+    out = np.empty((len(d1), len(d2)))
+    for rows in _row_blocks(0, len(d1), d2.size):
+        diff = d1[rows, None, :] - d2[None, :, :]
+        out[rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 def _row_norm_weights(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -289,12 +306,9 @@ class _Pair:
         self._matches: dict[tuple[int, ...], tuple] = {}
         self.info = info = classify_agreement(a, b)
         self.pivot_is_a = _pivot_is_a(info)
-        if self.pivot_is_a:
-            self.piv, self.oth = a, b
-            self.piv_unknown, self.oth_unknown = info.unknown_a, info.unknown_b
-        else:
-            self.piv, self.oth = b, a
-            self.piv_unknown, self.oth_unknown = info.unknown_b, info.unknown_a
+        sides = ((a, info.unknown_a), (b, info.unknown_b))
+        piv, oth = sides if self.pivot_is_a else sides[::-1]
+        (self.piv, self.piv_unknown), (self.oth, self.oth_unknown) = piv, oth
 
     def match(
         self, piv_rows: tuple[int, ...]
@@ -315,11 +329,10 @@ class _Pair:
         oth_rows = self.oth_unknown
         if not oth_rows:
             return (), piv_rows
-        known = self.info.known
         if self.info.case is Agreement.PARTIAL:
-            d1 = unknown_to_known_distances(self.piv, piv_rows, known)
-            d2 = unknown_to_known_distances(self.oth, oth_rows, known)
-            weights = _row_gap_weights(d1.entries, d2.entries)
+            d1 = unknown_to_known_distances(self.piv, piv_rows, self.info.known)
+            d2 = unknown_to_known_distances(self.oth, oth_rows, self.info.known)
+            weights = np.sqrt(_row_gaps(d1.entries, d2.entries))
         else:
             d1 = pairwise_leaf_distances(self.piv, piv_rows)
             d2 = pairwise_leaf_distances(self.oth, oth_rows)
@@ -352,29 +365,28 @@ class _Pair:
         ]
         return self.info.known + tuple(extra), cols
 
+    def _eps_rows(self, labels: tuple[int, ...], cols: Sequence[np.ndarray], first: int) -> float:
+        """Epsilon over rows ``first:`` of the labels x labels block at vertices ``cols``."""
+        eps, trees = 0.0, (self.a.tree, self.b.tree)
+        for rows in _row_blocks(first, len(labels), len(labels)):
+            g = [_lca_scalars(t, v[rows], v) for t, v in zip(trees, cols)]
+            eps = max(eps, inf_norm_diff(*(LabeledMatrix(labels[rows], labels, m) for m in g)))
+        return eps
+
     @functools.cached_property
     def _known_eps(self) -> float:
         """Epsilon over the known x known block, gathered once per pair; only
         the float is kept."""
-        known = self.info.known
-        blocks = [
-            _lca_scalars(lt.tree, v, v) for lt, v in zip((self.a, self.b), self._known_vertices)
-        ]
-        return inf_norm_diff(*(LabeledMatrix(known, known, g) for g in blocks))
+        return self._eps_rows(self.info.known, self._known_vertices, 0)
 
     def induced(self, extra: Mapping[int, tuple[int, int]]) -> tuple[float, tuple]:
         """Epsilon over the known labels plus ``extra``'s, each mapped to its
         (vertex in a, vertex in b), and the labels, trees and vertices a
-        result gathers its induced matrices from.  Only the extra rows are
-        gathered, against all columns: the block's other entries are the
-        known x known corner and the rows' mirror image, so the larger of
-        the corner's epsilon and the rows' is the full block's."""
+        result gathers its induced matrices from.  Besides the known corner,
+        only the extra rows are gathered: the rest of the block mirrors them."""
         labels, cols = self.columns(extra)
-        k = len(self.info.known)
-        trees = (self.a.tree, self.b.tree)
-        rows = [_lca_scalars(t, v[k:], v) for t, v in zip(trees, cols)]
-        rows_eps = inf_norm_diff(*(LabeledMatrix(labels[k:], labels, g) for g in rows))
-        return max(self._known_eps, rows_eps), (labels, trees, tuple(cols))
+        rows_eps = self._eps_rows(labels, cols, len(self.info.known))
+        return max(self._known_eps, rows_eps), (labels, (self.a.tree, self.b.tree), tuple(cols))
 
     def result(
         self,
@@ -491,18 +503,16 @@ def _greedy(p: _Pair) -> MethodResult:
         # newly known = original known plus matched labels, by unified name
         labels, cols = p.columns(extra)
         newly = np.argsort(np.asarray(labels, dtype=np.int64))
-        piv_side = 0 if p.pivot_is_a else 1
-        piv_nk = cols[piv_side][newly]
-        oth_nk = cols[1 - piv_side][newly]
+        piv_nk, oth_nk = (c[newly] for c in (cols if p.pivot_is_a else cols[::-1]))
         # candidate receivers: leaves of the smaller tree, by smallest label
         cand = sorted(oth.tree.leaves, key=lambda v: oth.labels.labels_of(v)[0])
         cand_v = np.asarray(cand, dtype=np.int64)
         ds = oth.tree.path_distance_many(cand_v[:, None], oth_nk[None, :])
         um_v = piv.vertices_for(unmatched)
         dmat = piv.tree.path_distance_many(um_v[:, None], piv_nk[None, :])
-        for label, v, drow in zip(unmatched, um_v, dmat):
-            gaps = ds - drow[None, :]
-            receiver = cand[int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))]
+        closest = np.argmin(_row_gaps(dmat, ds), axis=1)
+        for label, v, c in zip(unmatched, um_v, closest):
+            receiver = cand[int(c)]
             grants[label] = oth.labels.labels_of(receiver)[0]
             extra[label] = (int(v), receiver) if p.pivot_is_a else (receiver, int(v))
     return p.result(p.induced(extra), pairs_ab, unmatched, assigned=grants)

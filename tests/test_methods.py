@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from mtdist import (
     mmb_distance,
     oracle_min_objective,
     pairwise_leaf_distances,
+    read_mtree_file,
     select_trim,
     unknown_to_known_distances,
 )
@@ -344,6 +347,18 @@ def _run(step, *args):
         return type(exc)
 
 
+def _assert_same(got, want):
+    """Two ``_run`` outcomes agree: the same error type, or the same result."""
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.distance == want.distance
+    assert got.epsilon == want.epsilon
+    assert got.deltas == want.deltas
+    assert got.matching == want.matching
+    assert got.assigned_labels == want.assigned_labels
+
+
 def _expected_induced(r, a, b) -> tuple[LabeledMatrix, LabeledMatrix]:
     """``induced_matrix`` over r's sorted unified labels on each side: a
     matched side-B label stands under its side-A partner's name, and a
@@ -369,15 +384,7 @@ def test_shared_pair_steps_equal_fresh_calls(index):
     for order in (list(steps), list(reversed(steps))):
         pair = methods._Pair(a, b)
         for m in order:
-            got, want = _run(steps[m], pair), fresh[m]
-            if isinstance(want, type):
-                assert got is want
-                continue
-            assert got.distance == want.distance
-            assert got.epsilon == want.epsilon
-            assert got.deltas == want.deltas
-            assert got.matching == want.matching
-            assert got.assigned_labels == want.assigned_labels
+            _assert_same(_run(steps[m], pair), fresh[m])
 
 
 @pytest.mark.parametrize("index", range(len(_shared_eps_pairs())))
@@ -461,3 +468,95 @@ def test_oracle_result_carries_empty_matrices(example1):
     for m in (r.induced_a, r.induced_b):
         assert m.row_labels == m.col_labels == ()
         assert m.entries.shape == (0, 0)
+
+
+# -- row blocks --------------------------------------------------------------------
+
+
+def _gaps_3d(d1, d2):
+    """Squared row gaps from the full n1 x n2 x K broadcast."""
+    diff = d1[:, None, :] - d2[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _closest_per_leaf(dmat, ds):
+    """Greedy's receiver search one pivot leaf at a time."""
+    out = []
+    for drow in dmat:
+        gaps = ds - drow[None, :]
+        out.append(int(np.argmin(np.einsum("ij,ij->i", gaps, gaps))))
+    return out
+
+
+def _gap_inputs():
+    """Random shapes with one row and K = 1 among them; the integer-valued
+    inputs make ties, so the argmin's tie-break is exercised too."""
+    rng = np.random.default_rng(7)
+    shapes = [(1, 1, 1), (1, 9, 1), (6, 1, 4), (5, 8, 1), (1, 12, 30), (10, 100, 200)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 40, size=3)) for _ in range(20)]
+    for i, (n1, n2, k) in enumerate(shapes):
+        if i % 2:
+            yield (rng.integers(0, 4, (n, k)).astype(float) for n in (n1, n2))
+        else:
+            yield (rng.normal(size=(n, k)) * 10.0 for n in (n1, n2))
+
+
+@pytest.mark.parametrize("cap", [1, 7, methods._BLOCK_CELLS])
+def test_row_gaps_equal_broadcast_and_per_leaf_argmin(cap, monkeypatch):
+    monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
+    for d1, d2 in _gap_inputs():
+        got = methods._row_gaps(d1, d2)
+        assert np.array_equal(got, _gaps_3d(d1, d2))
+        assert np.argmin(got, axis=1).tolist() == _closest_per_leaf(d1, d2)
+
+
+@pytest.mark.parametrize("cap", [1, 5])
+def test_blocked_epsilon_keeps_every_result(cap, monkeypatch):
+    """Capped row blocks change no result, and no gather inside
+    ``_Pair.induced`` covers more than the cap or one row."""
+    pairs = _shared_eps_pairs()
+    steps = harness.PAIR_STEPS
+    want = [{m: _run(step, methods._Pair(a, b)) for m, step in steps.items()} for a, b in pairs]
+    sizes, inside = [], []
+    lca_many, induced = MergeTree.lca_many, methods._Pair.induced
+
+    def recording_lca_many(tree, us, vs):
+        if inside:
+            size = np.broadcast(np.asarray(us), np.asarray(vs)).size
+            sizes.append((size, np.asarray(vs).size))
+        return lca_many(tree, us, vs)
+
+    def flagged_induced(pair, extra):
+        inside.append(True)
+        try:
+            return induced(pair, extra)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
+    monkeypatch.setattr(MergeTree, "lca_many", recording_lca_many)
+    monkeypatch.setattr(methods._Pair, "induced", flagged_induced)
+    for (a, b), expected in zip(pairs, want):
+        pair = methods._Pair(a, b)
+        for m, step in steps.items():
+            _assert_same(_run(step, pair), expected[m])
+    assert sizes
+    assert all(size <= max(cap, row) for size, row in sizes)
+
+
+def test_elm_on_large_trees_holds_no_pair_sized_tensor(tmp_path):
+    """On two fully labeled trees of about 2,000 leaves, elm allocates far
+    less than the 166 MB it took with an n1 x n2 x K difference tensor
+    behind the matching weights.  Leaf tables are built beforehand: they
+    belong to the trees, not to the pair."""
+    files = harness.cmd_gen(tmp_path, max_vertices=4095, count=6, label_fraction=1.0, seed=0)
+    a, b = (read_mtree_file(files[i]) for i in (2, 5))
+    for lt in (a, b):
+        lt.tree._leaf_table()
+    tracemalloc.start()
+    try:
+        elm_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
