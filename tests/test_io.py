@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,9 @@ from hypothesis import strategies as st
 
 from mtdist import (
     DistanceMatrix,
+    LabeledMergeTree,
+    LabelTable,
+    MergeTree,
     errors,
     parse_mtree,
     read_mtree_file,
@@ -137,6 +142,129 @@ def test_leaf_without_label_rejected():
 def test_comments_and_blank_lines_ignored():
     text = "mtree 1\n\n# a comment\nv 0 1.0  # trailing\nv 1 0.0 1\ne 1 0\n"
     assert parse_mtree(text).tree.n_vertices == 2
+
+
+def _reference_order(lt):
+    """The nested structural key of the module docstring, spelled out with
+    the checked accessors: the order write_mtree must reproduce."""
+    tree = lt.tree
+    bfs = [tree.root]
+    for v in bfs:
+        bfs.extend(tree.children(v))
+    key = {}
+    for v in reversed(bfs):
+        kids = sorted(key[c] for c in tree.children(v))
+        key[v] = (float(tree.scalars[v]), lt.labels.labels_of(v), tuple(kids))
+    order = [tree.root]
+    for v in order:
+        order.extend(sorted(tree.children(v), key=key.__getitem__))
+    return order
+
+
+def _reference_write(lt):
+    order = _reference_order(lt)
+    ids = {v: i for i, v in enumerate(order)}
+    lines = ["mtree 1"]
+    for v in order:
+        toks = ["v", str(ids[v]), "%.17g" % float(lt.tree.scalars[v])]
+        toks.extend(str(l) for l in lt.labels.labels_of(v))
+        lines.append(" ".join(toks))
+    for v in order:
+        p = lt.tree.parent(v)
+        if p is not None:
+            lines.append(f"e {ids[v]} {ids[p]}")
+    return "\n".join(lines) + "\n"
+
+
+def _tied_tree(rng):
+    """A random tree whose scalar is minus the depth, so every sibling and
+    cousin ties on scalar and labels or deeper children decide the order."""
+    size = rng.randint(3, 40)
+    parents = [None]
+    frontier = [0]
+    while len(parents) < size:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        for _ in range(rng.randint(2, 3)):
+            parents.append(v)
+            frontier.append(len(parents) - 1)
+    depth = [0] * len(parents)
+    for v in range(1, len(parents)):
+        depth[v] = depth[parents[v]] + 1
+    tree = MergeTree([-float(d) for d in depth], parents)
+    labels = {}
+    pool = rng.sample(range(1, 200), 2 * len(parents))
+    for v in range(len(parents)):
+        if v in tree.leaves or rng.random() < 0.2:
+            for _ in range(1 if v in tree.leaves else rng.randint(1, 2)):
+                labels[pool.pop()] = v
+    return LabeledMergeTree(tree, LabelTable(labels))
+
+
+def test_write_order_matches_nested_key_on_scalar_ties():
+    rng = random.Random(11)
+    for _ in range(200):
+        lt = _tied_tree(rng)
+        lt.validate()
+        assert write_mtree(lt) == _reference_write(lt)
+    # siblings tie on scalar: labels decide; cousins also tie on labels
+    # (none): their children's keys decide
+    lt = parse_mtree(
+        "mtree 1\nv 0 0\nv 1 -1\nv 2 -1\n"
+        "v 3 -2 9\nv 4 -2 4\nv 5 -2 8 1\nv 6 -2 2\nv 7 -1 3\n"
+        "e 1 0\ne 2 0\ne 3 1\ne 4 1\ne 5 2\ne 6 2\ne 7 0\n",
+        unknown_label_base=100,
+    )
+    text = write_mtree(lt)
+    assert text == _reference_write(lt)
+    assert text.splitlines()[1:9] == [
+        "v 0 0", "v 1 -1", "v 2 -1", "v 3 -1 3",
+        "v 4 -2 1 8", "v 5 -2 2", "v 6 -2 4", "v 7 -2 9",
+    ]
+
+_ROOT = "mtree 1\nv 0 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, line_no, message",
+    [
+        ("not a tree\n", errors.MtreeSyntaxError, 1, "expected header"),
+        ("\n# lead\nmtree 2\n", errors.MtreeSyntaxError, 3, "expected header"),
+        ("mtree 1 1\n", errors.MtreeSyntaxError, 1, "expected header"),
+        (_ROOT + "v 1\n", errors.MtreeSyntaxError, 3, "needs id and scalar"),
+        (_ROOT + "v x 0.0\n", errors.MtreeSyntaxError, 3, "bad vertex id or scalar"),
+        (_ROOT + "v 1 y\n", errors.MtreeSyntaxError, 3, "bad vertex id or scalar"),
+        (_ROOT + "v -1 0.0\n", errors.MtreeSyntaxError, 3, "non-negative"),
+        (_ROOT + "\nv 0 0.5\n", errors.MtreeSyntaxError, 4, "vertex 0 defined twice"),
+        (_ROOT + "v 1 0.0 z\n", errors.MtreeSyntaxError, 3, "bad label 'z'"),
+        (_ROOT + "v 1 0.0 0\n", errors.MtreeSyntaxError, 3, "label 0 "),
+        (_ROOT + "v 1 0.0 -2\n", errors.MtreeSyntaxError, 3, "label -2 "),
+        (_ROOT + "v 1 0.0 2 2\n", errors.DuplicateLabel, 3, "label 2 repeated"),
+        (_ROOT + "v 1 0.0 1\ne 1\n", errors.MtreeSyntaxError, 4, "edge line is"),
+        (_ROOT + "v 1 0.0 1\ne 1 0 0\n", errors.MtreeSyntaxError, 4, "edge line is"),
+        (_ROOT + "v 1 0.0 1\ne 1 r\n", errors.MtreeSyntaxError, 4, "bad edge ids"),
+        (_ROOT + "q zzz\n", errors.MtreeSyntaxError, 3, "unknown record 'q'"),
+        (_ROOT + "mtree 1\n", errors.MtreeSyntaxError, 3, "unknown record 'mtree'"),
+        (_ROOT + "v 1 0.0 1\ne 1 0\n# again\ne 1 0\n", errors.MtreeSyntaxError, 6,
+         "vertex 1 has two parents"),
+        (_ROOT + "v 1 0.0 1\ne 1 0\ne 2 0\n", errors.DisconnectedVertex, None,
+         "edge \\(2, 0\\) references undefined vertex 2"),
+        (_ROOT + "v 1 0.0 1\ne 1 7\n", errors.DisconnectedVertex, None,
+         "references undefined vertex 7"),
+        ("", errors.MtreeSyntaxError, 1, "empty document"),
+        ("# only a comment\n\n", errors.MtreeSyntaxError, 1, "empty document"),
+        ("mtree 1\n# nothing else\n", errors.MtreeSyntaxError, 1, "no vertices"),
+        (_ROOT + "v 1 0.0 3\nv 2 0.0 3\ne 1 0\ne 2 0\n", errors.DuplicateLabel, None,
+         "label 3 on two vertices"),
+    ],
+)
+def test_parse_errors_pinned(text, error, line_no, message):
+    # every raise in parse_mtree: its type, its line number and its message
+    with pytest.raises(error, match=message) as info:
+        parse_mtree(text)
+    assert type(info.value) is error
+    if line_no is not None:  # DuplicateLabel carries its line in the message only
+        assert str(info.value).startswith(f"line {line_no}: ")
+        assert getattr(info.value, "line_no", line_no) == line_no
 
 
 # mostly well-formed tokens, so that many documents get past the syntax checks

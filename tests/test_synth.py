@@ -215,6 +215,15 @@ def test_ensemble_spec_validation():
             dict(preset="random_50", label_fraction=0.0, seed=2),
             "7e4f1a8f1297e288e5502ed9bdb83f0b7b320d8bbdb47f6b0443e36cdb43cdf2",
         ),
+        # benchmark scale: known_500's and partial_200's generator settings
+        (
+            dict(max_vertices=500, label_fraction=1.0, count=4, seed=3),
+            "2af8faacde13d93271116dff244ca2b08824d864d471e3d88be5f0219e8879eb",
+        ),
+        (
+            dict(preset="random_200", count=4, seed=5),
+            "ddc504674ffb4dfcada098d0b1961fe58dd4730e4eb2a62a702305054800f484",
+        ),
     ],
 )
 def test_gen_bytes_pinned(options, want, tmp_path):
