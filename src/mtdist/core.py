@@ -111,9 +111,8 @@ class MergeTree:
         s = np.asarray(scalars, dtype=np.float64)
         if s.ndim != 1 or len(s) == 0:
             raise errors.ValidationError("a tree needs at least one vertex")
-        p = np.asarray(
-            [-1 if q is None else int(q) for q in parents], dtype=np.int64
-        )
+        plist = [-1 if q is None else int(q) for q in parents]
+        p = np.asarray(plist, dtype=np.int64)
         if len(p) != len(s):
             raise errors.ValidationError("scalars and parents differ in length")
         if np.any((p < -1) | (p >= len(s))):
@@ -129,12 +128,12 @@ class MergeTree:
             raise errors.MultipleRoots(f"vertices {roots.tolist()} all lack a parent")
         self._root = int(roots[0])
         children: list[list[int]] = [[] for _ in range(len(s))]
-        for v, q in enumerate(p):
+        for v, q in enumerate(plist):
             if q >= 0:
                 children[q].append(v)
-        self._children = tuple(tuple(c) for c in children)
+        self._children = tuple(map(tuple, children))
         self._leaves = tuple(
-            v for v in range(len(s)) if v != self._root and not children[v]
+            [v for v, kids in enumerate(children) if not kids and v != self._root]
         )
         self._leaf_lca: tuple[np.ndarray, ...] | None = None
 
@@ -160,6 +159,10 @@ class MergeTree:
     def leaves(self) -> tuple[int, ...]:
         """Childless non-root vertices (a single-vertex tree has none)."""
         return self._leaves
+
+    @property
+    def all_children(self) -> tuple[tuple[int, ...], ...]:
+        return self._children
 
     def children(self, v: int) -> tuple[int, ...]:
         return self._children[self._check_vertex(v)]
@@ -263,9 +266,7 @@ class MergeTree:
 
     def __setstate__(self, state):
         scalars, parents = state
-        tmp = MergeTree(scalars, [None if p < 0 else int(p) for p in parents])
-        for name in MergeTree.__slots__:
-            setattr(self, name, getattr(tmp, name))
+        MergeTree.__init__(self, scalars, parents.tolist())  # -1 marks the root
 
     def __repr__(self) -> str:
         return f"MergeTree(V={self.n_vertices}, leaves={len(self._leaves)})"
@@ -282,18 +283,18 @@ class LabelTable:
 
     def __init__(self, label_to_vertex: Mapping[int, int]):
         fwd: dict[int, int] = {}
-        inv: dict[int, list[int]] = {}
         for label, vertex in label_to_vertex.items():
             label = int(label)
-            vertex = int(vertex)
             if label <= 0:
                 raise errors.ValidationError(f"label {label} is not a positive integer")
             if label in fwd:
                 raise errors.DuplicateLabel(f"label {label} mapped to two vertices")
-            fwd[label] = vertex
-            inv.setdefault(vertex, []).append(label)
+            fwd[label] = int(vertex)
+        inv: dict[int, list[int]] = {}
+        for label in sorted(fwd):  # so each vertex's labels come out sorted
+            inv.setdefault(fwd[label], []).append(label)
         self._label_to_vertex = fwd
-        self._vertex_to_labels = {v: tuple(sorted(ls)) for v, ls in inv.items()}
+        self._vertex_to_labels = {v: tuple(ls) for v, ls in inv.items()}
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -307,6 +308,11 @@ class LabelTable:
 
     def labels_of(self, vertex: int) -> tuple[int, ...]:
         return self._vertex_to_labels.get(vertex, ())
+
+    @property
+    def by_vertex(self) -> Mapping[int, tuple[int, ...]]:
+        """``labels_of(v)`` of every labeled vertex v; do not modify."""
+        return self._vertex_to_labels
 
     def items(self) -> Iterable[tuple[int, int]]:
         return sorted(self._label_to_vertex.items())
@@ -339,13 +345,14 @@ class LabeledMergeTree:
 
     def validate_labels(self) -> None:
         """The label checks of :meth:`validate` alone, for a valid tree."""
-        for label, vertex in self.labels.items():
-            if not 0 <= vertex < self.tree.n_vertices:
-                raise errors.InvalidVertex(
-                    f"label {label} points at missing vertex {vertex}"
-                )
+        n, fwd = self.tree.n_vertices, self.labels._label_to_vertex
+        bad = [l for l, v in fwd.items() if not 0 <= v < n]
+        if bad:
+            label = min(bad)  # the first in label order
+            raise errors.InvalidVertex(f"label {label} points at missing vertex {fwd[label]}")
+        labeled = self.labels.by_vertex
         for leaf in self.tree.leaves:
-            if not self.labels.labels_of(leaf):
+            if leaf not in labeled:
                 raise errors.MissingLeafLabel(f"leaf {leaf} carries no label")
 
     def leaf_labels(self) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ mtree text format (UTF-8, LF line endings)::
     v <id> <scalar> [<label> ...]
     e <child-id> <parent-id>
 
-Vertex ids are arbitrary non-negative integers, remapped densely on load.
+Vertex ids are arbitrary non-negative integers, remapped densely in id order
+on load; ids that are already 0..V-1, as in every written file, are kept.
 Labels are positive integers; several labels may sit on one vertex.  The
 special label -1 marks an unknown-labeled leaf in third-party inputs and is
 rewritten on load to fresh unique labels (see ``parse_mtree``).  Unlabeled
@@ -62,21 +63,26 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
     several files should pass disjoint bases so rewritten unknowns never
     collide across trees.
     """
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, line in lines:
+        parts = line.split("#", 1)[0].split()
+        if parts:
+            if parts != ["mtree", "1"]:
+                raise errors.MtreeSyntaxError(line_no, "expected header 'mtree 1'")
+            break
+    else:
+        raise errors.MtreeSyntaxError(1, "empty document")
     scalars: dict[int, float] = {}
     raw_labels: dict[int, list[int]] = {}
     edges: list[tuple[int, int, int]] = []  # (child, parent, line number)
-    saw_header = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in lines:
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
-        if not saw_header:
-            if parts[0] != "mtree" or len(parts) != 2 or parts[1] != "1":
-                raise errors.MtreeSyntaxError(line_no, "expected header 'mtree 1'")
-            saw_header = True
+        if not parts:
             continue
-        if parts[0] == "v":
+        tag = parts[0]
+        if tag == "v":
             if len(parts) < 3:
                 raise errors.MtreeSyntaxError(line_no, "vertex line needs id and scalar")
             try:
@@ -89,7 +95,7 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
             if vid in scalars:
                 raise errors.MtreeSyntaxError(line_no, f"vertex {vid} defined twice")
             scalars[vid] = scalar
-            labels = []
+            labels = raw_labels[vid] = []
             for tok in parts[3:]:
                 try:
                     label = int(tok)
@@ -104,53 +110,50 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
                         f"line {line_no}: label {label} repeated on one vertex line"
                     )
                 labels.append(label)
-            raw_labels[vid] = labels
-        elif parts[0] == "e":
+        elif tag == "e":
             if len(parts) != 3:
                 raise errors.MtreeSyntaxError(line_no, "edge line is 'e <child> <parent>'")
             try:
-                child, parent = int(parts[1]), int(parts[2])
+                edges.append((int(parts[1]), int(parts[2]), line_no))
             except ValueError:
                 raise errors.MtreeSyntaxError(line_no, "bad edge ids") from None
-            edges.append((child, parent, line_no))
         else:
-            raise errors.MtreeSyntaxError(line_no, f"unknown record {parts[0]!r}")
-    if not saw_header:
-        raise errors.MtreeSyntaxError(1, "empty document")
+            raise errors.MtreeSyntaxError(line_no, f"unknown record {tag!r}")
     if not scalars:
         raise errors.MtreeSyntaxError(1, "no vertices")
 
     for child, parent, _ in edges:
-        for vid in (child, parent):
-            if vid not in scalars:
-                raise errors.DisconnectedVertex(
-                    f"edge ({child}, {parent}) references undefined vertex {vid}"
-                )
+        if child not in scalars or parent not in scalars:
+            vid = parent if child in scalars else child
+            raise errors.DisconnectedVertex(
+                f"edge ({child}, {parent}) references undefined vertex {vid}"
+            )
     parent_of: dict[int, int] = {}
     for child, parent, line_no in edges:
         if child in parent_of:
             raise errors.MtreeSyntaxError(line_no, f"vertex {child} has two parents")
         parent_of[child] = parent
 
-    ids = sorted(scalars)
-    dense = {vid: i for i, vid in enumerate(ids)}
-    tree = MergeTree(
-        [scalars[vid] for vid in ids],
-        [dense[parent_of[vid]] if vid in parent_of else None for vid in ids],
-    )
+    n = len(scalars)
+    if max(scalars) != n - 1:  # not 0..V-1 already: renumber in id order
+        dense = {vid: i for i, vid in enumerate(sorted(scalars))}
+        scalars = {dense[v]: x for v, x in scalars.items()}
+        raw_labels = {dense[v]: ls for v, ls in raw_labels.items()}
+        parent_of = {dense[c]: dense[p] for c, p in parent_of.items()}
+    tree = MergeTree([scalars[v] for v in range(n)], [parent_of.get(v) for v in range(n)])
     label_map: dict[int, int] = {}
     fresh = unknown_label_base
     if fresh is None:
         positives = [l for ls in raw_labels.values() for l in ls if l > 0]
         fresh = (max(positives) + 1) if positives else 1
-    for vid in ids:
-        for label in raw_labels.get(vid, ()):
+    for v in range(n):
+        for label in raw_labels[v]:
             if label == -1:
                 label = fresh
                 fresh += 1
             if label in label_map:
                 raise errors.DuplicateLabel(f"label {label} on two vertices")
-            label_map[label] = dense[vid]
+            label_map[label] = v
 
     # validate before splicing: a splice keeps a valid tree valid, but it
     # would drop a self-loop, a detached cycle or a one-child vertex above
@@ -166,65 +169,66 @@ def _collapse_unary(
     tree: MergeTree, label_map: dict[int, int]
 ) -> tuple[MergeTree, dict[int, int]]:
     """Splice out unlabeled non-root vertices with exactly one child."""
-    labeled = set(label_map.values())
-    parents = [None if p < 0 else int(p) for p in tree.parents]
-    dead: set[int] = set()
-    for v in range(tree.n_vertices):
-        if v == tree.root or len(tree.children(v)) != 1:
-            continue
-        if v in labeled:
-            raise errors.ValidationError(
-                f"vertex {v} has one child but carries a label; cannot collapse"
-            )
-        dead.add(v)
+    dead = {v for v, kids in enumerate(tree.all_children) if len(kids) == 1} - {tree.root}
     if not dead:
         return tree, label_map
+    labeled = dead.intersection(label_map.values())
+    if labeled:
+        raise errors.ValidationError(
+            f"vertex {min(labeled)} has one child but carries a label; cannot collapse"
+        )
+    parents = tree.parents.tolist()
+    keep = [v for v in range(tree.n_vertices) if v not in dead]
+    remap = {v: i for i, v in enumerate(keep)}
 
     def kept_parent(v: int) -> int | None:
         # chains of spliced vertices reparent to the nearest kept ancestor
         p = parents[v]
-        while p is not None and p in dead:
+        while p in dead:
             p = parents[p]
-        return p
+        return None if p < 0 else remap[p]
 
-    keep = [v for v in range(tree.n_vertices) if v not in dead]
-    remap = {v: i for i, v in enumerate(keep)}
-    new_tree = MergeTree(
-        [float(tree.scalars[v]) for v in keep],
-        [remap[kept_parent(v)] if kept_parent(v) is not None else None for v in keep],
-    )
+    scalars = tree.scalars.tolist()
+    new_tree = MergeTree([scalars[v] for v in keep], [kept_parent(v) for v in keep])
     return new_tree, {l: remap[v] for l, v in label_map.items()}
 
 
-def _canonical_order(lt: LabeledMergeTree) -> list[int]:
-    """Vertices in BFS order with children sorted by a structural key."""
-    tree = lt.tree
-    bfs = [tree.root]
+def _canonical_order(lt: LabeledMergeTree, scalars: list[float]) -> list[int]:
+    """Vertices in BFS order with children sorted by a structural key;
+    ``scalars`` is ``lt.tree.scalars.tolist()``."""
+    children = lt.tree.all_children
+    labels = lt.labels.by_vertex
+    bfs = [lt.tree.root]
     for v in bfs:
-        bfs.extend(tree.children(v))
-    key: dict[int, tuple] = {}
+        bfs.extend(children[v])
+    key: list[tuple] = [()] * len(scalars)
+    ordered: list[list[int]] = [[]] * len(scalars)  # v's children, sorted by key
     for v in reversed(bfs):  # children before parents: keys build bottom-up
-        kids = sorted(key[c] for c in tree.children(v))
-        key[v] = (float(tree.scalars[v]), lt.labels.labels_of(v), tuple(kids))
-    order = [tree.root]
+        kids = ordered[v] = sorted(children[v], key=key.__getitem__)
+        key[v] = (scalars[v], labels.get(v, ()), tuple([key[c] for c in kids]))
+    order = [lt.tree.root]
     for v in order:
-        order.extend(sorted(tree.children(v), key=key.__getitem__))
+        order.extend(ordered[v])
     return order
 
 
 def write_mtree(lt: LabeledMergeTree) -> str:
     """Canonical serialization; see the module docstring."""
-    order = _canonical_order(lt)
-    ids = {v: i for i, v in enumerate(order)}
+    scalars = lt.tree.scalars.tolist()
+    parents = lt.tree.parents.tolist()
+    labels = lt.labels.by_vertex
+    order = _canonical_order(lt, scalars)
+    ids = [0] * len(scalars)
+    for i, v in enumerate(order):
+        ids[v] = i
     lines = [_HEADER]
-    for v in order:
-        toks = ["v", str(ids[v]), "%.17g" % float(lt.tree.scalars[v])]
-        toks.extend(str(l) for l in lt.labels.labels_of(v))
-        lines.append(" ".join(toks))
-    for v in order:
-        p = lt.tree.parent(v)
-        if p is not None:
-            lines.append(f"e {ids[v]} {ids[p]}")
+    lines += [
+        "v %d %.17g %s" % (i, scalars[v], " ".join(map(str, labels[v])))
+        if v in labels
+        else "v %d %.17g" % (i, scalars[v])
+        for i, v in enumerate(order)
+    ]
+    lines += ["e %d %d" % (i, ids[parents[order[i]]]) for i in range(1, len(order))]
     return "\n".join(lines) + "\n"
 
 

@@ -147,7 +147,7 @@ def perturb(lt: LabeledMergeTree, spec: PerturbationSpec) -> LabeledMergeTree:
     root = tree.root
     scalars = tree.scalars.tolist()
     parents = tree.parents.tolist()  # the root's entry is never read
-    kids = [set(tree.children(v)) for v in range(n)]  # empty once v is gone
+    kids = [set(c) for c in tree.all_children]  # empty once v is gone
     alive = [True] * n
 
     def splice_if_unary(v: int) -> None:

@@ -256,6 +256,14 @@ _ROOT = "mtree 1\nv 0 1.0\n"
         (_ROOT + "v 1 0.0 3\nv 2 0.0 3\ne 1 0\ne 2 0\n", errors.DuplicateLabel, None,
          "label 3 on two vertices"),
     ],
+    ids=[
+        "no-header", "header-after-blank-and-comment", "header-extra-token",
+        "short-vertex", "bad-id", "bad-scalar", "negative-id", "vertex-twice",
+        "bad-label-token", "label-zero", "label-minus-two", "label-repeated-on-line",
+        "edge-too-short", "edge-too-long", "bad-edge-id", "unknown-record",
+        "second-header", "second-parent", "undefined-child", "undefined-parent",
+        "empty", "comment-only", "no-vertices", "label-on-two-vertices",
+    ],
 )
 def test_parse_errors_pinned(text, error, line_no, message):
     # every raise in parse_mtree: its type, its line number and its message
