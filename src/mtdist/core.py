@@ -6,11 +6,14 @@ scalar differences along edges, so the distance between two vertices is
 
     d(u, v) = 2 * scalar(lca(u, v)) - scalar(u) - scalar(v).
 
-Labels are positive integers attached to vertices.  Every leaf must carry at
-least one label; a vertex may carry several (the label map need not be
-injective).  The square *induced matrix* over a list of labels holds the
-scalar of the lowest common ancestor of each label pair, with the vertex's
-own scalar on the diagonal.
+Labels are integers in 1..2**63 - 1 (they go through int64 arrays) attached
+to vertices.  Every leaf must carry at least one label; a vertex may carry
+several (the label map need not be injective).  A ``LabelTable`` keeps its
+labels in ascending order, and the label tuples derived from it (leaf
+labels, the known and unknown splits) come out in that order without a
+second sort; callers rely on it.  The square *induced matrix* over a list
+of labels holds the scalar of the lowest common ancestor of each label
+pair, with the vertex's own scalar on the diagonal.
 
 All types here are immutable after construction and all operations are pure,
 so values can be shared freely across worker processes.
@@ -33,6 +36,7 @@ pickling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -273,10 +277,14 @@ class MergeTree:
 
 
 class LabelTable:
-    """Bidirectional mapping between positive integer labels and vertices.
+    """Bidirectional mapping between labels and vertices.
 
-    The forward map label -> vertex is single valued; the inverse is a
-    multimap since one vertex may carry several labels.
+    This is the one place that says what a label is: an integer (by
+    ``operator.index``) in 1..2**63 - 1.  The forward map label -> vertex is
+    single valued; the inverse is a multimap since one vertex may carry
+    several labels.  The table keeps its labels in ascending order:
+    ``items()``, ``by_vertex`` and each ``labels_of(v)`` yield them so, and
+    callers rely on that instead of sorting again.
     """
 
     __slots__ = ("_label_to_vertex", "_vertex_to_labels")
@@ -284,21 +292,21 @@ class LabelTable:
     def __init__(self, label_to_vertex: Mapping[int, int]):
         fwd: dict[int, int] = {}
         for label, vertex in label_to_vertex.items():
-            label = int(label)
-            if label <= 0:
-                raise errors.ValidationError(f"label {label} is not a positive integer")
+            try:
+                label, vertex = operator.index(label), operator.index(vertex)
+            except TypeError:
+                pair = f"label {label!r} on vertex {vertex!r}"
+                raise errors.ValidationError(f"{pair}: not integers") from None
+            if not 0 < label < 1 << 63:  # labels go through int64 arrays
+                raise errors.ValidationError(f"label {label} is not an integer in 1..2**63 - 1")
             if label in fwd:
                 raise errors.DuplicateLabel(f"label {label} mapped to two vertices")
-            fwd[label] = int(vertex)
+            fwd[label] = vertex
+        self._label_to_vertex = {label: fwd[label] for label in sorted(fwd)}
         inv: dict[int, list[int]] = {}
-        for label in sorted(fwd):  # so each vertex's labels come out sorted
-            inv.setdefault(fwd[label], []).append(label)
-        self._label_to_vertex = fwd
+        for label, vertex in self._label_to_vertex.items():
+            inv.setdefault(vertex, []).append(label)
         self._vertex_to_labels = {v: tuple(ls) for v, ls in inv.items()}
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(sorted(self._label_to_vertex))
 
     def vertex_of(self, label: int) -> int:
         try:
@@ -315,7 +323,8 @@ class LabelTable:
         return self._vertex_to_labels
 
     def items(self) -> Iterable[tuple[int, int]]:
-        return sorted(self._label_to_vertex.items())
+        """(label, vertex) pairs in ascending label order."""
+        return self._label_to_vertex.items()
 
     def with_added(self, extra: Mapping[int, int]) -> "LabelTable":
         merged = dict(self._label_to_vertex)
@@ -345,22 +354,19 @@ class LabeledMergeTree:
 
     def validate_labels(self) -> None:
         """The label checks of :meth:`validate` alone, for a valid tree."""
-        n, fwd = self.tree.n_vertices, self.labels._label_to_vertex
-        bad = [l for l, v in fwd.items() if not 0 <= v < n]
-        if bad:
-            label = min(bad)  # the first in label order
-            raise errors.InvalidVertex(f"label {label} points at missing vertex {fwd[label]}")
+        n = self.tree.n_vertices
+        for label, v in self.labels.items():  # the first bad one in label order
+            if not 0 <= v < n:
+                raise errors.InvalidVertex(f"label {label} points at missing vertex {v}")
         labeled = self.labels.by_vertex
         for leaf in self.tree.leaves:
             if leaf not in labeled:
                 raise errors.MissingLeafLabel(f"leaf {leaf} carries no label")
 
     def leaf_labels(self) -> tuple[int, ...]:
-        """Sorted labels sitting on leaves of the tree."""
+        """Labels sitting on leaves of the tree, in ascending order."""
         leafset = set(self.tree.leaves)
-        return tuple(
-            sorted(l for l, v in self.labels.items() if v in leafset)
-        )
+        return tuple(l for l, v in self.labels.items() if v in leafset)
 
     def vertices_for(self, labels: Sequence[int]) -> np.ndarray:
         return np.asarray([self.labels.vertex_of(l) for l in labels], dtype=np.int64)
@@ -420,22 +426,20 @@ class AgreementInfo:
 
 
 def classify_agreement(a: LabeledMergeTree, b: LabeledMergeTree) -> AgreementInfo:
-    """Split the two trees' leaf labels into known (shared) and unknown sets."""
-    la = set(a.leaf_labels())
-    lb = set(b.leaf_labels())
-    known = la & lb
-    if la == lb:
+    """Split the two trees' leaf labels into known (shared) and unknown sets,
+    each in ascending order: filters keep the order of the leaf labels."""
+    la, lb = a.leaf_labels(), b.leaf_labels()
+    in_a, in_b = set(la), set(lb)
+    unknown_a = tuple(l for l in la if l not in in_b)
+    unknown_b = tuple(l for l in lb if l not in in_a)
+    known = tuple(l for l in la if l in in_b)
+    if not unknown_a and not unknown_b:
         case = Agreement.FULL
     elif known:
         case = Agreement.PARTIAL
     else:
         case = Agreement.DISAGREEMENT
-    return AgreementInfo(
-        case=case,
-        known=tuple(sorted(known)),
-        unknown_a=tuple(sorted(la - known)),
-        unknown_b=tuple(sorted(lb - known)),
-    )
+    return AgreementInfo(case, known, unknown_a, unknown_b)
 
 
 def induced_matrix(lt: LabeledMergeTree, labels: Sequence[int]) -> LabeledMatrix:

@@ -9,7 +9,7 @@ mtree text format (UTF-8, LF line endings)::
 
 Vertex ids are arbitrary non-negative integers, remapped densely in id order
 on load; ids that are already 0..V-1, as in every written file, are kept.
-Labels are positive integers; several labels may sit on one vertex.  The
+Labels are positive integers below 2**63; several may sit on one vertex.  The
 special label -1 marks an unknown-labeled leaf in third-party inputs and is
 rewritten on load to fresh unique labels (see ``parse_mtree``).  Unlabeled
 interior vertices of degree two are collapsed on load; a labeled one is

@@ -425,9 +425,7 @@ def full_agreement_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodR
     """Entrywise max difference of the induced matrices over the shared labels."""
     p = _Pair(a, b)
     if p.info.case is not Agreement.FULL:
-        raise errors.NotFullAgreement(
-            f"leaf label sets differ ({p.info.case.value})"
-        )
+        raise errors.NotFullAgreement(f"leaf label sets differ ({p.info.case.value})")
     return p.result(p.induced({}))
 
 
@@ -464,23 +462,21 @@ def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
 
 
 def _elm(p: _Pair) -> MethodResult:
-    if p.info.case is Agreement.FULL:
-        return p.result(p.induced({}))
     _check_leaves_for_disagreement(p.a, p.b, p.info)
-    piv_leaf_labels = p.piv.leaf_labels()
-    s = build_s_matrix(p.piv, p.piv_unknown, piv_leaf_labels)
-    trimmed = select_trim(s, len(p.piv_unknown) - len(p.oth_unknown))
+    k = len(p.piv_unknown) - len(p.oth_unknown)
+    trimmed, deltas = (), {}
+    if k:  # with nothing to trim, S would rank rows for nothing
+        piv_leaf_labels = p.piv.leaf_labels()
+        trimmed = select_trim(build_s_matrix(p.piv, p.piv_unknown, piv_leaf_labels), k)
+        deltas = _delta_map(p.piv, trimmed, piv_leaf_labels)
     trimmed_set = set(trimmed)
     survivors = tuple(l for l in p.piv_unknown if l not in trimmed_set)
     pairs_ab, _ = p.match(survivors)
     induced = p.induced(p.matched(pairs_ab))
-    deltas = _delta_map(p.piv, trimmed, piv_leaf_labels)
     return p.result(induced, pairs_ab, trimmed, deltas, trimmed=trimmed)
 
 
 def _mmb(p: _Pair) -> MethodResult:
-    if p.info.case is Agreement.FULL:
-        return p.result(p.induced({}))
     _check_leaves_for_disagreement(p.a, p.b, p.info)
     pairs_ab, unmatched = p.match(p.piv_unknown)
     induced = p.induced(p.matched(pairs_ab))
@@ -489,8 +485,6 @@ def _mmb(p: _Pair) -> MethodResult:
 
 
 def _greedy(p: _Pair) -> MethodResult:
-    if p.info.case is Agreement.FULL:
-        return p.result(p.induced({}))
     if p.info.case is Agreement.DISAGREEMENT:
         raise errors.DisagreementUnsupported(
             "baseline needs embedding coordinates when no labels are shared"

@@ -271,17 +271,17 @@ def generate_ensemble(
 
     Unknown labels are rebased per member (member i uses the range starting
     at UNKNOWN_LABEL_BASE * (i + 1)) so members never share unknowns.
+    ``schedule_kind`` is "default" or "preset" (see the two schedules above).
     """
+    make_schedule = {"default": default_schedule, "preset": preset_schedule}.get(schedule_kind)
+    if make_schedule is None:
+        raise errors.ValidationError(f"unknown schedule_kind {schedule_kind!r}")
     base = random_base_tree(spec.max_vertices, _child_seed(spec.seed, "tree"))
     labeled = assign_labels(
         base, spec.label_fraction, _child_seed(spec.seed, "fractions")
     )
-    if schedule_kind == "preset":
-        schedule = preset_schedule(spec, base)
-    else:
-        schedule = default_schedule(spec, base)
     members = [_rebase_unknowns(labeled, 0)]
-    for k, pspec in enumerate(schedule, start=1):
+    for k, pspec in enumerate(make_schedule(spec, base), start=1):
         members.append(_rebase_unknowns(perturb(labeled, pspec), k))
     return members
 

@@ -395,6 +395,88 @@ def test_label_table_invariants():
         table.with_added({2: 1})
 
 
+def test_label_table_refuses_labels_that_are_not_int64_integers():
+    for bad in ({1.5: 0}, {"2": 0}, {1: 0.5}, {1 << 63: 0}, {99999999999999999999: 0}):
+        with pytest.raises(errors.ValidationError):
+            LabelTable(bad)
+    table = LabelTable({(1 << 63) - 1: np.int32(0), np.int64(3): 1})
+    assert list(table.items()) == [(3, 1), ((1 << 63) - 1, 0)]
+    assert all(type(x) is int for pair in table.items() for x in pair)
+
+
+def test_label_table_keeps_labels_in_ascending_order():
+    rng = np.random.default_rng(5)
+    labels = [int(l) for l in rng.choice(10_000, size=60, replace=False) + 1]
+    tree = random_base_tree(41, 2)
+    leaves, others = list(tree.leaves), [v for v in range(tree.n_vertices) if v not in tree.leaves]
+    # every leaf gets one label, the rest land anywhere (internal vertices too)
+    mapping = dict(zip(labels, leaves + [int(v) for v in rng.choice(others, 60 - len(leaves))]))
+    tables = []
+    for _ in range(5):
+        items = list(mapping.items())
+        rng.shuffle(items)
+        table = LabelTable(dict(items))
+        assert [l for l, _ in table.items()] == sorted(mapping)
+        firsts = [table.labels_of(v)[0] for v in table.by_vertex]
+        assert firsts == sorted(firsts)
+        for v, ls in table.by_vertex.items():
+            assert table.labels_of(v) == ls == tuple(sorted(l for l in mapping if mapping[l] == v))
+        lt = LabeledMergeTree(tree, table)
+        lt.validate()
+        assert lt.leaf_labels() == tuple(sorted(l for l in mapping if mapping[l] in leaves))
+        tables.append((list(table.items()), list(table.by_vertex.items())))
+    assert all(t == tables[0] for t in tables)
+
+
+def _classify_by_sets(a: LabeledMergeTree, b: LabeledMergeTree) -> core.AgreementInfo:
+    """The set-algebra split, kept as the reference for classify_agreement."""
+    la = {l for l, v in a.labels.items() if v in set(a.tree.leaves)}
+    lb = {l for l, v in b.labels.items() if v in set(b.tree.leaves)}
+    known = la & lb
+    if la == lb:
+        case = Agreement.FULL
+    elif known:
+        case = Agreement.PARTIAL
+    else:
+        case = Agreement.DISAGREEMENT
+    return core.AgreementInfo(
+        case, tuple(sorted(known)), tuple(sorted(la - known)), tuple(sorted(lb - known))
+    )
+
+
+def _random_labeled(rng: np.random.Generator, pool: list[int]) -> LabeledMergeTree:
+    """A random tree of 1-8 vertices whose labels come from ``pool``, shuffled
+    onto any vertex: some trees are leafless, some labels sit inside."""
+    tree = _random_rooted_tree(int(rng.integers(1, 9)), int(rng.integers(1 << 30)))
+    labels = [l for l in pool if rng.random() < 0.6]
+    rng.shuffle(labels)
+    return LabeledMergeTree(
+        tree, LabelTable({l: int(rng.integers(tree.n_vertices)) for l in labels})
+    )
+
+
+def test_classify_agreement_matches_set_algebra():
+    rng = np.random.default_rng(11)
+    cases = set()
+    for i in range(3000):
+        shared = [int(l) for l in rng.choice(50, size=int(rng.integers(0, 6)), replace=False) + 1]
+        a = _random_labeled(rng, shared + [101, 102, 103])
+        mode = i % 4
+        if mode == 0:  # identical
+            b = a
+        elif mode == 1:  # identical, from the mapping in reverse order
+            b = LabeledMergeTree(a.tree, LabelTable(dict(reversed(list(a.labels.items())))))
+        elif mode == 2:  # overlapping
+            b = _random_labeled(rng, shared + [201, 202])
+        else:  # disjoint
+            b = _random_labeled(rng, [301, 302, 303])
+        for x, y in ((a, b), (b, a)):
+            got = classify_agreement(x, y)
+            assert got == _classify_by_sets(x, y)
+            cases.add(got.case)
+    assert cases == set(Agreement)
+
+
 def test_leaf_must_carry_label():
     tree = MergeTree([1.0, 0.0, 0.5], [None, 0, 0])
     lt = LabeledMergeTree(tree, LabelTable({1: 1}))

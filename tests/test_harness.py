@@ -514,6 +514,21 @@ def test_cli_data_error_is_exit_2(tmp_path, capsys):
     assert main(["dist", "elm", str(binary), str(binary)]) == 2
 
 
+def test_cli_label_beyond_int64_is_exit_2(tmp_path, capsys):
+    # greedy would grant the big label and put it in an int64 array
+    big = tmp_path / "big.mtree"
+    big.write_text(
+        "mtree 1\nv 0 2.0\nv 1 0.0 1\nv 2 0.0 2\nv 3 0.5 99999999999999999999\n"
+        "e 1 0\ne 2 0\ne 3 0\n"
+    )
+    small = tmp_path / "small.mtree"
+    small.write_text("mtree 1\nv 0 2.0\nv 1 0.0 1\nv 2 0.0 2\ne 1 0\ne 2 0\n")
+    assert main(["dist", "greedy", str(big), str(small)]) == 2
+    err = capsys.readouterr().err
+    assert "ValidationError: label 99999999999999999999 is not an integer" in err
+    assert main(["compare", str(big), str(small), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cli_matrix_partial_failure_is_exit_3(tmp_path, capsys):
     gen_dir = tmp_path / "gen"
     cmd_gen(gen_dir, max_vertices=9, count=3, label_fraction=0.0, seed=3)

@@ -255,6 +255,11 @@ _ROOT = "mtree 1\nv 0 1.0\n"
         ("mtree 1\n# nothing else\n", errors.MtreeSyntaxError, 1, "no vertices"),
         (_ROOT + "v 1 0.0 3\nv 2 0.0 3\ne 1 0\ne 2 0\n", errors.DuplicateLabel, None,
          "label 3 on two vertices"),
+        # labels go through int64 arrays; LabelTable refuses what does not fit
+        (_ROOT + "v 1 0.0 99999999999999999999\ne 1 0\n", errors.ValidationError, None,
+         "^label 99999999999999999999 is not an integer in 1..2\\*\\*63 - 1$"),
+        (_ROOT + "v 1 0.0 9223372036854775807\nv 2 0.0 -1\ne 1 0\ne 2 0\n",
+         errors.ValidationError, None, "^label 9223372036854775808 is not an integer in"),
     ],
     ids=[
         "no-header", "header-after-blank-and-comment", "header-extra-token",
@@ -263,6 +268,7 @@ _ROOT = "mtree 1\nv 0 1.0\n"
         "edge-too-short", "edge-too-long", "bad-edge-id", "unknown-record",
         "second-header", "second-parent", "undefined-child", "undefined-parent",
         "empty", "comment-only", "no-vertices", "label-on-two-vertices",
+        "label-beyond-int64", "placeholder-beyond-int64",
     ],
 )
 def test_parse_errors_pinned(text, error, line_no, message):

@@ -202,6 +202,62 @@ def test_methods_dispatch_full_agreement():
     assert greedy_distance(a, b).distance == want
 
 
+def _full_pairs():
+    """FULL pairs: identical trees, equal label sets on different scalars,
+    labels inside the tree, and leafless trees."""
+    lone = LabeledMergeTree(MergeTree([0.0], [None]), LabelTable({4: 0}))
+    tree = MergeTree([3.0, 2.0, 0.0, 1.0, 0.5], [None, 0, 1, 1, 0])
+    inner = LabeledMergeTree(tree, LabelTable({2: 2, 3: 3, 5: 4, 9: 1}))
+    out = [_full_pair(), (lone, lone), (inner, rescaled(inner, mul=1.5, add=0.25))]
+    for n in (1, 2, 3):
+        a, b = load_example(n)
+        out += [(a, a), (b, rescaled(b, mul=2.0))]
+    for seed in range(3):
+        a, _ = random_pair(seed, max_vertices=31)
+        out.append((a, rescaled(a, add=-1.0)))
+    return out
+
+
+@pytest.mark.parametrize("index", range(len(_full_pairs())))
+def test_full_pairs_take_the_general_path_to_full_agreement_distance(index):
+    a, b = _full_pairs()[index]
+    assert classify_agreement(a, b).case is Agreement.FULL
+    want = full_agreement_distance(a, b)
+    pair = methods._Pair(a, b)
+    got = [step(pair) for step in harness.PAIR_STEPS.values()]
+    got += [fn(a, b) for fn in (elm_distance, mmb_distance, greedy_distance)]
+    for r in got:
+        for name in ("distance", "epsilon", "deltas", "matching", "relabeling", "trimmed",
+                     "assigned_labels"):
+            assert getattr(r, name) == getattr(want, name), name
+        for m, w in ((r.induced_a, want.induced_a), (r.induced_b, want.induced_b)):
+            assert m.row_labels == m.col_labels == w.row_labels
+            assert np.array_equal(m.entries, w.entries)
+
+
+def _equal_unknowns_pair():
+    tree = MergeTree([2.0, 0.0, 0.5, 1.0], [None, 0, 0, 0])
+    a = LabeledMergeTree(tree, LabelTable({1: 1, 2: 2, 3: 3}))
+    b = LabeledMergeTree(rescaled(a).tree, LabelTable({1: 1, 2: 3, 4: 2}))
+    return a, b
+
+
+def test_elm_builds_s_only_when_it_trims(monkeypatch):
+    calls = []
+    build = methods.build_s_matrix
+    monkeypatch.setattr(
+        methods, "build_s_matrix", lambda *args: calls.append(args) or build(*args)
+    )
+    a, b = _equal_unknowns_pair()
+    info = classify_agreement(a, b)
+    assert info.case is Agreement.PARTIAL and info.n_unknown_a == info.n_unknown_b == 1
+    for pair in [*_full_pairs(), (a, b), (b, a)]:
+        r = elm_distance(*pair)
+        assert calls == [] and not r.trimmed
+    r = elm_distance(*load_example(1))  # two unknowns against one: trims one
+    assert len(calls) == 1 and r.trimmed == {3}
+
+
 # -- disagreement ------------------------------------------------------------------
 
 

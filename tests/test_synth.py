@@ -184,6 +184,13 @@ def test_preset_ensemble_shrinks_on_average():
         m.validate()
 
 
+def test_unknown_schedule_kind_refused():
+    spec = EnsembleSpec(max_vertices=9, ensemble_size=3, seed=1)
+    for kind in ("presets", "Default", ""):
+        with pytest.raises(errors.ValidationError, match="schedule_kind"):
+            generate_ensemble(spec, schedule_kind=kind)
+
+
 def test_preset_schedule_escalates():
     spec = EnsembleSpec(max_vertices=50, ensemble_size=20, seed=7)
     base = random_base_tree(50, 0)
