@@ -172,10 +172,14 @@ def solve(cost) -> Assignment:
     """Minimum-total-cost maximum matching of a dense cost matrix.
 
     Empty instances (no rows or no columns) yield an empty assignment.
-    Raises NonFiniteCost on NaN or infinite entries, and on entries so large
-    that the padding or the dual potentials would overflow.
+    Raises NonFiniteCost on a ragged or non-numeric matrix, on NaN or
+    infinite entries, and on entries so large that the padding or the dual
+    potentials would overflow.
     """
-    c = np.asarray(cost, dtype=np.float64)
+    try:
+        c = np.asarray(cost, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise errors.NonFiniteCost("cost must be a matrix of numbers") from None
     if c.ndim != 2:
         raise errors.NonFiniteCost("cost must be a 2-d matrix")
     n, m = c.shape

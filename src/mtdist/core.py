@@ -106,7 +106,8 @@ class MergeTree:
 
     Construction only derives structure (children lists, root, leaves); call
     :meth:`validate` to check the full invariants.  Vertex ids are dense
-    0..V-1 and stable for the lifetime of the tree.
+    0..V-1 and stable for the lifetime of the tree; like labels, they are
+    integers by ``operator.index``, so 0.5 is no vertex id.
     """
 
     __slots__ = ("_scalars", "_parents", "_children", "_root", "_leaves", "_leaf_lca")
@@ -115,7 +116,10 @@ class MergeTree:
         s = np.asarray(scalars, dtype=np.float64)
         if s.ndim != 1 or len(s) == 0:
             raise errors.ValidationError("a tree needs at least one vertex")
-        plist = [-1 if q is None else int(q) for q in parents]
+        try:
+            plist = [-1 if q is None else operator.index(q) for q in parents]
+        except TypeError:
+            raise errors.InvalidVertex("parent ids must be integers or None") from None
         p = np.asarray(plist, dtype=np.int64)
         if len(p) != len(s):
             raise errors.ValidationError("scalars and parents differ in length")
@@ -180,9 +184,13 @@ class MergeTree:
         return v != self._root and not self._children[v]
 
     def _check_vertex(self, v: int) -> int:
-        if not 0 <= int(v) < self.n_vertices:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise errors.InvalidVertex(f"vertex {v!r} is not an integer") from None
+        if not 0 <= v < self.n_vertices:
             raise errors.InvalidVertex(f"vertex {v} not in 0..{self.n_vertices - 1}")
-        return int(v)
+        return v
 
     def validate(self) -> None:
         """Check semantic validity; raises the first violation found.
@@ -224,9 +232,7 @@ class MergeTree:
 
     def lca(self, u: int, v: int) -> int:
         """Deepest vertex that is an ancestor-or-self of both u and v."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return int(self.lca_many([u], [v])[0])
+        return int(self.lca_many([self._check_vertex(u)], [self._check_vertex(v)])[0])
 
     def lca_many(self, us, vs) -> np.ndarray:
         """Vectorized LCA over broadcastable arrays of vertex ids."""
@@ -235,6 +241,8 @@ class MergeTree:
         shape = np.broadcast_shapes(us.shape, vs.shape)
         if 0 in shape:
             return np.zeros(shape, dtype=np.int64)
+        if us.dtype.kind not in "iu" or vs.dtype.kind not in "iu":
+            raise errors.InvalidVertex("vertex ids must be integers")
         if min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= self.n_vertices:
             raise errors.InvalidVertex(f"vertex ids must lie in 0..{self.n_vertices - 1}")
         pos, lo, depth, table = self._leaf_table()
@@ -326,21 +334,12 @@ class LabelTable:
         """(label, vertex) pairs in ascending label order."""
         return self._label_to_vertex.items()
 
-    def with_added(self, extra: Mapping[int, int]) -> "LabelTable":
-        merged = dict(self._label_to_vertex)
-        for label, vertex in extra.items():
-            if label in merged:
-                raise errors.DuplicateLabel(f"label {label} already assigned")
-            merged[label] = vertex
-        return LabelTable(merged)
-
     def __len__(self) -> int:
         return len(self._label_to_vertex)
 
 
 class LabeledMergeTree:
-    """A merge tree together with its label table.  Treated as immutable;
-    derived variants are built with :meth:`with_extra_labels`."""
+    """A merge tree together with its label table.  Treated as immutable."""
 
     __slots__ = ("tree", "labels")
 
@@ -370,9 +369,6 @@ class LabeledMergeTree:
 
     def vertices_for(self, labels: Sequence[int]) -> np.ndarray:
         return np.asarray([self.labels.vertex_of(l) for l in labels], dtype=np.int64)
-
-    def with_extra_labels(self, extra: Mapping[int, int]) -> "LabeledMergeTree":
-        return LabeledMergeTree(self.tree, self.labels.with_added(extra))
 
     def __repr__(self) -> str:
         return f"LabeledMergeTree({self.tree!r}, labels={len(self.labels)})"

@@ -14,8 +14,9 @@ output byte-identical for any worker count.  ``distance_matrix`` and
 ``cmd_compare`` share one pair-mapping helper, so a comparison is one pass
 over the pairs with at most one pool.  Its pair record holds the cells of
 ``mmb``, ``greedy`` and ``elm``, run in turn on one pair context, and the
-pair's agreement case, from which the report is tallied.  Timing runs force
-serial execution and measure method execution only (parsing excluded).
+pair's agreement case, from which the report is tallied.  A cell's seconds
+are its record's ``wall_time`` (see ``methods``); nothing here times a call
+again.  ``cmd_bench`` times whole serial matrix runs (parsing excluded).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from . import errors, methods, synth
 from .core import Agreement, LabeledMergeTree, classify_agreement  # noqa: F401 re-export
 from .io import (
+    TIE_TOL,
     DistanceMatrix,
     read_mtree_file,
     write_comparison_heatmap,
@@ -64,9 +66,6 @@ PRESETS = {
     "random_200": 200,
     "random_500": 500,
 }
-
-_COMPARE_TOL = 1e-9
-
 
 def _oracle_result(a: LabeledMergeTree, b: LabeledMergeTree) -> methods.MethodResult:
     start = perf_counter()
@@ -148,7 +147,7 @@ _POOL_STATE: dict = {}
 
 # The estimators the comparison runs on one shared pair context, in this
 # order: greedy reuses mmb's matching, and elm reuses it when it trims
-# nothing, so the shared set-up and the matching are charged to mmb.
+# nothing, so the pair's set-up and the matching are in mmb's wall time.
 PAIR_STEPS: dict[str, Callable[[methods._Pair], methods.MethodResult]] = {
     "mmb": methods._mmb,
     "greedy": methods._greedy,
@@ -188,15 +187,13 @@ def _map_pairs(fn, trees: list[LabeledMergeTree], workers: int) -> list:
 
 
 def _cell(step: Callable[..., methods.MethodResult], *args) -> tuple:
-    """``step(*args)`` as a (distance, seconds, None) cell, timed around the
-    call; if it raises, (nan, 0.0, error text), so one failed pair cannot
-    abort the batch."""
-    start = perf_counter()
+    """``step(*args)`` as a (distance, wall_time, None) cell; if it raises,
+    (nan, 0.0, error text), so one failed pair cannot abort the batch."""
     try:
-        distance = step(*args).distance
+        r = step(*args)
     except Exception as exc:
         return float("nan"), 0.0, f"{type(exc).__name__}: {exc}"
-    return distance, perf_counter() - start, None
+    return r.distance, r.wall_time, None
 
 
 def _method_pair(method: str, task: tuple[int, int]) -> tuple:
@@ -211,13 +208,8 @@ def _compare_pair(task: tuple[int, int]) -> tuple[dict[str, tuple], Agreement, i
     the pair's agreement case and its |n_unknown_a - n_unknown_b|."""
     i, j = task
     trees = _POOL_STATE["trees"]
-    start = perf_counter()
     pair = methods._Pair(trees[i], trees[j])
-    setup = perf_counter() - start
     cells = {method: _cell(step, pair) for method, step in PAIR_STEPS.items()}
-    # the shared set-up is charged to the first step, mmb
-    distance, seconds, err = cells["mmb"]
-    cells["mmb"] = (distance, seconds + setup if err is None else 0.0, err)
     return cells, pair.info.case, abs(pair.info.n_unknown_a - pair.info.n_unknown_b)
 
 
@@ -413,7 +405,7 @@ class ComparisonReport:
 
 
 def _gt(x: float, y: float) -> bool:
-    return x > y + _COMPARE_TOL * max(1.0, abs(y))
+    return x > y + TIE_TOL * max(1.0, abs(y))
 
 
 def _tally(counts: dict[str, int], x: float, y: float, more: str, less: str, tie: str) -> None:

@@ -54,6 +54,9 @@ __all__ = [
 
 _HEADER = "mtree 1"
 
+# Two distances this close (relative) tie, in comparison pixmaps and counts.
+TIE_TOL = 1e-9
+
 
 def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledMergeTree:
     """Parse and validate an mtree document.
@@ -260,13 +263,13 @@ class DistanceMatrix:
             raise errors.LabelMismatch(f"matrix shape {v.shape} for {n} members")
         object.__setattr__(self, "values", v)
 
-    def check(self, *, zero_diagonal: bool = True, tol: float = 1e-9) -> None:
+    def check(self) -> None:
         v = self.values
         finite = np.isfinite(v)
         sym = finite & finite.T
-        if np.any(np.abs(v - v.T)[sym] > tol):
+        if np.any(np.abs(v - v.T)[sym] > 1e-9):
             raise errors.ValidationError("matrix is not symmetric")
-        if zero_diagonal and np.any(np.abs(np.diag(v)) > tol):
+        if np.any(np.abs(np.diag(v)) > 1e-9):
             raise errors.ValidationError("diagonal is not zero")
 
 
@@ -353,9 +356,7 @@ def write_heatmap(matrix: DistanceMatrix, path) -> None:
     _write_p6(np.clip(pixels, 0, 255), path)
 
 
-def write_comparison_heatmap(
-    ours: DistanceMatrix, base: DistanceMatrix, path, *, tol: float = 1e-9
-) -> None:
+def write_comparison_heatmap(ours: DistanceMatrix, base: DistanceMatrix, path) -> None:
     """Per-cell trichotomy of two matrices over the same members."""
     if ours.member_ids != base.member_ids:
         raise errors.LabelMismatch("comparison needs identical member lists")
@@ -363,7 +364,7 @@ def write_comparison_heatmap(
     finite = np.isfinite(a) & np.isfinite(b)
     pixels = np.empty(a.shape + (3,), dtype=np.float64)
     pixels[:] = _NAN_RGB
-    equal = finite & (np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b)))
+    equal = finite & (np.abs(a - b) <= TIE_TOL * np.maximum(1.0, np.abs(b)))
     better = finite & ~equal & (a < b)
     worse = finite & ~equal & (a > b)
     pixels[equal] = _EQUAL_RGB

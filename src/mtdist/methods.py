@@ -41,6 +41,11 @@ so several estimators run on one ``_Pair`` (as the harness's comparison
 does) solve each distinct matching once: ``greedy`` reuses ``mmb``'s, and
 ``elm`` reuses it whenever it trims nothing.
 
+``_Pair.result`` is the one way a value leaves the pair: it takes epsilon
+over the matched (and granted) labels, builds the objective and laps the
+pair's clock, so each record's ``wall_time`` is its own step's.  The set-up
+goes to the first record; a step that raises leaves its time to the next.
+
 The known x known block of the LCA-scalar matrices is the same for every
 estimator on a pair, so the pair takes its epsilon once and keeps only that
 float.  Every epsilon gathers just its matched or granted rows against all
@@ -201,6 +206,8 @@ def build_s_matrix(
 
 def select_trim(s: SMatrix, k: int) -> tuple[int, ...]:
     """The k row labels with the smallest row sums, ties to the lowest label."""
+    if k < 0:
+        raise errors.ValidationError(f"cannot trim {k} rows")
     if k > len(s.row_labels):
         raise errors.KTooLarge(f"cannot trim {k} of {len(s.row_labels)} rows")
     ranked = sorted(zip(s.row_sums, s.row_labels))
@@ -284,10 +291,6 @@ def _delta_map(
     return {label: float(h.min()) for label, h in zip(removed, heights)}
 
 
-def _objective(eps: float, deltas: Mapping[int, float]) -> float:
-    return max(0.5 * max(deltas.values(), default=0.0), eps)
-
-
 def _check_leaves_for_disagreement(a, b, info):
     if info.case is Agreement.DISAGREEMENT and (
         not a.tree.leaves or not b.tree.leaves
@@ -301,7 +304,7 @@ class _Pair:
     epsilon of the known x known block, and the result record."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
-        self.start = perf_counter()
+        self._lap = perf_counter()  # the set-up goes to the first record
         self.a, self.b = a, b
         self._matches: dict[tuple[int, ...], tuple] = {}
         self.info = info = classify_agreement(a, b)
@@ -343,22 +346,17 @@ class _Pair:
             pairs = [(o, p) for p, o in pairs]
         return tuple(pairs), tuple(piv_rows[i] for i in asn.unmatched_rows)
 
-    def matched(self, pairs_ab: Sequence[tuple[int, int]]) -> dict[int, tuple[int, int]]:
-        """Matched labels under their side-A names, each mapped to its
-        (vertex in a, vertex in b)."""
-        a, b = self.a.labels, self.b.labels
-        return {la: (a.vertex_of(la), b.vertex_of(lb)) for la, lb in pairs_ab}
-
     @functools.cached_property
     def _known_vertices(self) -> tuple[np.ndarray, np.ndarray]:
         known = self.info.known
         return self.a.vertices_for(known), self.b.vertices_for(known)
 
-    def columns(
-        self, extra: Mapping[int, tuple[int, int]]
-    ) -> tuple[tuple[int, ...], list[np.ndarray]]:
-        """The known labels then ``extra``'s, with their vertices in a and in
-        b in that order."""
+    def columns(self, pairs_ab: Sequence[tuple[int, int]], extra: Mapping | None = None) -> tuple:
+        """The known labels, the matched ones under their side-A names, then
+        ``extra``'s, with their vertices in a and in b in that order;
+        ``extra`` maps each label to its (vertex in a, vertex in b)."""
+        a, b = self.a.labels, self.b.labels
+        extra = {la: (a.vertex_of(la), b.vertex_of(lb)) for la, lb in pairs_ab} | (extra or {})
         cols = [
             np.concatenate((kv, np.asarray([v[side] for v in extra.values()], dtype=np.int64)))
             for side, kv in enumerate(self._known_vertices)
@@ -379,29 +377,31 @@ class _Pair:
         the float is kept."""
         return self._eps_rows(self.info.known, self._known_vertices, 0)
 
-    def induced(self, extra: Mapping[int, tuple[int, int]]) -> tuple[float, tuple]:
-        """Epsilon over the known labels plus ``extra``'s, each mapped to its
-        (vertex in a, vertex in b), and the labels, trees and vertices a
-        result gathers its induced matrices from.  Besides the known corner,
-        only the extra rows are gathered: the rest of the block mirrors them."""
-        labels, cols = self.columns(extra)
+    def induced(self, columns: tuple) -> tuple[float, tuple]:
+        """Epsilon over the labels of :meth:`columns`, and the labels, trees
+        and vertices a result gathers its induced matrices from.  Besides
+        the known corner, only the rows past the known labels are gathered:
+        the rest of the block mirrors them."""
+        labels, cols = columns
         rows_eps = self._eps_rows(labels, cols, len(self.info.known))
         return max(self._known_eps, rows_eps), (labels, (self.a.tree, self.b.tree), tuple(cols))
 
     def result(
         self,
-        induced: tuple[float, tuple],
         pairs_ab: Sequence[tuple[int, int]] = (),
         unmatched_piv: Sequence[int] = (),
         deltas: dict[int, float] | None = None,
         trimmed: Sequence[int] = (),
+        extra: Mapping[int, tuple[int, int]] | None = None,
         assigned: dict[int, int] | None = None,
     ) -> MethodResult:
-        eps, unified = induced
-        deltas = deltas or {}
-        unmatched_piv = tuple(unmatched_piv)
+        """The record of one step, timed from the previous record or the set-up."""
+        eps, unified = self.induced(self.columns(pairs_ab, extra))
+        deltas, unmatched_piv = deltas or {}, tuple(unmatched_piv)
+        now = perf_counter()
+        wall_time, self._lap = now - self._lap, now
         return MethodResult(
-            distance=_objective(eps, deltas),
+            distance=max(0.5 * max(deltas.values(), default=0.0), eps),
             epsilon=eps,
             deltas=deltas,
             matching=Matching(
@@ -411,7 +411,7 @@ class _Pair:
             ),
             relabeling={lb: la for la, lb in pairs_ab},
             trimmed=frozenset(trimmed),
-            wall_time=perf_counter() - self.start,
+            wall_time=wall_time,
             assigned_labels=dict(assigned or {}),
             unified=unified,
         )
@@ -426,7 +426,7 @@ def full_agreement_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodR
     p = _Pair(a, b)
     if p.info.case is not Agreement.FULL:
         raise errors.NotFullAgreement(f"leaf label sets differ ({p.info.case.value})")
-    return p.result(p.induced({}))
+    return p.result()
 
 
 def elm_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
@@ -469,19 +469,15 @@ def _elm(p: _Pair) -> MethodResult:
         piv_leaf_labels = p.piv.leaf_labels()
         trimmed = select_trim(build_s_matrix(p.piv, p.piv_unknown, piv_leaf_labels), k)
         deltas = _delta_map(p.piv, trimmed, piv_leaf_labels)
-    trimmed_set = set(trimmed)
-    survivors = tuple(l for l in p.piv_unknown if l not in trimmed_set)
-    pairs_ab, _ = p.match(survivors)
-    induced = p.induced(p.matched(pairs_ab))
-    return p.result(induced, pairs_ab, trimmed, deltas, trimmed=trimmed)
+    # match the survivors: deltas holds one key per trimmed label
+    pairs_ab, _ = p.match(tuple(l for l in p.piv_unknown if l not in deltas))
+    return p.result(pairs_ab, trimmed, deltas, trimmed=trimmed)
 
 
 def _mmb(p: _Pair) -> MethodResult:
     _check_leaves_for_disagreement(p.a, p.b, p.info)
     pairs_ab, unmatched = p.match(p.piv_unknown)
-    induced = p.induced(p.matched(pairs_ab))
-    deltas = _delta_map(p.piv, unmatched, p.piv.leaf_labels())
-    return p.result(induced, pairs_ab, unmatched, deltas)
+    return p.result(pairs_ab, unmatched, _delta_map(p.piv, unmatched, p.piv.leaf_labels()))
 
 
 def _greedy(p: _Pair) -> MethodResult:
@@ -490,16 +486,17 @@ def _greedy(p: _Pair) -> MethodResult:
             "baseline needs embedding coordinates when no labels are shared"
         )
     pairs_ab, unmatched = p.match(p.piv_unknown)
-    extra = p.matched(pairs_ab)
     piv, oth = p.piv, p.oth
     grants: dict[int, int] = {}
+    extra: dict[int, tuple[int, int]] = {}
     if unmatched:
         # newly known = original known plus matched labels, by unified name
-        labels, cols = p.columns(extra)
+        labels, cols = p.columns(pairs_ab)
         newly = np.argsort(np.asarray(labels, dtype=np.int64))
         piv_nk, oth_nk = (c[newly] for c in (cols if p.pivot_is_a else cols[::-1]))
         # candidate receivers: leaves of the smaller tree, by smallest label
-        cand = sorted(oth.tree.leaves, key=lambda v: oth.labels.labels_of(v)[0])
+        leaves = set(oth.tree.leaves)
+        cand = [v for v in oth.labels.by_vertex if v in leaves]
         cand_v = np.asarray(cand, dtype=np.int64)
         ds = oth.tree.path_distance_many(cand_v[:, None], oth_nk[None, :])
         um_v = piv.vertices_for(unmatched)
@@ -509,7 +506,7 @@ def _greedy(p: _Pair) -> MethodResult:
             receiver = cand[int(c)]
             grants[label] = oth.labels.labels_of(receiver)[0]
             extra[label] = (int(v), receiver) if p.pivot_is_a else (receiver, int(v))
-    return p.result(p.induced(extra), pairs_ab, unmatched, assigned=grants)
+    return p.result(pairs_ab, unmatched, extra=extra, assigned=grants)
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +526,22 @@ def evaluate_configuration(
     ``pairs`` are (side-A label, side-B label) matches.  Uses the same
     epsilon/delta computations as the estimators, so re-evaluating a
     reported configuration reproduces the reported distance exactly.
+    Raises DisagreementEmptyTree as ``elm``/``mmb`` do, and ValidationError
+    unless ``removed`` and ``pairs`` hold each unknown label once, on its side.
     """
     p = _Pair(a, b)
-    if p.info.case is Agreement.FULL:
-        return p.induced({})[0]
-    eps = p.induced(p.matched(pairs))[0]
-    return _objective(eps, _delta_map(p.piv, removed, p.piv.leaf_labels()))
+    _check_leaves_for_disagreement(a, b, p.info)
+    removed, pairs = tuple(removed), tuple(map(tuple, pairs))
+    if any(len(pair) != 2 for pair in pairs):
+        raise errors.ValidationError("pairs must be (side-A label, side-B label) pairs")
+    piv = 0 if p.pivot_is_a else 1
+    for got, want in (
+        (removed + tuple(pair[piv] for pair in pairs), p.piv_unknown),
+        (tuple(pair[1 - piv] for pair in pairs), p.oth_unknown),
+    ):
+        if len(got) != len(want) or set(got) != set(want):
+            raise errors.ValidationError(f"labels {got} are not the unknowns {want}, each once")
+    return p.result(pairs, removed, _delta_map(p.piv, removed, p.piv.leaf_labels())).distance
 
 
 def _naive_lca(parents: Sequence[int], u: int, v: int) -> int:
@@ -549,24 +556,23 @@ def _naive_lca(parents: Sequence[int], u: int, v: int) -> int:
     return x
 
 
-def oracle_min_objective(
-    a: LabeledMergeTree,
-    b: LabeledMergeTree,
-    *,
-    max_unknown_total: int = 8,
-) -> float:
+# Combined unknown leaves the exhaustive search takes at most.
+_ORACLE_MAX_UNKNOWN = 8
+
+
+def oracle_min_objective(a: LabeledMergeTree, b: LabeledMergeTree) -> float:
     """Exhaustive minimum of the shared objective on small instances.
 
     Enumerates every trim subset of the required size and every bijection
     between the surviving unknown leaves, scoring each configuration with
     naive parent-walk primitives (independent of the vectorized code paths).
-    Raises TooLarge beyond ``max_unknown_total`` combined unknown leaves.
+    Raises TooLarge beyond ``_ORACLE_MAX_UNKNOWN`` combined unknown leaves.
     """
     info = classify_agreement(a, b)
     total = info.n_unknown_a + info.n_unknown_b
-    if total > max_unknown_total:
+    if total > _ORACLE_MAX_UNKNOWN:
         raise errors.TooLarge(
-            f"{total} combined unknown leaves exceeds the bound {max_unknown_total}"
+            f"{total} combined unknown leaves exceeds the bound {_ORACLE_MAX_UNKNOWN}"
         )
     _check_leaves_for_disagreement(a, b, info)
 

@@ -280,7 +280,7 @@ def generate_ensemble(
     labeled = assign_labels(
         base, spec.label_fraction, _child_seed(spec.seed, "fractions")
     )
-    members = [_rebase_unknowns(labeled, 0)]
+    members = [labeled]  # its unknowns already start at UNKNOWN_LABEL_BASE + 1
     for k, pspec in enumerate(make_schedule(spec, base), start=1):
         members.append(_rebase_unknowns(perturb(labeled, pspec), k))
     return members

@@ -303,6 +303,14 @@ def test_empty_and_nonfinite():
 
 
 @pytest.mark.parametrize(
+    "cost", [[[1.0, 2.0], [3.0]], [["x", 1.0]], [[{}]]], ids=["ragged", "text", "object"]
+)
+def test_malformed_costs_raise_nonfinite(cost):
+    with pytest.raises(errors.NonFiniteCost):
+        solve(cost)
+
+
+@pytest.mark.parametrize(
     "cost",
     [[[1e308], [1e308]], [[1e308, -1e308], [1e308, -1e308]], [[-1e308, 1e308]]],
     ids=["sentinel", "spread", "wide"],

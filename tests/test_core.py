@@ -275,6 +275,20 @@ def test_invalid_vertex_raises():
         t.lca_many([9], [3])
 
 
+def test_vertex_ids_must_be_integers():
+    t = MergeTree([1.0, 0.0, 0.2], [None, 0, 0])
+    assert t.lca(np.int64(1), 2) == 0
+    for call in (
+        lambda: t.lca(0.5, 1),
+        lambda: t.lca_many([1.0], [2]),
+        lambda: t.is_leaf(1.0),
+        lambda: MergeTree([0.0, -1.0], [None, 0.5]),
+        lambda: MergeTree([0.0, -1.0], [None, "0"]),
+    ):
+        with pytest.raises(errors.InvalidVertex):
+            call()
+
+
 # -- induced matrices ----------------------------------------------------------
 
 
@@ -391,8 +405,13 @@ def test_label_table_invariants():
         LabelTable({-3: 1})
     table = LabelTable({1: 0, 2: 0, 3: 1})
     assert table.labels_of(0) == (1, 2)
+
+    class Two:  # a distinct dict key that is the integer 2 by operator.index
+        def __index__(self):
+            return 2
+
     with pytest.raises(errors.DuplicateLabel):
-        table.with_added({2: 1})
+        LabelTable({1: 0, 2: 0, Two(): 1})
 
 
 def test_label_table_refuses_labels_that_are_not_int64_integers():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import shutil
 from collections import Counter
@@ -106,7 +107,7 @@ def test_matrix_pair_count_and_invariants(small_ensemble, tmp_path):
     n = len(small_ensemble)
     assert matrix.values.shape == (n, n)
     assert failures == []
-    matrix.check(zero_diagonal=True)
+    matrix.check()
     off_diag = matrix.values[~np.eye(n, dtype=bool)]
     assert np.all(np.isfinite(off_diag))
 
@@ -264,6 +265,19 @@ def test_any_exception_in_a_pair_is_a_failure_row(monkeypatch, tmp_path):
     assert np.isnan(read_matrix_csv(tmp_path / "distances_elm.csv").values[0, 1])
     for method in ("mmb", "greedy"):
         assert np.isfinite(read_matrix_csv(tmp_path / f"distances_{method}.csv").values[0, 1])
+
+
+def test_cells_take_their_seconds_from_the_records(monkeypatch, tmp_path):
+    """The pair context's clock ticks by one on each read and laps once per
+    record, so every cell reads one tick: the harness times no call again
+    and charges nothing extra to mmb."""
+    ticks = itertools.count()
+    monkeypatch.setattr(methods, "perf_counter", lambda: float(next(ticks)))
+    report = cmd_compare(_example_files(1), tmp_path)
+    assert report.mean_wall == {"elm": 1.0, "mmb": 1.0, "greedy": 1.0}
+    corpus = load_corpus(_example_files(1) + _example_files(3))
+    for method in ("elm", "mmb", "greedy"):
+        assert distance_matrix(method, corpus, workers=1)[2] == 6.0
 
 
 class _Abort(BaseException):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -65,7 +66,7 @@ def test_s_matrix_single_leaf():
 
 def test_s_matrix_rejects_nonleaf(example1):
     a, _ = example1
-    lt = a.with_extra_labels({99: a.tree.root})
+    lt = LabeledMergeTree(a.tree, LabelTable({**dict(a.labels.items()), 99: a.tree.root}))
     with pytest.raises(errors.NonLeafLabel):
         build_s_matrix(lt, (99,), lt.leaf_labels())
 
@@ -82,6 +83,13 @@ def test_select_trim_values_and_ties(example1, example3):
     assert select_trim(tied, 2) == (5, 6)
     with pytest.raises(errors.KTooLarge):
         select_trim(tied, 4)
+
+
+def test_select_trim_refuses_a_negative_k():
+    tied = SMatrix((5, 6, 7), (5, 6, 7), np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))
+    assert select_trim(tied, 0) == ()
+    with pytest.raises(errors.ValidationError):
+        select_trim(tied, -1)  # a slice to -1 would pick every row but the last
 
 
 def test_unknown_to_known_distances_fixture(example1):
@@ -332,6 +340,48 @@ def test_reported_configuration_reproduces_distance(seed):
     )
 
 
+@pytest.mark.parametrize(
+    "removed, pairs",
+    [
+        ((1, 2, 3, 4), ()),  # no pivot leaf survives to measure delta against
+        ((1, 3, 4), ()),  # a known label removed, the other side left unmatched
+        ((3, 4), ()),  # the other tree's unknown 5 left unmatched
+        ((), ((3, 5), (4, 5))),  # 5 matched twice
+        ((3, 3), ((4, 5),)),  # 3 removed twice
+        ((4,), ((4, 5),)),  # 4 both removed and matched, 3 in neither
+        ((3,), ((5, 4),)),  # sides swapped
+        ((3,), ((4, 5, 6),)),  # not a pair
+    ],
+)
+def test_evaluate_configuration_refuses_what_it_cannot_evaluate(example1, removed, pairs):
+    a, b = example1  # pivot a: unknowns 3 and 4; b: unknown 5
+    with pytest.raises(errors.ValidationError):
+        evaluate_configuration(a, b, removed=removed, pairs=pairs)
+
+
+def test_evaluate_configuration_takes_every_valid_configuration(example1):
+    a, b = example1
+    assert evaluate_configuration(a, b, removed=(3,), pairs=((4, 5),)) == 0.5
+    assert evaluate_configuration(b, a, removed=(3,), pairs=((5, 4),)) == 0.5
+    assert evaluate_configuration(a, b, removed=(4,), pairs=((3, 5),)) == 1.0
+
+
+def test_evaluate_configuration_refuses_a_leafless_disjoint_pair():
+    lone = LabeledMergeTree(MergeTree([0.0], [None]), LabelTable({}))
+    a, _ = _disjoint_pair()
+    with pytest.raises(errors.DisagreementEmptyTree):
+        evaluate_configuration(lone, a, removed=a.leaf_labels(), pairs=())
+
+
+@pytest.mark.parametrize("index", range(len(_full_pairs())))
+def test_evaluate_configuration_on_a_full_pair_is_its_full_distance(index):
+    a, b = _full_pairs()[index]
+    want = full_agreement_distance(a, b).distance
+    assert evaluate_configuration(a, b, removed=(), pairs=()) == want
+    with pytest.raises(errors.ValidationError):
+        evaluate_configuration(a, b, removed=(min(dict(a.labels.items())),), pairs=())
+
+
 def _oracle_eligible_pairs(count, *, max_vertices=9, start_seed=0, budget=6):
     seed = start_seed
     found = 0
@@ -420,12 +470,14 @@ def _expected_induced(r, a, b) -> tuple[LabeledMatrix, LabeledMatrix]:
     matched side-B label stands under its side-A partner's name, and a
     granted label sits on its receiving leaf of the other tree."""
     to_b = {la: lb for lb, la in r.relabeling.items()}
-    a_labels = dict(a.labels.items())
+    a_labels, b_labels = dict(a.labels.items()), dict(b.labels.items())
     for label, anchor in r.assigned_labels.items():
         if label in a_labels:
-            b = b.with_extra_labels({label: b.labels.vertex_of(anchor)})
+            b_labels[label] = b_labels[anchor]
         else:
-            a = a.with_extra_labels({label: a.labels.vertex_of(anchor)})
+            a_labels[label] = a_labels[anchor]
+    a = LabeledMergeTree(a.tree, LabelTable(a_labels))
+    b = LabeledMergeTree(b.tree, LabelTable(b_labels))
     unified = sorted(
         set(classify_agreement(a, b).known) | set(to_b) | set(r.assigned_labels)
     )
@@ -517,6 +569,38 @@ def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypat
         x = len(r.relabeling) + len(r.assigned_labels)
         want = k * k + x * (k + x)
         assert cells == {id(a.tree): want, id(b.tree): want}
+
+
+def test_each_record_times_only_its_own_step(monkeypatch):
+    """A clock that ticks by one on every read, and a ``burn(n)`` that reads
+    it n times to stand for work: each record's wall_time is the ticks of
+    its own step (its work plus its one lap), the first record's also the
+    pair's set-up, and a step that raises leaves its ticks to the next."""
+    ticks = itertools.count()
+    monkeypatch.setattr(methods, "perf_counter", lambda: float(next(ticks)))
+
+    def burn(n):
+        for _ in range(n):
+            methods.perf_counter()
+
+    classify = methods.classify_agreement
+    monkeypatch.setattr(methods, "classify_agreement", lambda a, b: (burn(10), classify(a, b))[1])
+    work = {"mmb": 3, "greedy": 5, "elm": 7}
+
+    def walls(a, b):
+        pair, out = methods._Pair(a, b), {}
+        for m, step in harness.PAIR_STEPS.items():
+            burn(work[m])
+            try:
+                out[m] = step(pair).wall_time
+            except errors.DisagreementUnsupported:
+                pass
+        return out
+
+    want = {"mmb": 10 + 3 + 1, "greedy": 5 + 1, "elm": 7 + 1}
+    assert walls(*load_example(1)) == walls(*_full_pair()) == want
+    # greedy refuses a disjoint pair, so its ticks go to elm's record
+    assert walls(*_disjoint_pair()) == {"mmb": 10 + 3 + 1, "elm": 5 + 7 + 1}
 
 
 def test_oracle_result_carries_empty_matrices(example1):
