@@ -14,9 +14,11 @@ output byte-identical for any worker count.  ``distance_matrix`` and
 ``cmd_compare`` share one pair-mapping helper, so a comparison is one pass
 over the pairs with at most one pool.  Its pair record holds the cells of
 ``mmb``, ``greedy`` and ``elm``, run in turn on one pair context, and the
-pair's agreement case, from which the report is tallied.  A cell's seconds
-are its record's ``wall_time`` (see ``methods``); nothing here times a call
-again.  ``cmd_bench`` times whole serial matrix runs (parsing excluded).
+pair's agreement case, from which the report is tallied.  Every ``METHODS``
+entry, the oracle's included, is a ``methods`` estimator whose record comes
+from ``_Pair.result``, so a cell's seconds are its record's ``wall_time``;
+nothing here times a call again.  ``cmd_bench`` times whole serial matrix
+runs (parsing excluded).
 """
 
 from __future__ import annotations
@@ -67,27 +69,13 @@ PRESETS = {
     "random_500": 500,
 }
 
-def _oracle_result(a: LabeledMergeTree, b: LabeledMergeTree) -> methods.MethodResult:
-    start = perf_counter()
-    value = methods.oracle_min_objective(a, b)
-    # nothing to gather: the induced matrices read as empty
-    return methods.MethodResult(
-        distance=value,
-        epsilon=float("nan"),
-        deltas={},
-        matching=methods.Matching(()),
-        relabeling={},
-        trimmed=frozenset(),
-        wall_time=perf_counter() - start,
-    )
-
 
 METHODS: dict[str, Callable[[LabeledMergeTree, LabeledMergeTree], methods.MethodResult]] = {
     "elm": methods.elm_distance,
     "mmb": methods.mmb_distance,
     "greedy": methods.greedy_distance,
     "full": methods.full_agreement_distance,
-    "oracle": _oracle_result,
+    "oracle": methods.oracle_distance,
 }
 
 

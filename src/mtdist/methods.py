@@ -41,10 +41,13 @@ so several estimators run on one ``_Pair`` (as the harness's comparison
 does) solve each distinct matching once: ``greedy`` reuses ``mmb``'s, and
 ``elm`` reuses it whenever it trims nothing.
 
-``_Pair.result`` is the one way a value leaves the pair: it takes epsilon
-over the matched (and granted) labels, builds the objective and laps the
-pair's clock, so each record's ``wall_time`` is its own step's.  The set-up
-goes to the first record; a step that raises leaves its time to the next.
+``_Pair.result`` is the one way a value leaves the pair: it takes a
+configuration (matched pairs, the pivot labels left unmatched, and greedy's
+grants), takes delta for every unmatched pivot label that was not granted
+(so greedy has none) and epsilon over the matched and granted labels,
+builds the objective and laps the pair's clock, so each record's
+``wall_time`` is its own step's.  The set-up goes to the first record; a
+step that raises leaves its time to the next.
 
 The known x known block of the LCA-scalar matrices is the same for every
 estimator on a pair, so the pair takes its epsilon once and keeps only that
@@ -60,6 +63,8 @@ matrices from them, in sorted label order, only when read.
 ``oracle_min_objective`` exhaustively minimizes the same objective over every
 trim subset and bijection on small instances, using its own naive traversal
 primitives, and is the reference the heuristics are judged against.
+``oracle_distance`` records the first configuration that reaches that
+minimum through ``_Pair.result``, like every other estimator.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ __all__ = [
     "mmb_distance",
     "greedy_distance",
     "full_agreement_distance",
+    "oracle_distance",
     "oracle_min_objective",
     "evaluate_configuration",
 ]
@@ -135,7 +141,7 @@ class MethodResult:
     ``induced_a``/``induced_b`` are the two induced matrices over the known
     plus matched (and granted) labels, in sorted label order.  They are
     gathered on first read from ``unified``: those labels, both trees, and
-    each label's vertex per side.  Without it they are empty.
+    each label's vertex per side.
     """
 
     distance: float
@@ -145,8 +151,8 @@ class MethodResult:
     relabeling: dict[int, int]
     trimmed: frozenset[int]
     wall_time: float
-    assigned_labels: dict[int, int] = field(default_factory=dict)
-    unified: tuple = field(default=(), repr=False, compare=False)
+    assigned_labels: dict[int, int]
+    unified: tuple = field(repr=False, compare=False)
 
     @property
     def max_delta(self) -> float:
@@ -161,8 +167,6 @@ class MethodResult:
         return self._induced(1)
 
     def _induced(self, side: int) -> LabeledMatrix:
-        if not self.unified:
-            return LabeledMatrix((), (), np.zeros((0, 0)))
         labels, trees, verts = self.unified
         v = verts[side][np.argsort(np.asarray(labels, dtype=np.int64))]
         labels = tuple(sorted(labels))
@@ -275,12 +279,9 @@ def _pivot_is_a(info: AgreementInfo) -> bool:
 
 
 def _delta_map(
-    pivot: LabeledMergeTree,
-    removed: Sequence[int],
-    leaf_labels: Sequence[int],
+    pivot: LabeledMergeTree, removed: Sequence[int], leaf_labels: Sequence[int]
 ) -> dict[int, float]:
     """Merge height of each removed leaf above the nearest surviving leaf."""
-    removed = tuple(removed)
     if not removed:
         return {}
     removed_set = set(removed)
@@ -300,8 +301,9 @@ def _check_leaves_for_disagreement(a, b, info):
 
 class _Pair:
     """The work every estimator shares for one (a, b) pair: the label split,
-    the pivot and its counterpart, their unknown labels, the matching, the
-    epsilon of the known x known block, and the result record."""
+    the pivot and its counterpart, their unknown labels, the pivot's leaf
+    labels, the matching, the epsilon of the known x known block, and the
+    result record."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self._lap = perf_counter()  # the set-up goes to the first record
@@ -347,16 +349,24 @@ class _Pair:
         return tuple(pairs), tuple(piv_rows[i] for i in asn.unmatched_rows)
 
     @functools.cached_property
+    def piv_leaf_labels(self) -> tuple[int, ...]:
+        return self.piv.leaf_labels()
+
+    @functools.cached_property
     def _known_vertices(self) -> tuple[np.ndarray, np.ndarray]:
         known = self.info.known
         return self.a.vertices_for(known), self.b.vertices_for(known)
 
-    def columns(self, pairs_ab: Sequence[tuple[int, int]], extra: Mapping | None = None) -> tuple:
+    def columns(self, pairs_ab: Sequence[tuple[int, int]], grants: Mapping | None = None) -> tuple:
         """The known labels, the matched ones under their side-A names, then
-        ``extra``'s, with their vertices in a and in b in that order;
-        ``extra`` maps each label to its (vertex in a, vertex in b)."""
+        the granted pivot labels, with their vertices in a and in b in that
+        order; ``grants`` maps a pivot label to a label of the other tree's
+        leaf that received it."""
+        at = {la: (la, lb) for la, lb in pairs_ab}
+        for label, anchor in (grants or {}).items():  # it sits on the anchor's leaf
+            at[label] = (label, anchor) if self.pivot_is_a else (anchor, label)
         a, b = self.a.labels, self.b.labels
-        extra = {la: (a.vertex_of(la), b.vertex_of(lb)) for la, lb in pairs_ab} | (extra or {})
+        extra = {name: (a.vertex_of(la), b.vertex_of(lb)) for name, (la, lb) in at.items()}
         cols = [
             np.concatenate((kv, np.asarray([v[side] for v in extra.values()], dtype=np.int64)))
             for side, kv in enumerate(self._known_vertices)
@@ -390,14 +400,15 @@ class _Pair:
         self,
         pairs_ab: Sequence[tuple[int, int]] = (),
         unmatched_piv: Sequence[int] = (),
-        deltas: dict[int, float] | None = None,
         trimmed: Sequence[int] = (),
-        extra: Mapping[int, tuple[int, int]] | None = None,
-        assigned: dict[int, int] | None = None,
+        grants: Mapping[int, int] | None = None,
     ) -> MethodResult:
-        """The record of one step, timed from the previous record or the set-up."""
-        eps, unified = self.induced(self.columns(pairs_ab, extra))
-        deltas, unmatched_piv = deltas or {}, tuple(unmatched_piv)
+        """The record of one configuration, timed from the previous record or
+        the set-up.  Every unmatched pivot label without a grant pays delta."""
+        grants, unmatched_piv = dict(grants or {}), tuple(unmatched_piv)
+        removed = [l for l in unmatched_piv if l not in grants]
+        deltas = _delta_map(self.piv, removed, self.piv_leaf_labels)
+        eps, unified = self.induced(self.columns(pairs_ab, grants))
         now = perf_counter()
         wall_time, self._lap = now - self._lap, now
         return MethodResult(
@@ -412,7 +423,7 @@ class _Pair:
             relabeling={lb: la for la, lb in pairs_ab},
             trimmed=frozenset(trimmed),
             wall_time=wall_time,
-            assigned_labels=dict(assigned or {}),
+            assigned_labels=grants,
             unified=unified,
         )
 
@@ -464,20 +475,17 @@ def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
 def _elm(p: _Pair) -> MethodResult:
     _check_leaves_for_disagreement(p.a, p.b, p.info)
     k = len(p.piv_unknown) - len(p.oth_unknown)
-    trimmed, deltas = (), {}
+    trimmed = ()
     if k:  # with nothing to trim, S would rank rows for nothing
-        piv_leaf_labels = p.piv.leaf_labels()
-        trimmed = select_trim(build_s_matrix(p.piv, p.piv_unknown, piv_leaf_labels), k)
-        deltas = _delta_map(p.piv, trimmed, piv_leaf_labels)
-    # match the survivors: deltas holds one key per trimmed label
-    pairs_ab, _ = p.match(tuple(l for l in p.piv_unknown if l not in deltas))
-    return p.result(pairs_ab, trimmed, deltas, trimmed=trimmed)
+        trimmed = select_trim(build_s_matrix(p.piv, p.piv_unknown, p.piv_leaf_labels), k)
+    cut = set(trimmed)
+    pairs_ab, _ = p.match(tuple(l for l in p.piv_unknown if l not in cut))
+    return p.result(pairs_ab, trimmed, trimmed=trimmed)
 
 
 def _mmb(p: _Pair) -> MethodResult:
     _check_leaves_for_disagreement(p.a, p.b, p.info)
-    pairs_ab, unmatched = p.match(p.piv_unknown)
-    return p.result(pairs_ab, unmatched, _delta_map(p.piv, unmatched, p.piv.leaf_labels()))
+    return p.result(*p.match(p.piv_unknown))
 
 
 def _greedy(p: _Pair) -> MethodResult:
@@ -488,7 +496,6 @@ def _greedy(p: _Pair) -> MethodResult:
     pairs_ab, unmatched = p.match(p.piv_unknown)
     piv, oth = p.piv, p.oth
     grants: dict[int, int] = {}
-    extra: dict[int, tuple[int, int]] = {}
     if unmatched:
         # newly known = original known plus matched labels, by unified name
         labels, cols = p.columns(pairs_ab)
@@ -502,11 +509,9 @@ def _greedy(p: _Pair) -> MethodResult:
         um_v = piv.vertices_for(unmatched)
         dmat = piv.tree.path_distance_many(um_v[:, None], piv_nk[None, :])
         closest = np.argmin(_row_gaps(dmat, ds), axis=1)
-        for label, v, c in zip(unmatched, um_v, closest):
-            receiver = cand[int(c)]
-            grants[label] = oth.labels.labels_of(receiver)[0]
-            extra[label] = (int(v), receiver) if p.pivot_is_a else (receiver, int(v))
-    return p.result(pairs_ab, unmatched, extra=extra, assigned=grants)
+        for label, c in zip(unmatched, closest):
+            grants[label] = oth.labels.labels_of(cand[int(c)])[0]
+    return p.result(pairs_ab, unmatched, grants=grants)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +546,7 @@ def evaluate_configuration(
     ):
         if len(got) != len(want) or set(got) != set(want):
             raise errors.ValidationError(f"labels {got} are not the unknowns {want}, each once")
-    return p.result(pairs, removed, _delta_map(p.piv, removed, p.piv.leaf_labels())).distance
+    return p.result(pairs, removed).distance
 
 
 def _naive_lca(parents: Sequence[int], u: int, v: int) -> int:
@@ -568,16 +573,29 @@ def oracle_min_objective(a: LabeledMergeTree, b: LabeledMergeTree) -> float:
     naive parent-walk primitives (independent of the vectorized code paths).
     Raises TooLarge beyond ``_ORACLE_MAX_UNKNOWN`` combined unknown leaves.
     """
-    info = classify_agreement(a, b)
-    total = info.n_unknown_a + info.n_unknown_b
+    return _oracle_search(_Pair(a, b))[0]
+
+
+def oracle_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
+    """The record of the first configuration reaching ``oracle_min_objective``:
+    its trim subset is the record's trimmed set and pays delta."""
+    p = _Pair(a, b)
+    _, removed, pairs_ab = _oracle_search(p)
+    return p.result(pairs_ab, removed, trimmed=removed)
+
+
+def _oracle_search(p: _Pair) -> tuple[float, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The minimum, with the removed pivot labels and the (side-A, side-B)
+    pairs of the first configuration that reaches it."""
+    a, b, info = p.a, p.b, p.info
+    total = len(p.piv_unknown) + len(p.oth_unknown)
     if total > _ORACLE_MAX_UNKNOWN:
         raise errors.TooLarge(
             f"{total} combined unknown leaves exceeds the bound {_ORACLE_MAX_UNKNOWN}"
         )
     _check_leaves_for_disagreement(a, b, info)
 
-    pa = [int(x) for x in a.tree.parents]
-    pb = [int(x) for x in b.tree.parents]
+    pa, pb = ([int(x) for x in t.tree.parents] for t in (a, b))
     sa, sb = a.tree.scalars, b.tree.scalars
 
     def eps_of(pairs_ab) -> float:
@@ -597,17 +615,9 @@ def oracle_min_objective(a: LabeledMergeTree, b: LabeledMergeTree) -> float:
                 worst = max(worst, abs(float(ea) - float(eb)))
         return worst
 
-    if info.case is Agreement.FULL:
-        return eps_of(())
-
-    a_is_pivot = info.n_unknown_a >= info.n_unknown_b
-    piv = a if a_is_pivot else b
-    piv_par = pa if a_is_pivot else pb
-    piv_s = sa if a_is_pivot else sb
-    piv_unknown = info.unknown_a if a_is_pivot else info.unknown_b
-    oth_unknown = info.unknown_b if a_is_pivot else info.unknown_a
-    piv_leaf_labels = piv.leaf_labels()
-    k = len(piv_unknown) - len(oth_unknown)
+    piv = p.piv
+    piv_par, piv_s = (pa, sa) if p.pivot_is_a else (pb, sb)
+    k = len(p.piv_unknown) - len(p.oth_unknown)
 
     def delta_of(removed: tuple[int, ...]) -> float:
         worst = 0.0
@@ -615,7 +625,7 @@ def oracle_min_objective(a: LabeledMergeTree, b: LabeledMergeTree) -> float:
         for r in removed:
             vr = piv.labels.vertex_of(r)
             best = None
-            for l in piv_leaf_labels:
+            for l in p.piv_leaf_labels:
                 if l in removed_set:
                     continue
                 vl = piv.labels.vertex_of(l)
@@ -624,17 +634,14 @@ def oracle_min_objective(a: LabeledMergeTree, b: LabeledMergeTree) -> float:
             worst = max(worst, 0.0 if best is None else best)
         return worst
 
-    best = np.inf
-    for removed in itertools.combinations(piv_unknown, k):
-        removed_set = set(removed)
-        survivors = [l for l in piv_unknown if l not in removed_set]
+    best = (float("inf"), (), ())
+    for removed in itertools.combinations(p.piv_unknown, k):
+        survivors = [l for l in p.piv_unknown if l not in removed]
         dmax = delta_of(removed)
-        for perm in itertools.permutations(oth_unknown):
+        for perm in itertools.permutations(p.oth_unknown):
             pairs_po = tuple(zip(survivors, perm))
-            pairs_ab = pairs_po if a_is_pivot else tuple(
-                (o, p) for p, o in pairs_po
-            )
+            pairs_ab = pairs_po if p.pivot_is_a else tuple((o, q) for q, o in pairs_po)
             value = max(0.5 * dmax, eps_of(pairs_ab))
-            if value < best:
-                best = value
-    return float(best)
+            if value < best[0]:
+                best = (value, removed, pairs_ab)
+    return best

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -136,6 +137,13 @@ def perturb(lt: LabeledMergeTree, spec: PerturbationSpec) -> LabeledMergeTree:
     and is never spliced, so each splice and rotation updates only the two
     children sets it touches.
     """
+    return _perturb(lt, spec, None)
+
+
+def _perturb(lt: LabeledMergeTree, spec: PerturbationSpec, member: int | None) -> LabeledMergeTree:
+    """:func:`perturb`; with a ``member`` index, the surviving unknown labels
+    are renumbered, in label order, into that member's range starting at
+    UNKNOWN_LABEL_BASE * (member + 1) + 1."""
     rng = random.Random(_child_seed(spec.seed, "perturb"))
     tree = lt.tree
     n = tree.n_vertices
@@ -184,9 +192,7 @@ def perturb(lt: LabeledMergeTree, spec: PerturbationSpec) -> LabeledMergeTree:
         g = parents[p]
         parents[v] = g
         kids[p].remove(v)
-        kids[g].add(v)
-        if scalars[v] >= scalars[g]:  # defensive; moving up preserves order
-            scalars[v] = scalars[g] - gap
+        kids[g].add(v)  # scalars fall from g through p to v: v stays below g
         splice_if_unary(p)
 
     # 3. leaf deletions, sparing known-labeled leaves while unknowns remain
@@ -212,12 +218,16 @@ def perturb(lt: LabeledMergeTree, spec: PerturbationSpec) -> LabeledMergeTree:
 
     keep = [v for v in range(n) if alive[v]]
     remap = {v: i for i, v in enumerate(keep)}
+    kept = [(l, remap[v]) for l, v in lt.labels.items() if alive[v]]
+    if member is not None:
+        fresh = itertools.count(UNKNOWN_LABEL_BASE * (member + 1) + 1)
+        kept = [(next(fresh) if l > UNKNOWN_LABEL_BASE else l, v) for l, v in kept]
     out = LabeledMergeTree(
         MergeTree(
             [scalars[v] for v in keep],
             [None if v == root else remap[parents[v]] for v in keep],
         ),
-        LabelTable({l: remap[v] for l, v in lt.labels.items() if alive[v]}),
+        LabelTable(dict(kept)),
     )
     out.validate()
     return out
@@ -282,18 +292,6 @@ def generate_ensemble(
     )
     members = [labeled]  # its unknowns already start at UNKNOWN_LABEL_BASE + 1
     for k, pspec in enumerate(make_schedule(spec, base), start=1):
-        members.append(_rebase_unknowns(perturb(labeled, pspec), k))
+        members.append(_perturb(labeled, pspec, k))
     return members
 
-
-def _rebase_unknowns(lt: LabeledMergeTree, member: int) -> LabeledMergeTree:
-    base = UNKNOWN_LABEL_BASE * (member + 1)
-    mapping = {}
-    nxt = base + 1
-    for label, vertex in lt.labels.items():
-        if label > UNKNOWN_LABEL_BASE:
-            mapping[nxt] = vertex
-            nxt += 1
-        else:
-            mapping[label] = vertex
-    return LabeledMergeTree(lt.tree, LabelTable(mapping))

@@ -29,6 +29,7 @@ from mtdist import (
     EnsembleSpec,
     LabeledMergeTree,
     MergeTree,
+    classify_agreement,
     generate_ensemble,
     read_mtree_file,
 )
@@ -69,6 +70,23 @@ def random_pair(
     )
     members = generate_ensemble(spec)
     return members[1], members[2]
+
+
+def oracle_pairs(count: int):
+    """The first ``count`` small random pairs with at most 6 combined
+    unknown leaves; every fourth seed draws a disjoint-label pair."""
+    seed = 0
+    found = 0
+    while found < count:
+        if seed % 4 == 3:
+            a, b = random_pair(seed, max_vertices=5, label_fraction=0.0)
+        else:
+            a, b = random_pair(seed, max_vertices=9, label_fraction=0.5)
+        seed += 1
+        info = classify_agreement(a, b)
+        if info.n_unknown_a + info.n_unknown_b <= 6:
+            found += 1
+            yield a, b
 
 
 def rescaled(lt: LabeledMergeTree, *, mul: float = 1.0, add: float = 0.0) -> LabeledMergeTree:

@@ -30,7 +30,6 @@ import pytest
 
 from mtdist import (
     EnsembleSpec,
-    classify_agreement,
     build_s_matrix,
     elm_distance,
     evaluate_configuration,
@@ -43,7 +42,7 @@ from mtdist import (
 )
 from mtdist.harness import distance_matrix
 
-from conftest import random_pair, rescaled
+from conftest import oracle_pairs, random_pair, rescaled
 
 EXACT = 1e-9
 
@@ -137,24 +136,9 @@ def test_criterion_3_assignment_exhaustive():
             assert solve(c).total_cost == brute
 
 
-def _oracle_pairs(count: int):
-    seed = 0
-    found = 0
-    while found < count:
-        if seed % 4 == 3:
-            a, b = random_pair(seed, max_vertices=5, label_fraction=0.0)
-        else:
-            a, b = random_pair(seed, max_vertices=9, label_fraction=0.5)
-        seed += 1
-        info = classify_agreement(a, b)
-        if info.n_unknown_a + info.n_unknown_b <= 6:
-            found += 1
-            yield a, b
-
-
 def test_criterion_4_oracle_bounds_and_attainability():
     with criterion(4, "200 pairs: oracle <= heuristics; configurations re-evaluate"):
-        for a, b in _oracle_pairs(200):
+        for a, b in oracle_pairs(200):
             o = oracle_min_objective(a, b)
             r_elm = elm_distance(a, b)
             r_mmb = mmb_distance(a, b)

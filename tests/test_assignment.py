@@ -303,7 +303,9 @@ def test_empty_and_nonfinite():
 
 
 @pytest.mark.parametrize(
-    "cost", [[[1.0, 2.0], [3.0]], [["x", 1.0]], [[{}]]], ids=["ragged", "text", "object"]
+    "cost",
+    [[[1.0, 2.0], [3.0]], [["x", 1.0]], [[{}]], [1.0, 2.0], 3.0, np.zeros((2, 2, 2))],
+    ids=["ragged", "text", "object", "1-d", "0-d", "3-d"],
 )
 def test_malformed_costs_raise_nonfinite(cost):
     with pytest.raises(errors.NonFiniteCost):

@@ -56,6 +56,27 @@ def test_equal_scalars_rejected():
         t.validate()
 
 
+@pytest.mark.parametrize(
+    "scalars, parents, error",
+    [
+        ([], [], errors.ValidationError),
+        ([1.0, 0.0], [None], errors.ValidationError),
+        ([1.0, 0.0], [None, 2], errors.InvalidVertex),
+        ([1.0, 0.0], [None, -2], errors.InvalidVertex),
+    ],
+    ids=["no-vertex", "lengths-differ", "parent-past-end", "parent-below-none"],
+)
+def test_malformed_trees_refused_at_construction(scalars, parents, error):
+    with pytest.raises(error):
+        MergeTree(scalars, parents)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_scalar_rejected(bad):
+    with pytest.raises(errors.ValidationError, match="vertex 1 has a non-finite scalar"):
+        MergeTree([1.0, bad, 0.0], [None, 0, 0]).validate()
+
+
 def test_cycle_rejected():
     with pytest.raises(errors.CycleDetected):
         MergeTree([1.0, 0.5], [1, 0])
@@ -369,6 +390,15 @@ def test_inf_norm_aligns_by_label_not_position():
     assert inf_norm_diff(a, b) == 0.0
 
 
+def test_labeled_matrix_refuses_duplicate_labels_and_wrong_shape():
+    with pytest.raises(errors.DuplicateLabel, match="row"):
+        LabeledMatrix((1, 1), (1, 2), np.zeros((2, 2)))
+    with pytest.raises(errors.DuplicateLabel, match="column"):
+        LabeledMatrix((1, 2), (2, 2), np.zeros((2, 2)))
+    with pytest.raises(errors.LabelMismatch, match="shape"):
+        LabeledMatrix((1, 2), (1, 2), np.zeros((2, 3)))
+
+
 def test_inf_norm_label_mismatch():
     a = LabeledMatrix((1,), (1,), np.zeros((1, 1)))
     b = LabeledMatrix((2,), (2,), np.zeros((1, 1)))
@@ -494,6 +524,13 @@ def test_classify_agreement_matches_set_algebra():
             assert got == _classify_by_sets(x, y)
             cases.add(got.case)
     assert cases == set(Agreement)
+
+
+def test_label_on_missing_vertex_refused():
+    tree = MergeTree([1.0, 0.0, 0.5], [None, 0, 0])
+    lt = LabeledMergeTree(tree, LabelTable({1: 1, 2: 2, 3: 7}))
+    with pytest.raises(errors.InvalidVertex, match="label 3 points at missing vertex 7"):
+        lt.validate_labels()
 
 
 def test_leaf_must_carry_label():

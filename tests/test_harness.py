@@ -512,6 +512,25 @@ def test_cli_dist_prints_distance(capsys):
     assert "trimmed: 3" in out
 
 
+def test_cli_dist_oracle_golden_printout(capsys):
+    """The oracle prints its minimising configuration like any estimator:
+    0.5 is half the trimmed leaf 3's delta of 1.0."""
+    assert main(["dist", "oracle", *_example_files(1)]) == 0
+    *lines, wall = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "method: oracle",
+        "distance: 0.5",
+        "epsilon: 0.0",
+        "max_delta: 1.0",
+        "deltas: 3=1.0",
+        "matching: 4-5",
+        "trimmed: 3",
+        "unmatched: a=[3] b=[]",
+        "relabeling: 5->4",
+    ]
+    assert wall.startswith("wall_time_s: ")
+
+
 def test_cli_usage_error_is_exit_1(capsys):
     assert main(["dist", "nonsense", "x", "y"]) == 1
     assert main([]) == 1
@@ -573,6 +592,19 @@ def test_cli_rejects_mt_workers_below_one(value, small_ensemble, tmp_path, monke
     assert main(["matrix", *small_ensemble, "--out", str(tmp_path)]) == 2
     assert "worker count" in capsys.readouterr().err
     assert main(["compare", *small_ensemble, "--out", str(tmp_path)]) == 2
+
+
+def test_cli_rejects_non_integer_mt_workers(small_ensemble, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MT_WORKERS", "two")
+    assert main(["matrix", *small_ensemble, "--out", str(tmp_path)]) == 2
+    assert "MT_WORKERS='two' is not an integer" in capsys.readouterr().err
+
+
+def test_compare_and_bench_refuse_bad_arguments(tmp_path):
+    with pytest.raises(errors.ValidationError, match="at least two"):
+        cmd_compare(_example_files(1)[:1], tmp_path)
+    with pytest.raises(errors.ValidationError, match="repeat"):
+        cmd_bench(_example_files(1), repeat=0)
 
 
 def test_cli_bench(tmp_path, capsys):

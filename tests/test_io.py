@@ -334,6 +334,21 @@ def test_matrix_csv_rejects_empty_file_and_misplaced_rows(tmp_path):
     assert info.value.line_no == 2
 
 
+def test_matrix_csv_rejects_missing_id_corner(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("name,a\na,0.0\n")
+    with pytest.raises(errors.MtreeSyntaxError, match="'id' corner") as info:
+        read_matrix_csv(path)
+    assert info.value.line_no == 1
+
+
+def test_distance_matrix_refuses_wrong_shape_and_nonzero_diagonal():
+    with pytest.raises(errors.LabelMismatch):
+        DistanceMatrix(("a", "b"), np.zeros((2, 3)))
+    with pytest.raises(errors.ValidationError, match="diagonal"):
+        DistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.5]])).check()
+
+
 def test_matrix_csv_rejects_short_row(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("id,a,b\na,0.0\nb,1.0,0.0\n")

@@ -26,6 +26,7 @@ from mtdist import (
     inf_norm_diff,
     methods,
     mmb_distance,
+    oracle_distance,
     oracle_min_objective,
     pairwise_leaf_distances,
     read_mtree_file,
@@ -34,7 +35,7 @@ from mtdist import (
 )
 from mtdist.methods import SMatrix
 
-from conftest import load_example, random_pair, rescaled
+from conftest import load_example, oracle_pairs, random_pair, rescaled
 
 
 # -- building blocks -------------------------------------------------------------
@@ -499,8 +500,8 @@ def test_shared_pair_steps_equal_fresh_calls(index):
 def test_induced_matrices_built_on_read_equal_induced_matrix(index):
     a, b = _shared_eps_pairs()[index]
     pair = methods._Pair(a, b)
-    for m, step in harness.PAIR_STEPS.items():
-        r = _run(step, pair)
+    records = [_run(step, pair) for step in harness.PAIR_STEPS.values()]
+    for r in records + [_run(oracle_distance, a, b)]:
         if isinstance(r, type):
             continue
         want_a, want_b = _expected_induced(r, a, b)
@@ -601,13 +602,24 @@ def test_each_record_times_only_its_own_step(monkeypatch):
     assert walls(*load_example(1)) == walls(*_full_pair()) == want
     # greedy refuses a disjoint pair, so its ticks go to elm's record
     assert walls(*_disjoint_pair()) == {"mmb": 10 + 3 + 1, "elm": 5 + 7 + 1}
+    # the oracle's record laps the same clock once: set-up, search, record
+    small_disjoint = random_pair(3, max_vertices=5, label_fraction=0.0)
+    for pair in (*map(load_example, (1, 2, 3)), _full_pair(), small_disjoint):
+        assert harness.METHODS["oracle"](*pair).wall_time == 10 + 1
 
 
-def test_oracle_result_carries_empty_matrices(example1):
-    r = harness.METHODS["oracle"](*example1)
-    for m in (r.induced_a, r.induced_b):
-        assert m.row_labels == m.col_labels == ()
-        assert m.entries.shape == (0, 0)
+def test_oracle_record_is_the_exhaustive_minimum():
+    """On criterion 4's pairs and on FULL pairs, the oracle's record has
+    ``oracle_min_objective``'s float exactly, and its configuration
+    re-evaluates to it."""
+    for a, b in [*oracle_pairs(200), *_full_pairs()]:
+        r = harness.METHODS["oracle"](a, b)
+        assert r.distance == oracle_min_objective(a, b)
+        removed = r.matching.unmatched_a + r.matching.unmatched_b
+        assert set(r.deltas) == r.trimmed == set(removed)
+        assert evaluate_configuration(a, b, removed=removed, pairs=r.matching.pairs) == r.distance
+        if classify_agreement(a, b).case is Agreement.FULL:
+            assert r.distance == full_agreement_distance(a, b).distance
 
 
 # -- row blocks --------------------------------------------------------------------

@@ -205,6 +205,26 @@ def test_ensemble_spec_validation():
         EnsembleSpec(max_vertices=2)
     with pytest.raises(errors.ValidationError):
         EnsembleSpec(max_vertices=9, label_fraction=1.5)
+    with pytest.raises(errors.ValidationError, match="label_fraction"):
+        EnsembleSpec(max_vertices=9, label_fraction=-0.1)
+    with pytest.raises(errors.ValidationError, match="ensemble_size"):
+        EnsembleSpec(max_vertices=9, ensemble_size=0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(-1, 0.0, 0, 0), (0, 0.0, -1, 0), (0, 0.0, 0, -1), (0, -0.5, 0, 0)],
+    ids=["updates", "rotations", "deletions", "magnitude"],
+)
+def test_perturbation_spec_validation(fields):
+    with pytest.raises(errors.ValidationError):
+        PerturbationSpec(*fields, seed=0)
+
+
+@pytest.mark.parametrize("fraction", [-0.01, 1.01])
+def test_assign_labels_fraction_bounds(fraction):
+    with pytest.raises(errors.ValidationError, match="fraction"):
+        assign_labels(random_base_tree(9, 0), fraction, 0)
 
 
 @pytest.mark.parametrize(
