@@ -23,11 +23,10 @@ all, the solver's own matching is kept.
 
 So the returned matching can depend on the solver's own matching and
 potentials, down to the last bit: they decide which edges are tight, and
-the guard falls back to the solver's matching.  The loop therefore does the
-same floating-point operations in the same order as the numpy loop it
-replaced (kept in the tests as the reference): the same reduced costs, the
-first-index argmin, the same potential updates.  Any change to that order
-can change distances and the benchmark's reference digests.
+the guard falls back to the solver's matching.  The loop therefore returns
+potentials byte-identical to the numpy loop it replaced (kept in the tests
+as the reference): it leaves out only operations that are exact no-ops, and
+any change to a bit can change distances and the reference digests.
 """
 
 from __future__ import annotations
@@ -51,13 +50,19 @@ class Assignment:
     unmatched_cols: tuple[int, ...]
 
 
-def _augmenting_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _augmenting_hungarian(cost: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve a square instance; returns (col_to_row, u, v) potentials.
 
-    Each step scans only the free columns, in ascending order, and then
-    shifts the potentials of the used rows and columns.  The free columns'
-    ``minv -= delta`` of one step is applied at the start of the next
-    step's scan, still before that step's comparison.
+    Columns from ``m`` on are padding.  Each step scans the free columns in
+    ascending order, then shifts the potentials of the used rows and columns;
+    the free columns' ``minv -= delta`` waits for the next step's scan.
+
+    Two skips leave out exact no-ops only.  Steps with ``delta == 0`` shift
+    nothing: u and v start at +0.0, and an IEEE sum or difference is -0.0
+    only when an operand is, so they never hold -0.0 and +-0.0 keeps their
+    bits.  Never-matched padding columns share cost, v = 0 and minv, and the
+    scan takes the first index under a strict ``<``, so only the lowest of
+    them, ``spare``, is scanned; it moves up when a phase ends on it.
     """
     n = cost.shape[0]
     rows = cost.tolist()
@@ -65,12 +70,13 @@ def _augmenting_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     v = [0.0] * n
     p = [-1] * (n + 1)  # p[j] = row matched to column j; index n is virtual
     inf = float("inf")
+    spare = m  # lowest padding column not yet matched; n when none is left
     for i in range(n):
         p[n] = i
         j0 = n
         minv = [inf] * n
         way = [n] * n
-        free = list(range(n))
+        free = list(range(min(spare + 1, n)))
         used_rows, used_cols = [i], []
         delta = 0.0  # nothing pending before the first scan: inf - 0.0 is inf
         while True:
@@ -78,24 +84,27 @@ def _augmenting_hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
             ui = u[p[j0]]
             last, delta, j1 = delta, inf, -1
             for j in free:
-                m = minv[j] - last
+                mj = minv[j] - last
                 c = row[j] - ui - v[j]
-                if c < m:
-                    m = c
+                if c < mj:
+                    mj = c
                     way[j] = j0
-                minv[j] = m
-                if m < delta:
-                    delta, j1 = m, j
+                minv[j] = mj
+                if mj < delta:
+                    delta, j1 = mj, j
             free.remove(j1)
-            for r in used_rows:
-                u[r] += delta
-            for j in used_cols:
-                v[j] -= delta
+            if delta:
+                for r in used_rows:
+                    u[r] += delta
+                for j in used_cols:
+                    v[j] -= delta
             j0 = j1
             if p[j0] == -1:
                 break
             used_rows.append(p[j0])
             used_cols.append(j0)
+        if j0 == spare:
+            spare += 1
         while j0 != n:
             j1 = way[j0]
             p[j0] = p[j1]
@@ -197,7 +206,7 @@ def solve(cost) -> Assignment:
     padded = np.full((size, size), sentinel)
     padded[:n, :m] = c
 
-    col_to_row, u, v = _augmenting_hungarian(padded)
+    col_to_row, u, v = _augmenting_hungarian(padded, m)
     row_to_col = np.empty(size, dtype=np.int64)
     row_to_col[col_to_row] = np.arange(size)
 

@@ -118,8 +118,10 @@ def _read_members(ids: Sequence[str], paths: Sequence[str | Path]) -> list[Label
 
 
 def load_corpus(paths: Sequence[str | Path]) -> list[tuple[str, LabeledMergeTree]]:
-    """Parse files, sorted by member id (file stem); ids must be unique.
-    Member i's placeholders are rewritten as in :func:`_read_members`."""
+    """Parse at least two files, sorted by member id (file stem); ids must be
+    unique.  Member i's placeholders are rewritten as in :func:`_read_members`."""
+    if len(paths) < 2:
+        raise errors.ValidationError("need at least two input trees")
     entries = sorted((Path(p).stem, Path(p)) for p in paths)
     ids = [mid for mid, _ in entries]
     if len(set(ids)) != len(ids):
@@ -342,8 +344,6 @@ def cmd_matrix(
     heatmap: bool = False,
 ) -> tuple[DistanceMatrix, list[tuple[str, str, str]], float]:
     """Distance matrix over a corpus; CSV (and optional heatmap) on disk."""
-    if len(inputs) < 2:
-        raise errors.ValidationError("need at least two input trees")
     corpus = load_corpus(inputs)
     matrix, failures, method_seconds = distance_matrix(method, corpus, workers=workers)
     out = Path(out_dir)
@@ -420,8 +420,6 @@ def cmd_compare(
     method could not compute is listed in ``failures`` and left out of the
     win/tie counts.
     """
-    if len(inputs) < 2:
-        raise errors.ValidationError("need at least two input trees")
     corpus = load_corpus(inputs)
     ids = tuple(mid for mid, _ in corpus)
     trees = [t for _, t in corpus]

@@ -132,14 +132,33 @@ def padded_like_solve(c: np.ndarray) -> np.ndarray:
     return padded
 
 
-def random_instances(rng, sizes):
-    """Tall, wide and square matrices of each size, with uniform floats and
-    with small-integer ties, padded to square as solve pads them."""
+def tall_wide_square(sizes):
+    """A tall, a wide and a square shape of each size."""
+    rng = np.random.default_rng(7)
+    shapes = []
     for size in sizes:
         short = int(rng.integers(1, size + 1))
-        for n, m in ((size, short), (short, size), (size, size)):
-            yield padded_like_solve(rng.uniform(0, 10, size=(n, m)))
-            yield padded_like_solve(rng.integers(0, 4, size=(n, m)).astype(float))
+        shapes += [(size, short), (short, size), (size, size)]
+    return shapes
+
+
+# tall solves of the benchmark's size: 40-50 rows against short sides 1..size
+TALL = [(size, short) for size in range(40, 51) for short in range(1 + size % 6, size + 1, 6)]
+
+
+def random_instances(rng, shapes):
+    """Matrices of each shape with uniform floats, small-integer ties, one
+    repeated cost and -0.0 entries, padded to square as solve pads them;
+    yields (padded, real column count)."""
+    for n, m in shapes:
+        ties = rng.integers(0, 4, size=(n, m)).astype(float)
+        for c in (
+            rng.uniform(0, 10, size=(n, m)),
+            ties,
+            np.full((n, m), 2.0),
+            np.where(ties == 0, -0.0, ties),
+        ):
+            yield padded_like_solve(c), m
 
 
 def reference_numpy_hungarian(cost: np.ndarray):
@@ -180,14 +199,19 @@ def reference_numpy_hungarian(cost: np.ndarray):
     return p[:n], u, v[:n]
 
 
-@pytest.mark.parametrize("sizes", [range(1, 41), [64, 129]], ids=["small", "large"])
-def test_kernel_loop_equals_numpy_reference_bit_for_bit(sizes):
+@pytest.mark.parametrize(
+    "shapes",
+    [tall_wide_square(range(1, 41)), tall_wide_square([64, 129]), TALL],
+    ids=["small", "large", "tall"],
+)
+def test_kernel_loop_equals_numpy_reference_bit_for_bit(shapes):
+    # bytes, not np.array_equal, which takes -0.0 and +0.0 as equal
     rng = np.random.default_rng(2024)
-    for padded in random_instances(rng, sizes):
+    for padded, m in random_instances(rng, shapes):
         want_all = reference_numpy_hungarian(padded)
-        for got, want in zip(_augmenting_hungarian(padded), want_all):
+        for got, want in zip(_augmenting_hungarian(padded, m), want_all):
             assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 def reference_kuhn_augment(r, adj, col_to_row, banned, visited):
@@ -257,7 +281,7 @@ def test_lexicographic_matching_equals_set_copy_reference_on_ties():
         c = rng.integers(0, 3, size=(n, m)).astype(float)
         padded = padded_like_solve(c)
         size = padded.shape[0]
-        col_to_row, u, v = _augmenting_hungarian(padded)
+        col_to_row, u, v = _augmenting_hungarian(padded, m)
         row_to_col = np.empty(size, dtype=np.int64)
         row_to_col[col_to_row] = np.arange(size)
         reduced = padded - u[:, None] - v[None, :]

@@ -611,3 +611,9 @@ def test_cli_bench(tmp_path, capsys):
     assert main(["bench", *_example_files(1), "--repeat", "1"]) == 0
     out = capsys.readouterr().out
     assert "elm:" in out and "greedy:" in out
+
+
+def test_cli_bench_needs_two_inputs(capsys):
+    # one tree has no pair to time; matrix and compare refuse it the same way
+    assert main(["bench", _example_files(1)[0]]) == 2
+    assert "need at least two input trees" in capsys.readouterr().err
