@@ -28,10 +28,12 @@ fills the blocks between its children's runs, exactly L^2 writes.  Cells
 use the smallest unsigned dtype that holds a vertex id: one byte up to 256
 vertices, two up to 65,536, four above.  A query touching an internal
 vertex reads the table at one leaf below each side and keeps the
-shallowest of that LCA and the two query vertices.  There is no size
-cutoff, and the table stays cached on its tree, so a process holds one per
-tree it has queried: 34 MB a tree at L = 4096.  The cache is dropped on
-pickling.
+shallowest of that LCA and the two query vertices.  Blocks over leaves
+alone skip those checks: ``leaf_rows`` checks the vertices and resolves
+their table rows once, and each ``leaf_lcas`` block is two takes on the
+table.  There is no size cutoff, and the table stays cached on its tree, so
+a process holds one per tree it has queried: 34 MB a tree at L = 4096.  The
+cache is dropped on pickling.
 """
 
 from __future__ import annotations
@@ -241,10 +243,7 @@ class MergeTree:
         shape = np.broadcast_shapes(us.shape, vs.shape)
         if 0 in shape:
             return np.zeros(shape, dtype=np.int64)
-        if us.dtype.kind not in "iu" or vs.dtype.kind not in "iu":
-            raise errors.InvalidVertex("vertex ids must be integers")
-        if min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= self.n_vertices:
-            raise errors.InvalidVertex(f"vertex ids must lie in 0..{self.n_vertices - 1}")
+        self._check_ids(us, vs)
         pos, lo, depth, table = self._leaf_table()
         p = pos[us]
         q = pos[vs]
@@ -257,6 +256,31 @@ class MergeTree:
         w = np.where(depth[us] < depth[w], us, w)
         return np.where(depth[vs] < depth[w], vs, w)
 
+    def _check_ids(self, *arrays: np.ndarray) -> None:
+        """Raise InvalidVertex unless every (non-empty) array holds vertex ids."""
+        if any(a.dtype.kind not in "iu" for a in arrays):
+            raise errors.InvalidVertex("vertex ids must be integers")
+        if min(a.min() for a in arrays) < 0 or max(a.max() for a in arrays) >= self.n_vertices:
+            raise errors.InvalidVertex(f"vertex ids must lie in 0..{self.n_vertices - 1}")
+
+    def leaf_rows(self, vs) -> np.ndarray:
+        """The leaf-table rows of the childless vertices ``vs``, checked once
+        here so that :meth:`leaf_lcas` can gather blocks without checks."""
+        vs = np.asarray(vs)
+        if vs.size == 0:
+            return np.zeros(vs.shape, dtype=np.int64)
+        self._check_ids(vs)
+        rows = self._leaf_table()[0][vs]
+        if rows.min() < 0:
+            bad = int(vs.ravel()[np.argmin(rows.ravel())])
+            raise errors.InvalidVertex(f"vertex {bad} is not childless")
+        return rows
+
+    def leaf_lcas(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """LCA ids of leaf-table rows p (one per row) and q (one per column),
+        both from :meth:`leaf_rows`, in the table's own dtype: two takes."""
+        return self._leaf_table()[3].take(p, axis=0).take(q, axis=1)
+
     def path_distance(self, u: int, v: int) -> float:
         """Length of the tree path between u and v under the scalar metric."""
         a = self.lca(u, v)
@@ -268,9 +292,9 @@ class MergeTree:
     def path_distance_many(self, us, vs) -> np.ndarray:
         us = np.asarray(us)
         vs = np.asarray(vs)
-        lcas = self.lca_many(us, vs)
         s = self._scalars
-        return (s[lcas] - s[us]) + (s[lcas] - s[vs])
+        sl = s[self.lca_many(us, vs)]
+        return (sl - s[us]) + (sl - s[vs])
 
     # pickling: drop the cached leaf table (cheap to rebuild, shrinks payloads)
     def __getstate__(self):
@@ -341,11 +365,12 @@ class LabelTable:
 class LabeledMergeTree:
     """A merge tree together with its label table.  Treated as immutable."""
 
-    __slots__ = ("tree", "labels")
+    __slots__ = ("tree", "labels", "_leaf_index")
 
     def __init__(self, tree: MergeTree, labels: LabelTable):
         self.tree = tree
         self.labels = labels
+        self._leaf_index = None
 
     def validate(self) -> None:
         self.tree.validate()
@@ -364,11 +389,26 @@ class LabeledMergeTree:
 
     def leaf_labels(self) -> tuple[int, ...]:
         """Labels sitting on leaves of the tree, in ascending order."""
-        leafset = set(self.tree.leaves)
-        return tuple(l for l, v in self.labels.items() if v in leafset)
+        return self.leaf_index()[0]
+
+    def leaf_index(self) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The leaf labels in ascending order and as a set, found once, as
+        neither the tree nor its labels change."""
+        if self._leaf_index is None:
+            leafset = set(self.tree.leaves)
+            labels = tuple(l for l, v in self.labels.items() if v in leafset)
+            self._leaf_index = labels, frozenset(labels)
+        return self._leaf_index
 
     def vertices_for(self, labels: Sequence[int]) -> np.ndarray:
         return np.asarray([self.labels.vertex_of(l) for l in labels], dtype=np.int64)
+
+    # pickling: drop the cached leaf index, as MergeTree drops its table
+    def __getstate__(self):
+        return self.tree, self.labels
+
+    def __setstate__(self, state):
+        LabeledMergeTree.__init__(self, *state)
 
     def __repr__(self) -> str:
         return f"LabeledMergeTree({self.tree!r}, labels={len(self.labels)})"
@@ -424,8 +464,10 @@ class AgreementInfo:
 def classify_agreement(a: LabeledMergeTree, b: LabeledMergeTree) -> AgreementInfo:
     """Split the two trees' leaf labels into known (shared) and unknown sets,
     each in ascending order: filters keep the order of the leaf labels."""
-    la, lb = a.leaf_labels(), b.leaf_labels()
-    in_a, in_b = set(la), set(lb)
+    (la, in_a), (lb, in_b) = a.leaf_index(), b.leaf_index()
+    if in_a.isdisjoint(in_b):  # nothing shared: every leaf label is unknown
+        case = Agreement.DISAGREEMENT if la or lb else Agreement.FULL
+        return AgreementInfo(case, (), la, lb)
     unknown_a = tuple(l for l in la if l not in in_b)
     unknown_b = tuple(l for l in lb if l not in in_a)
     known = tuple(l for l in la if l in in_b)
@@ -458,13 +500,14 @@ def inf_norm_diff(a: LabeledMatrix, b: LabeledMatrix) -> float:
     Diagonal entries participate.  Raises LabelMismatch unless both matrices
     index the same row and column label sets (any order).
     """
-    if set(a.row_labels) != set(b.row_labels) or set(a.col_labels) != set(
-        b.col_labels
+    same = a.row_labels == b.row_labels and a.col_labels == b.col_labels
+    if not same and (
+        set(a.row_labels) != set(b.row_labels) or set(a.col_labels) != set(b.col_labels)
     ):
         raise errors.LabelMismatch("matrices indexed by different label sets")
     if a.entries.size == 0:
         return 0.0
-    if a.row_labels == b.row_labels and a.col_labels == b.col_labels:
+    if same:
         bb = b.entries
     else:
         ri = [b.row_labels.index(l) for l in a.row_labels]

@@ -51,14 +51,28 @@ step that raises leaves its time to the next.
 
 The known x known block of the LCA-scalar matrices is the same for every
 estimator on a pair, so the pair takes its epsilon once and keeps only that
-float.  Every epsilon gathers just its matched or granted rows against all
-columns (known labels first) and takes the larger of the block's epsilon and
-the rows': the rest of the full block mirrors those rows, and a max does not
-depend on how its entries are grouped.  So these gathers, like the row gaps
-behind the matching and greedy's grants, run in row blocks of at most
-``_BLOCK_CELLS`` cells: no pair holds an n1 x n2 x K tensor.  A result keeps
-the labels and vertices its epsilon was taken over, and gathers its induced
-matrices from them, in sorted label order, only when read.
+float.  Every epsilon gathers just its matched or granted rows against the
+columns up to the diagonal (known labels first) and takes the larger of the
+block's epsilon and the rows': the rest of the full block mirrors those
+cells, and a max does not depend on how its entries are grouped.  Each side's
+leaf-table rows are resolved once per epsilon; a block of rows is then read
+with two takes on the table and compared in square tiles.  These tiles, the
+row gaps behind the matching and the blocks of greedy's grant search each
+hold at most ``_BLOCK_CELLS`` cells (64 KiB of float64) where the inputs
+allow: a row gap block holds at least one row pair, and a grant-search
+block as much as the unmatched leaves' own profiles when those are larger.
+So no pair holds an n1 x n2 x K tensor and, at benchmark sizes, no
+temporary is large enough to be memory-mapped.  A result keeps the labels
+and vertices its epsilon was taken over, and gathers its induced matrices
+from them, in sorted label order, only when read.
+
+Greedy's grant search needs, per unmatched pivot leaf, only the first
+candidate whose profile is closest to the leaf's.  ``_closest_rows``
+brackets every gap through one matrix product per block of candidates, with
+a margin from the floating-point dot-product bound, and recomputes with the
+matching's own subtract-and-einsum arithmetic only the candidates that can
+still be closest.  So the grants keep every bit, and the candidates x labels
+profile matrix is never held whole.
 
 ``oracle_min_objective`` exhaustively minimizes the same objective over every
 trim subset and bijection on small instances, using its own naive traversal
@@ -71,6 +85,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -240,10 +255,10 @@ def pairwise_leaf_distances(lt: LabeledMergeTree, labels: Sequence[int]) -> Labe
     return LabeledMatrix(labels, labels, d)
 
 
-# Cells one row block may hold.  Every benchmark-size gather (122,500 cells
-# at most) fits in one block; a cap of 2**20 let greedy's blocks outgrow its
-# old per-leaf temporaries and raised known_500's peak RSS from 48 to 60 MB.
-_BLOCK_CELLS = 1 << 17
+# Cells one block may hold.  A float64 block is then 64 KiB, under glibc's
+# 128 KiB mmap threshold, so blocks come from the heap and cost no page
+# faults; 1 MiB blocks were mapped and unmapped on every call.
+_BLOCK_CELLS = 1 << 13
 
 
 def _row_blocks(first: int, stop: int, row_cells: int):
@@ -253,12 +268,81 @@ def _row_blocks(first: int, stop: int, row_cells: int):
 
 
 def _row_gaps(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """G(i, j) = || d1[i] - d2[j] ||_2^2 over shared columns, in blocks of d1's rows."""
+    """G(i, j) = || d1[i] - d2[j] ||_2^2 over shared columns, in blocks of
+    d2's rows and d1's rows."""
     out = np.empty((len(d1), len(d2)))
-    for rows in _row_blocks(0, len(d1), d2.size):
-        diff = d1[rows, None, :] - d2[None, :, :]
-        out[rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    k = d1.shape[1]
+    for cols in _row_blocks(0, len(d2), k):
+        for rows in _row_blocks(0, len(d1), (cols.stop - cols.start) * k):
+            diff = d1[rows, None, :] - d2[None, cols, :]
+            out[rows, cols] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
+
+
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _closest_rows(d1: np.ndarray, d2_rows, n2: int) -> np.ndarray:
+    """For each row i of d1, the first j with the least ``_row_gaps(d1,
+    d2)[i, j]``, bit for bit, where ``d2_rows(index)`` returns rows
+    ``index`` (a slice or an index array) of an n2-row d2 never held whole.
+
+    Each gap is first bracketed through a matrix product, per block of d2's
+    rows: G~ = (||a||^2 + ||b||^2) - 2 a.b, +- a margin m.  With K columns,
+    u the unit roundoff and gamma_n = n u / (1 - n u), the subtract-and-
+    einsum gap E is within gamma_{K+2} G <= 2 gamma_{K+2} S of the exact gap
+    G, where S = ||a||^2 + ||b||^2 (a subtraction, then a K-term sum of
+    products), and G~ within 2 gamma_{K+2} S (three K-term sums of products
+    and two roundings; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 3).  The margin is 5 gamma_{K+2} times the
+    computed S: the spare gamma_{K+2} S covers the rounding of S, of m and
+    of the interval ends, and 8 (K + 2) smallest subnormals cover products
+    that underflow.  So E lies in [G~ - m, G~ + m], and every j whose E is
+    least in its row has a lower end at or below the row's least upper end.
+    Those j keep their rows, gathered once, and their exact E picks the
+    first least j.  A block holds at most _BLOCK_CELLS cells, or d1.size
+    when d1 is larger, so d1 is read once per block of at least its rows.
+    """
+    n1, k = d1.shape
+    s1 = np.einsum("ij,ij->i", d1, d1)
+    gamma = (k + 2) * _U / (1 - (k + 2) * _U)
+    tiny = 8 * (k + 2) * _TINY
+    lower = np.empty((n1, n2))
+    least = np.full(n1, np.inf)
+    step = max(1, max(_BLOCK_CELLS, d1.size) // max(k, n1, 1))
+    for block in (slice(lo, min(lo + step, n2)) for lo in range(0, n2, step)):
+        d2 = d2_rows(block)
+        s = s1[:, None] + np.einsum("ij,ij->i", d2, d2)
+        g = s - 2.0 * (d1 @ d2.T)
+        m = s * (5 * gamma) + tiny
+        lower[:, block] = g - m
+        np.minimum(least, (g + m).min(axis=1), out=least)
+    # a NaN least keeps its whole row, and so does a NaN lower end
+    ii, jj = np.nonzero(~(lower > least[:, None]))
+    kept, at = np.unique(jj, return_inverse=True)
+    d2 = d2_rows(kept)
+    gaps = lower  # every lower end has been read
+    gaps.fill(np.inf)
+    for chunk in _row_blocks(0, len(ii), k):
+        diff = d1[ii[chunk]] - d2[at[chunk]]
+        gaps[ii[chunk], jj[chunk]] = np.einsum("ij,ij->i", diff, diff)
+    return np.argmin(gaps, axis=1)
+
+
+def _leaf_distance_rows(tree: MergeTree, rows: np.ndarray, cols: np.ndarray):
+    """``index -> `` path distances from leaves ``rows[index]`` to leaves
+    ``cols``, bit for bit ``tree.path_distance_many``'s, read from the leaf
+    table without per-call checks."""
+    s = tree.scalars
+    p, q = tree.leaf_rows(rows), tree.leaf_rows(cols)
+    s_rows, s_cols = s[rows], s[cols]
+
+    def gather(index) -> np.ndarray:
+        sl = s.take(tree.leaf_lcas(p[index], q))
+        return (sl - s_rows[index, None]) + (sl - s_cols)
+
+    return gather
 
 
 def _row_norm_weights(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -374,11 +458,21 @@ class _Pair:
         return self.info.known + tuple(extra), cols
 
     def _eps_rows(self, labels: tuple[int, ...], cols: Sequence[np.ndarray], first: int) -> float:
-        """Epsilon over rows ``first:`` of the labels x labels block at vertices ``cols``."""
-        eps, trees = 0.0, (self.a.tree, self.b.tree)
-        for rows in _row_blocks(first, len(labels), len(labels)):
-            g = [_lca_scalars(t, v[rows], v) for t, v in zip(trees, cols)]
-            eps = max(eps, inf_norm_diff(*(LabeledMatrix(labels[rows], labels, m) for m in g)))
+        """Epsilon over rows ``first:`` of the symmetric labels x labels block
+        at vertices ``cols``, on and left of its diagonal.  Each block of
+        rows reads both leaf tables once, up to its last row's column, and
+        compares that strip in square tiles of at most _BLOCK_CELLS cells."""
+        side = max(1, math.isqrt(_BLOCK_CELLS))
+        trees = (self.a.tree, self.b.tree)
+        leaf_rows = [t.leaf_rows(v) for t, v in zip(trees, cols)]
+        eps = 0.0
+        for lo in range(first, len(labels), side):
+            hi = min(lo + side, len(labels))
+            strips = [(t.scalars, t.leaf_lcas(r[lo:hi], r[:hi])) for t, r in zip(trees, leaf_rows)]
+            for c in range(0, hi, side):
+                tile = slice(c, min(c + side, hi))
+                g = [LabeledMatrix(labels[lo:hi], labels[tile], s.take(ids[:, tile])) for s, ids in strips]
+                eps = max(eps, inf_norm_diff(*g))
         return eps
 
     @functools.cached_property
@@ -504,13 +598,11 @@ def _greedy(p: _Pair) -> MethodResult:
         # candidate receivers: leaves of the smaller tree, by smallest label
         leaves = set(oth.tree.leaves)
         cand = [v for v in oth.labels.by_vertex if v in leaves]
-        cand_v = np.asarray(cand, dtype=np.int64)
-        ds = oth.tree.path_distance_many(cand_v[:, None], oth_nk[None, :])
+        ds_rows = _leaf_distance_rows(oth.tree, np.asarray(cand, dtype=np.int64), oth_nk)
         um_v = piv.vertices_for(unmatched)
         dmat = piv.tree.path_distance_many(um_v[:, None], piv_nk[None, :])
-        closest = np.argmin(_row_gaps(dmat, ds), axis=1)
-        for label, c in zip(unmatched, closest):
-            grants[label] = oth.labels.labels_of(cand[int(c)])[0]
+        for label, c in zip(unmatched, _closest_rows(dmat, ds_rows, len(cand)).tolist()):
+            grants[label] = oth.labels.labels_of(cand[c])[0]
     return p.result(pairs_ab, unmatched, grants=grants)
 
 

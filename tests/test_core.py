@@ -239,6 +239,19 @@ def test_leaf_table_dtype_and_pickle_round_trip():
     assert big._leaf_lca[3].dtype == np.uint16
 
 
+def test_leaf_labels_found_once_and_never_pickled():
+    tree = MergeTree([3.0, 1.0, 0.0, 0.0, 0.0], [None, 0, 1, 1, 0])
+    lt = LabeledMergeTree(tree, LabelTable({9: 4, 2: 2, 5: 1, 7: 3}))
+    payload = pickle.dumps(lt)
+    assert lt.leaf_labels() == (2, 7, 9)
+    assert lt.leaf_index() == ((2, 7, 9), frozenset({2, 7, 9}))
+    assert lt.leaf_index() is lt.leaf_index()
+    assert pickle.dumps(lt) == payload  # the cached index never travels
+    copy = pickle.loads(payload)
+    assert copy._leaf_index is None
+    assert copy.leaf_labels() == (2, 7, 9)
+
+
 def _bfs_edge_sum(tree: MergeTree, u: int, v: int) -> float:
     # undirected BFS over edges weighted by scalar differences
     adj: dict[int, list[int]] = {x: [] for x in range(tree.n_vertices)}
@@ -294,6 +307,26 @@ def test_invalid_vertex_raises():
         t.lca_many([-2], [3])  # would wrap around to leaf 2
     with pytest.raises(errors.InvalidVertex):
         t.lca_many([9], [3])
+
+
+@pytest.mark.parametrize("which", [*range(3), *LCA_TREES])
+def test_leaf_lcas_equal_lca_many_on_leaf_blocks(which):
+    tree = _lca_tree(which)
+    leaves = np.asarray([v for v in range(tree.n_vertices) if not tree.children(v)])
+    rows = tree.leaf_rows(leaves)
+    got = tree.leaf_lcas(rows[::-1], rows[1:])
+    assert np.array_equal(got, tree.lca_many(leaves[::-1, None], leaves[None, 1:]))
+    assert tree.leaf_rows(leaves[:0]).size == 0
+
+
+def test_leaf_rows_checks_each_vertex_once():
+    t = chain_tree()
+    inner = next(v for v in range(t.n_vertices) if t.children(v))
+    with pytest.raises(errors.InvalidVertex, match="childless"):
+        t.leaf_rows([t.leaves[0], inner])
+    for bad in ([-1], [t.n_vertices], [0.5]):
+        with pytest.raises(errors.InvalidVertex):
+            t.leaf_rows(bad)
 
 
 def test_vertex_ids_must_be_integers():
@@ -404,6 +437,12 @@ def test_inf_norm_label_mismatch():
     b = LabeledMatrix((2,), (2,), np.zeros((1, 1)))
     with pytest.raises(errors.LabelMismatch):
         inf_norm_diff(a, b)
+    # the label sets are checked even when there is no entry to compare
+    empty_a = LabeledMatrix((), (1,), np.zeros((0, 1)))
+    empty_b = LabeledMatrix((), (2,), np.zeros((0, 1)))
+    with pytest.raises(errors.LabelMismatch):
+        inf_norm_diff(empty_a, empty_b)
+    assert inf_norm_diff(empty_a, empty_a) == 0.0
 
 
 # -- agreement classification --------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -537,22 +538,27 @@ _PARTIAL_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("index", range(len(_PARTIAL_PAIRS)))
-def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypatch):
-    """Per side: K^2 cells for the known block, X * (K + X) for the X
-    matched or granted labels' rows; never the full (K + X)^2 block."""
-    a, b = _PARTIAL_PAIRS[index]
-    info = classify_agreement(a, b)
-    assert a.tree is not b.tree
-    cells: dict[int, int] = {}
-    inside = []
-    lca_many, induced = MergeTree.lca_many, methods._Pair.induced
+def _strip_cells(first: int, n: int, cap: int) -> int:
+    """Cells ``_Pair._eps_rows`` gathers for rows first..n of a symmetric
+    n x n block: every block of rows up to its last row's column, that is
+    the triangle on and left of the diagonal plus each block's own overlap
+    past the diagonal."""
+    side = max(1, math.isqrt(cap))
+    triangle = sum(i + 1 for i in range(first, n))
+    heights = [min(side, n - lo) for lo in range(first, n, side)]
+    return triangle + sum(h * (h - 1) // 2 for h in heights)
 
-    def counting_lca_many(tree, us, vs):
+
+def _spy_inside_induced(monkeypatch, record):
+    """Call ``record(tree, p, q)`` on each leaf-table gather made inside
+    ``_Pair.induced`` (and so inside its known block's epsilon)."""
+    inside = []
+    leaf_lcas, induced = MergeTree.leaf_lcas, methods._Pair.induced
+
+    def recording_leaf_lcas(tree, p, q):
         if inside:
-            size = np.broadcast(np.asarray(us), np.asarray(vs)).size
-            cells[id(tree)] = cells.get(id(tree), 0) + size
-        return lca_many(tree, us, vs)
+            record(tree, p, q)
+        return leaf_lcas(tree, p, q)
 
     def flagged_induced(pair, extra):
         inside.append(True)
@@ -561,15 +567,38 @@ def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypat
         finally:
             inside.pop()
 
-    monkeypatch.setattr(MergeTree, "lca_many", counting_lca_many)
+    monkeypatch.setattr(MergeTree, "leaf_lcas", recording_leaf_lcas)
     monkeypatch.setattr(methods._Pair, "induced", flagged_induced)
+    return inside
+
+
+@pytest.mark.parametrize("index", range(len(_PARTIAL_PAIRS)))
+def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypatch):
+    """Per side: the known block's triangle once, then the X matched or
+    granted labels' rows up to the diagonal, each plus its tile overlap;
+    never the full (K + X)^2 block, nor the K^2 + X (K + X) cells of a
+    gather of whole rows."""
+    a, b = _PARTIAL_PAIRS[index]
+    info = classify_agreement(a, b)
+    assert a.tree is not b.tree
+    cells: dict[int, int] = {}
+
+    def count(tree, p, q):
+        cells[id(tree)] = cells.get(id(tree), 0) + len(p) * len(q)
+
+    _spy_inside_induced(monkeypatch, count)
     k = len(info.known)
-    for m in harness.PAIR_STEPS:
-        cells.clear()
-        r = harness.METHODS[m](a, b)
-        x = len(r.relabeling) + len(r.assigned_labels)
-        want = k * k + x * (k + x)
-        assert cells == {id(a.tree): want, id(b.tree): want}
+    for cap in (1, 5, methods._BLOCK_CELLS):
+        monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
+        for m in harness.PAIR_STEPS:
+            cells.clear()
+            r = harness.METHODS[m](a, b)
+            x = len(r.relabeling) + len(r.assigned_labels)
+            want = _strip_cells(0, k, cap) + _strip_cells(k, k + x, cap)
+            assert cells == {id(a.tree): want, id(b.tree): want}
+            assert want <= k * k + x * (k + x)
+            if cap == 1:  # one-cell tiles: exactly the triangle
+                assert want == (k + x) * (k + x + 1) // 2
 
 
 def test_each_record_times_only_its_own_step(monkeypatch):
@@ -653,7 +682,7 @@ def _gap_inputs():
             yield (rng.normal(size=(n, k)) * 10.0 for n in (n1, n2))
 
 
-@pytest.mark.parametrize("cap", [1, 7, methods._BLOCK_CELLS])
+@pytest.mark.parametrize("cap", [1, 7, methods._BLOCK_CELLS, 1 << 17])
 def test_row_gaps_equal_broadcast_and_per_leaf_argmin(cap, monkeypatch):
     monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
     for d1, d2 in _gap_inputs():
@@ -662,38 +691,154 @@ def test_row_gaps_equal_broadcast_and_per_leaf_argmin(cap, monkeypatch):
         assert np.argmin(got, axis=1).tolist() == _closest_per_leaf(d1, d2)
 
 
+def _tie_inputs():
+    """Shapes made of ties.  Candidates repeat a few profiles, and some
+    unmatched rows repeat a candidate (gap 0).  Then candidates that are
+    permutations of one random row against constant rows: their exact gaps
+    tie, but each float form rounds them its own way, so a filter without
+    its margin drops the row's first least candidate."""
+    rng = np.random.default_rng(11)
+    for n1, n2, k in [(1, 1, 1), (3, 40, 7), (12, 90, 30), (4, 200, 3), (20, 64, 120)]:
+        profiles = rng.normal(size=(max(1, n2 // 8), k)) * 5.0
+        ds = profiles[rng.integers(0, len(profiles), n2)]
+        dmat = np.concatenate((rng.normal(size=(n1, k)) * 5.0, ds[rng.integers(0, n2, n1)]))
+        yield dmat, ds
+    for n1, n2, k in [(2, 30, 5), (6, 120, 16), (10, 256, 41)]:
+        base = rng.normal(size=k) * 3.0 + 1.0
+        ds = np.stack([rng.permutation(base) for _ in range(n2)])
+        dmat = np.repeat(rng.normal(size=(n1, 1)) * 2.0, k, axis=1)
+        yield dmat, ds
+
+
+@pytest.mark.parametrize("cap", [1, 5, methods._BLOCK_CELLS])
+def test_closest_rows_equal_row_gaps_argmin(cap, monkeypatch):
+    """Greedy's receivers through the product filter are the first-index
+    argmin of the exact row gaps, on random and on tie-heavy shapes."""
+    monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
+    ties = 0
+    for dmat, ds in [*_gap_inputs(), *_tie_inputs()]:
+        gaps = methods._row_gaps(dmat, ds)
+        got = methods._closest_rows(dmat, lambda index: ds[index], len(ds))
+        assert got.tolist() == np.argmin(gaps, axis=1).tolist()
+        ties += int(np.sum(gaps == gaps.min(axis=1, keepdims=True)) > len(gaps))
+    assert ties >= 4
+
+
+def _reference_grants(a, b) -> dict[int, int]:
+    """greedy's grants as taken before the filter: the whole candidates x
+    labels profile matrix, and the argmin of its row gaps."""
+    p = methods._Pair(a, b)
+    pairs_ab, unmatched = p.match(p.piv_unknown)
+    labels, cols = p.columns(pairs_ab)
+    newly = np.argsort(np.asarray(labels, dtype=np.int64))
+    piv_nk, oth_nk = (c[newly] for c in (cols if p.pivot_is_a else cols[::-1]))
+    leaves = set(p.oth.tree.leaves)
+    cand = [v for v in p.oth.labels.by_vertex if v in leaves]
+    cand_v = np.asarray(cand, dtype=np.int64)
+    ds = p.oth.tree.path_distance_many(cand_v[:, None], oth_nk[None, :])
+    um_v = p.piv.vertices_for(unmatched)
+    dmat = p.piv.tree.path_distance_many(um_v[:, None], piv_nk[None, :])
+    closest = np.argmin(methods._row_gaps(dmat, ds), axis=1)
+    return {label: p.oth.labels.labels_of(cand[int(c)])[0] for label, c in zip(unmatched, closest)}
+
+
+def _sibling_tree(groups) -> LabeledMergeTree:
+    """Root at 10, one vertex per group at its scalar, and below it one leaf
+    per (label, scalar): equal scalars make equal-scalar siblings."""
+    scalars, parents, labels = [10.0], [None], {}
+    for height, leaves in groups:
+        scalars.append(height)
+        parents.append(0)
+        top = len(scalars) - 1
+        for label, leaf_scalar in leaves:
+            labels[label] = len(scalars)
+            scalars.append(leaf_scalar)
+            parents.append(top)
+    lt = LabeledMergeTree(MergeTree(scalars, parents), LabelTable(labels))
+    lt.validate()
+    return lt
+
+
+def _sibling_pairs():
+    """The smaller tree holds groups of equal-scalar sibling leaves, so
+    several candidates tie on an unmatched leaf's gap and the lowest label
+    must win."""
+    b = _sibling_tree(
+        [(6.0, [(1, 1.0), (2, 1.0), (3, 1.0), (200, 1.0)]), (7.0, [(4, 2.0), (5, 2.0), (201, 2.0)])]
+    )
+    a = _sibling_tree(
+        [
+            (5.0, [(1, 1.0), (3, 1.0), (100, 1.0), (101, 1.0)]),
+            (8.0, [(2, 0.5), (4, 2.0), (102, 2.0), (103, 0.5)]),
+            (9.0, [(5, 2.0), (104, 1.0), (105, 2.0)]),
+        ]
+    )
+    return [(a, b), (b, a)]
+
+
+@pytest.mark.parametrize("cap", [1, 5, methods._BLOCK_CELLS])
+def test_greedy_grants_equal_the_whole_profile_argmin(cap, monkeypatch):
+    monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
+    pairs = [random_pair(seed, max_vertices=41) for seed in range(12)] + _sibling_pairs()
+    granted = 0
+    for a, b in pairs:
+        if classify_agreement(a, b).case is Agreement.PARTIAL:
+            got = greedy_distance(a, b).assigned_labels
+            assert got == _reference_grants(a, b)
+            granted += len(got)
+    assert granted >= 20
+    # 101's gaps tie at candidates 1, 3 and 200, and 103's at 4 and 201:
+    # the first candidate in label order wins each tie
+    for a, b in _sibling_pairs():
+        assert greedy_distance(a, b).assigned_labels == {101: 1, 103: 4, 104: 5, 105: 5}
+
+
 @pytest.mark.parametrize("cap", [1, 5])
 def test_blocked_epsilon_keeps_every_result(cap, monkeypatch):
-    """Capped row blocks change no result, and no gather inside
-    ``_Pair.induced`` covers more than the cap or one row."""
+    """Capped blocks change no result.  Inside ``_Pair.induced`` no
+    leaf-table strip spans more rows than a tile side, and no tile that
+    reaches ``inf_norm_diff`` holds more than the cap."""
     pairs = _shared_eps_pairs()
     steps = harness.PAIR_STEPS
     want = [{m: _run(step, methods._Pair(a, b)) for m, step in steps.items()} for a, b in pairs]
-    sizes, inside = [], []
-    lca_many, induced = MergeTree.lca_many, methods._Pair.induced
+    strips, tiles = [], []
+    inside = _spy_inside_induced(monkeypatch, lambda tree, p, q: strips.append(len(p)))
 
-    def recording_lca_many(tree, us, vs):
+    def recording_inf_norm_diff(x, y):
         if inside:
-            size = np.broadcast(np.asarray(us), np.asarray(vs)).size
-            sizes.append((size, np.asarray(vs).size))
-        return lca_many(tree, us, vs)
-
-    def flagged_induced(pair, extra):
-        inside.append(True)
-        try:
-            return induced(pair, extra)
-        finally:
-            inside.pop()
+            tiles.append(x.entries.size)
+        return inf_norm_diff(x, y)
 
     monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
-    monkeypatch.setattr(MergeTree, "lca_many", recording_lca_many)
-    monkeypatch.setattr(methods._Pair, "induced", flagged_induced)
+    monkeypatch.setattr(methods, "inf_norm_diff", recording_inf_norm_diff)
     for (a, b), expected in zip(pairs, want):
         pair = methods._Pair(a, b)
         for m, step in steps.items():
             _assert_same(_run(step, pair), expected[m])
-    assert sizes
-    assert all(size <= max(cap, row) for size, row in sizes)
+    assert strips and tiles
+    assert max(strips) <= math.isqrt(cap)
+    assert max(tiles) <= cap
+
+
+def test_lone_calls_on_a_known_500_pair_allocate_little(tmp_path):
+    """On a benchmark-size fully labeled pair (227 shared labels, 20 against
+    3 unknowns, 17 grants), every block is a few tens of KiB: a lone elm or
+    mmb call peaks under 512 KiB under tracemalloc, and greedy under
+    768 KiB.  With 1 MiB blocks and greedy's whole candidates x labels
+    profile matrix they took 1,445 and 2,474 KiB."""
+    files = harness.cmd_gen(tmp_path, max_vertices=500, count=6, label_fraction=1.0, seed=0)
+    a, b = (read_mtree_file(files[i]) for i in (1, 2))
+    for lt in (a, b):
+        lt.tree._leaf_table()
+    for estimator, bound in ((elm_distance, 512), (mmb_distance, 512), (greedy_distance, 768)):
+        tracemalloc.start()
+        try:
+            r = estimator(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**10, estimator.__name__
+    assert len(r.assigned_labels) == 17
 
 
 def test_elm_on_large_trees_holds_no_pair_sized_tensor(tmp_path):
