@@ -16,17 +16,17 @@ padded sizes of about 160 and above, which no workload reaches.
 Determinism: among matchings of optimal total cost, the returned pair list is
 the lexicographically smallest by (row, col).  After the primal solve, the
 zero-reduced-cost subgraph (every perfect matching inside it is optimal) is
-canonicalized row by row, choosing the smallest column that still leaves the
-remaining rows perfectly matchable.  Ties are detected within a small
+canonicalized row by row: each row takes the smallest column that leaves the
+later rows perfectly matchable.  That matching is unique, so the order in
+which the pass searches for it is free.  Ties are detected within a small
 relative tolerance; if the canonical pass would increase the summed cost at
 all, the solver's own matching is kept.
 
-So the returned matching can depend on the solver's own matching and
-potentials, down to the last bit: they decide which edges are tight, and
-the guard falls back to the solver's matching.  The loop therefore returns
+So the returned matching can depend, down to the last bit, on the solver's
+own matching and potentials: they decide which edges are tight, and the
+guard falls back to the solver's matching.  The kernel therefore returns
 potentials byte-identical to the numpy loop it replaced (kept in the tests
-as the reference): it leaves out only operations that are exact no-ops, and
-any change to a bit can change distances and the reference digests.
+as the reference), leaving out only operations that are exact no-ops.
 """
 
 from __future__ import annotations
@@ -116,64 +116,42 @@ def _lexicographic_matching(adj: list[list[int]], row_to_col: np.ndarray) -> np.
     """Lexicographically smallest perfect matching within the tight subgraph.
 
     Starts from a known perfect matching and fixes rows in ascending order.
-    To try a smaller column c for row i, row i takes c and c's owner looks
-    for an augmenting path back to i's old column: depth-first, each row's
-    columns in adjacency order, never through c or a fixed column, visiting
-    each column once per attempt.  Iterative, so path length is not bounded
-    by the interpreter's recursion limit.
+    Row i tries its unfixed columns c below its own column mi in adjacency
+    order: a breadth-first search from c over unfixed columns, in which each
+    reached column's owner may move to any of its columns, looks for mi.  If
+    it gets there, the owners shift one step along the path and i takes c.
     """
     n = len(adj)
     match = row_to_col.tolist()
-    col_to_row = [0] * n
-    for i, c in enumerate(match):
-        col_to_row[c] = i
-    # mark[c] == attempt: c is the column being tried or already visited in
-    # this attempt; mark[c] == fixed: c belongs to an earlier row for good.
-    # There is at most one attempt per edge, so fixed exceeds every attempt.
-    fixed = n * n + 1
-    mark = [0] * n
-    attempt = 0
+    owner = np.argsort(row_to_col).tolist()  # owner[c] = the row matched to c
+    fixed = [False] * n
     for i in range(n):
         mi = match[i]
         for c in adj[i]:
-            if mark[c] == fixed:
-                continue
             if c == mi:
                 break
-            attempt += 1
-            mark[c] = attempt
-            owner = col_to_row[c]
-            col_to_row[mi] = -1
-            rows, cols = [owner], []  # cols[k] leads from rows[k] to rows[k + 1]
-            todo = [iter(adj[owner])]
-            found = False
-            while todo and not found:
-                for cc in todo[-1]:
-                    if mark[cc] >= attempt:
-                        continue
-                    mark[cc] = attempt
-                    cols.append(cc)
-                    nxt = col_to_row[cc]
-                    if nxt == -1:
-                        found = True
-                    else:
-                        rows.append(nxt)
-                        todo.append(iter(adj[nxt]))
+            if fixed[c]:
+                continue
+            came = {c: c}  # came[y] = the column whose owner moves to y
+            queue = [c]
+            for x in queue:
+                for y in adj[owner[x]]:
+                    if y not in came and not fixed[y]:
+                        came[y] = x
+                        queue.append(y)
+                if mi in came:
                     break
-                else:  # rows[-1] is a dead end: back up to its parent's next column
-                    todo.pop()
-                    rows.pop()
-                    if cols:
-                        cols.pop()
-            if found:
-                col_to_row[c] = i
-                match[i] = c
-                for row, col in zip(rows, cols):
-                    col_to_row[col] = row
-                    match[row] = col
-                break
-            col_to_row[mi] = i
-        mark[match[i]] = fixed
+            else:
+                continue
+            y = mi
+            while y != c:
+                x = came[y]
+                owner[y] = owner[x]
+                match[owner[y]] = y
+                y = x
+            match[i], owner[c] = c, i
+            break
+        fixed[match[i]] = True
     return np.array(match, dtype=np.int64)
 
 
@@ -198,7 +176,7 @@ def solve(cost) -> Assignment:
         raise errors.NonFiniteCost("cost matrix contains NaN or infinite entries")
 
     size = max(n, m)
-    max_entry = float(c.max()) if c.size else 0.0
+    max_entry = float(c.max())
     sentinel = size * max(max_entry, 0.0) + 1.0
     # the potentials move by up to size * spread of the padded matrix
     if not np.isfinite(size * (sentinel - min(float(c.min()), 0.0))):
@@ -207,8 +185,7 @@ def solve(cost) -> Assignment:
     padded[:n, :m] = c
 
     col_to_row, u, v = _augmenting_hungarian(padded, m)
-    row_to_col = np.empty(size, dtype=np.int64)
-    row_to_col[col_to_row] = np.arange(size)
+    row_to_col = np.argsort(col_to_row)  # the inverse permutation
 
     reduced = padded - u[:, None] - v[None, :]
     matched_slack = float(np.abs(reduced[np.arange(size), row_to_col]).max())
@@ -228,17 +205,13 @@ def solve(cost) -> Assignment:
     if canon_cost > base_cost:  # tolerance admitted a worse edge; keep the optimum
         canonical = row_to_col
 
-    pairs = tuple(
-        (i, int(canonical[i]))
-        for i in range(n)
-        if canonical[i] < m
-    )
-    matched_rows = {i for i, _ in pairs}
-    matched_cols = {j for _, j in pairs}
-    total = float(sum(c[i, j] for i, j in pairs))
-    return Assignment(
-        pairs=pairs,
-        total_cost=total,
-        unmatched_rows=tuple(i for i in range(n) if i not in matched_rows),
-        unmatched_cols=tuple(j for j in range(m) if j not in matched_cols),
-    )
+    pairs, unmatched_rows, total = [], [], 0.0
+    for i, (j, row) in enumerate(zip(canonical[:n].tolist(), c.tolist())):
+        if j < m:
+            pairs.append((i, j))
+            total += row[j]
+        else:
+            unmatched_rows.append(i)
+    # every real column a real row leaves is matched to a padding row
+    unmatched_cols = sorted(j for j in canonical[n:].tolist() if j < m)
+    return Assignment(tuple(pairs), total, tuple(unmatched_rows), tuple(unmatched_cols))

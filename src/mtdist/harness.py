@@ -250,6 +250,8 @@ def cmd_gen(
 ) -> list[Path]:
     """Generate an ensemble, write one mtree file per member plus a manifest."""
     if preset is not None:
+        if max_vertices is not None:
+            raise errors.ValidationError("give a preset or a max vertex count, not both")
         if preset not in PRESETS:
             raise errors.ValidationError(
                 f"unknown preset {preset!r}; pick one of {sorted(PRESETS)}"

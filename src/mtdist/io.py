@@ -267,9 +267,10 @@ class DistanceMatrix:
         v = self.values
         finite = np.isfinite(v)
         sym = finite & finite.T
-        if np.any(np.abs(v - v.T)[sym] > 1e-9):
+        nan = np.isnan(v)  # a failed pair is NaN on both sides
+        if np.any(nan != nan.T) or np.any(np.abs(v - v.T)[sym] > 1e-9):
             raise errors.ValidationError("matrix is not symmetric")
-        if np.any(np.abs(np.diag(v)) > 1e-9):
+        if not np.all(np.abs(np.diag(v)) <= 1e-9):
             raise errors.ValidationError("diagonal is not zero")
 
 

@@ -294,6 +294,21 @@ def test_lexicographic_matching_equals_set_copy_reference_on_ties():
         assert np.array_equal(got, want)
         rerouted += not np.array_equal(got, row_to_col)
     assert rerouted > 100
+    # random tight graphs around a permuted start matching, from sparse to
+    # dense: columns fixed by earlier rows often sit on the only short route
+    # back to a later row's column, so a search through them goes astray
+    for _ in range(3000):
+        n = int(rng.integers(1, 13))
+        row_to_col = rng.permutation(n)
+        edges = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+        edges[np.arange(n), row_to_col] = True
+        adj = [np.flatnonzero(edges[i]).tolist() for i in range(n)]
+        got = _lexicographic_matching(adj, row_to_col)
+        want = reference_lexicographic_matching(adj, row_to_col)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        rerouted += not np.array_equal(got, row_to_col)
+    assert rerouted > 2000
 
 
 def test_lexicographic_matching_long_augmenting_path():

@@ -71,6 +71,13 @@ def test_gen_needs_size(tmp_path):
         cmd_gen(tmp_path)
 
 
+def test_gen_refuses_preset_with_max_vertices(tmp_path):
+    # the preset fixes the size, so a second size would be silently dropped
+    with pytest.raises(errors.ValidationError, match="not both"):
+        cmd_gen(tmp_path, preset="random_50", max_vertices=500)
+    assert not list(tmp_path.iterdir())
+
+
 # -- dist ------------------------------------------------------------------------
 
 
@@ -578,6 +585,14 @@ def test_cli_gen_and_compare_roundtrip(tmp_path, capsys):
     assert main(["compare", *inputs, "--out", str(tmp_path / "cmp")]) == 0
     out = capsys.readouterr().out
     assert "counts (% of greedy-comparable pairs)" in out
+
+
+def test_cli_gen_refuses_preset_with_max_vertices(tmp_path, capsys):
+    out = tmp_path / "trees"
+    assert main(["gen", "--preset", "random_50", "--max-vertices", "500",
+                 "--out", str(out)]) == 2
+    assert "not both" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_respects_mt_workers_env(small_ensemble, tmp_path, monkeypatch, capsys):

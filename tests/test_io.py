@@ -401,8 +401,17 @@ def test_matrix_checks():
     good = DistanceMatrix(("a", "b"), np.array([[0.0, 2.0], [2.0, 0.0]]))
     good.check()
     lopsided = DistanceMatrix(("a", "b"), np.array([[0.0, 2.0], [1.0, 0.0]]))
-    with pytest.raises(errors.ValidationError):
+    with pytest.raises(errors.ValidationError, match="not symmetric"):
         lopsided.check()
+    # a failed pair is NaN in both of its cells; NaN against a number is not
+    failed = DistanceMatrix(("a", "b"), np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    failed.check()
+    half_failed = DistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [np.nan, 0.0]]))
+    with pytest.raises(errors.ValidationError, match="not symmetric"):
+        half_failed.check()
+    nan_diagonal = DistanceMatrix(("a", "b"), np.array([[np.nan, 2.0], [2.0, 0.0]]))
+    with pytest.raises(errors.ValidationError, match="diagonal"):
+        nan_diagonal.check()
 
 
 def test_heatmap_p6_header_and_uniform(tmp_path):
