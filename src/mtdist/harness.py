@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import pickle
 import platform
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -131,8 +130,9 @@ def load_corpus(paths: Sequence[str | Path]) -> list[tuple[str, LabeledMergeTree
 
 # -- pair evaluation ----------------------------------------------------------
 
-# Workers (and the serial loop) find the corpus here; the serial loop clears
-# it on the way out so the trees and their leaf tables do not outlive a call.
+# The corpus, set by _pool_init for the serial loop and each worker (a forked
+# worker inherits the parent's trees, a spawned one unpickles the pool's copy)
+# and cleared on the way out, so trees and leaf tables do not outlive a call.
 _POOL_STATE: dict = {}
 
 # The estimators the comparison runs on one shared pair context, in this
@@ -145,8 +145,8 @@ PAIR_STEPS: dict[str, Callable[[methods._Pair], methods.MethodResult]] = {
 }
 
 
-def _pool_init(blob: bytes) -> None:
-    _POOL_STATE["trees"] = pickle.loads(blob)
+def _pool_init(trees: list[LabeledMergeTree]) -> None:
+    _POOL_STATE["trees"] = trees
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -160,17 +160,16 @@ def _map_pairs(fn, trees: list[LabeledMergeTree], workers: int) -> list:
     tasks = _pairs(len(trees))
     # the pool forks all its workers at once, so one per pair at most
     workers = min(workers, len(tasks))
-    if workers > 1:
-        blob = pickle.dumps(trees)
-        # chunks of up to 8 pairs, but about four per worker on a small
-        # corpus, so its few pairs still spread over the workers
-        chunk = max(1, min(8, len(tasks) // (4 * workers)))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(blob,)
-        ) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunk))
-    _POOL_STATE["trees"] = trees
+    _pool_init(trees)
     try:
+        if workers > 1:
+            # chunks of up to 8 pairs, but about four per worker on a small
+            # corpus, so its few pairs still spread over the workers
+            chunk = max(1, min(8, len(tasks) // (4 * workers)))
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_pool_init, initargs=(trees,)
+            ) as pool:
+                return list(pool.map(fn, tasks, chunksize=chunk))
         return [fn(task) for task in tasks]
     finally:
         _POOL_STATE.pop("trees", None)

@@ -31,7 +31,7 @@ value is smaller, yellow where larger, gray where equal; NaN cells are red.
 
 from __future__ import annotations
 
-import math
+import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -265,47 +265,50 @@ class DistanceMatrix:
 
     def check(self) -> None:
         v = self.values
-        finite = np.isfinite(v)
-        sym = finite & finite.T
-        nan = np.isnan(v)  # a failed pair is NaN on both sides
-        if np.any(nan != nan.T) or np.any(np.abs(v - v.T)[sym] > 1e-9):
+        # a failed pair is NaN on both sides; an infinity matches only itself
+        if not np.isclose(v, v.T, rtol=0.0, atol=1e-9, equal_nan=True).all():
             raise errors.ValidationError("matrix is not symmetric")
         if not np.all(np.abs(np.diag(v)) <= 1e-9):
             raise errors.ValidationError("diagonal is not zero")
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return repr(float(x))
+def _quote(cell: str) -> str:
+    """``cell`` as an RFC 4180 field, quoted only if it holds a comma, a quote
+    or a line break (the csv module's writer misses a bare CR under LF ends)."""
+    return '"' + cell.replace('"', '""') + '"' if set(cell) & set(',"\r\n') else cell
 
 
 def write_matrix_csv(matrix: DistanceMatrix, path) -> None:
     """Bit-stable CSV: header 'id,<members>' ('id' alone for no members);
-    one row per member."""
-    lines = [",".join(("id",) + matrix.member_ids)]
-    for mid, row in zip(matrix.member_ids, matrix.values):
-        lines.append(mid + "," + ",".join(_fmt(x) for x in row))
+    one row per member, each value its float's repr."""
+    ids = [_quote(mid) for mid in matrix.member_ids]
+    lines = [",".join(["id"] + ids)]
+    for mid, row in zip(ids, matrix.values):
+        lines.append(",".join([mid] + [repr(x) for x in row.tolist()]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_matrix_csv(path) -> DistanceMatrix:
-    """Inverse of :func:`write_matrix_csv`; each row must start with the
-    member id the header lists at its position and hold one number per
-    member, and there is one row per member."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
+    """Inverse of :func:`write_matrix_csv`, through the csv module; each row
+    must start with the member id the header lists at its position and hold
+    one number per member, and there is one row per member.  An error names
+    the physical line on which its record ends."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f, strict=True)
+        try:
+            records = [(reader.line_num, cells) for cells in reader]
+        except csv.Error as exc:
+            raise errors.MtreeSyntaxError(reader.line_num, f"bad CSV: {exc}") from None
+    if not records:
         raise errors.MtreeSyntaxError(1, "empty matrix file")
-    header = lines[0].split(",")
-    if header[0] != "id":
+    if records[0][1][:1] != ["id"]:
         raise errors.MtreeSyntaxError(1, "expected 'id' corner cell")
-    ids = tuple(header[1:])
+    ids = tuple(records[0][1][1:])
     rows = []
-    for line_no, (mid, line) in enumerate(zip(ids, lines[1:]), start=2):
-        cells = line.split(",")
-        if cells[0] != mid:
+    for mid, (line_no, cells) in zip(ids, records[1:]):
+        if cells[:1] != [mid]:
             raise errors.MtreeSyntaxError(
-                line_no, f"row id {cells[0]!r} where the header puts {mid!r}"
+                line_no, f"row id {(cells or [''])[0]!r} where the header puts {mid!r}"
             )
         if len(cells) != len(ids) + 1:
             raise errors.MtreeSyntaxError(
@@ -315,10 +318,9 @@ def read_matrix_csv(path) -> DistanceMatrix:
             rows.append([float(x) for x in cells[1:]])
         except ValueError:
             raise errors.MtreeSyntaxError(line_no, "non-numeric matrix cell") from None
-    if len(lines) != len(ids) + 1:
-        raise errors.MtreeSyntaxError(
-            len(rows) + 2, f"{len(lines) - 1} rows where the header lists {len(ids)} members"
-        )
+    if len(records) != len(ids) + 1:
+        msg = f"{len(records) - 1} rows where the header lists {len(ids)} members"
+        raise errors.MtreeSyntaxError(records[len(rows)][0] + 1, msg)
     return DistanceMatrix(ids, np.asarray(rows, dtype=np.float64).reshape(len(ids), len(ids)))
 
 

@@ -27,7 +27,11 @@ Bipartite edge weights follow the agreement case: with shared labels, rows of
 the unknown-to-known distance matrices are compared (||D1(i) - D2(j)||_2);
 with fully disjoint labels there is no shared column space, so row norms of
 the per-tree pairwise leaf distance matrices are compared instead
-(| ||D1(i)||_2 - ||D2(j)||_2 |).
+(| ||D1(i)||_2 - ||D2(j)||_2 |).  Their public helpers,
+``unknown_to_known_distances`` and ``pairwise_leaf_distances``, alone call
+``path_distance_many`` and so ``lca_many``; every other read of the trees (S,
+delta, epsilon, induced matrices, greedy's profiles) takes leaf-table cells
+through ``leaf_rows`` and ``leaf_lcas``.
 
 All three run on one private pair context, ``_Pair``: it holds the label
 split, the pivot and the unknown lists, and owns the steps the estimators
@@ -201,8 +205,8 @@ def _require_leaves(lt: LabeledMergeTree, labels: Sequence[int]) -> np.ndarray:
 
 
 def _lca_scalars(tree: MergeTree, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entry (i, j) = scalar(lca(rows[i], cols[j]))."""
-    return tree.scalars[tree.lca_many(rows[:, None], cols[None, :])]
+    """Entry (i, j) = scalar(lca(rows[i], cols[j])) of leaves, from the leaf table."""
+    return tree.scalars.take(tree.leaf_lcas(tree.leaf_rows(rows), tree.leaf_rows(cols)))
 
 
 def _merge_heights(lt: LabeledMergeTree, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -362,17 +366,13 @@ def _pivot_is_a(info: AgreementInfo) -> bool:
     return info.unknown_a < info.unknown_b
 
 
-def _delta_map(
-    pivot: LabeledMergeTree, removed: Sequence[int], leaf_labels: Sequence[int]
-) -> dict[int, float]:
+def _delta_map(pivot: LabeledMergeTree, removed: Sequence[int]) -> dict[int, float]:
     """Merge height of each removed leaf above the nearest surviving leaf."""
     if not removed:
         return {}
     removed_set = set(removed)
-    survivors = [l for l in leaf_labels if l not in removed_set]
-    rows = pivot.vertices_for(removed)
-    cols = pivot.vertices_for(survivors)
-    heights = _merge_heights(pivot, rows, cols)
+    survivors = [l for l in pivot.leaf_labels() if l not in removed_set]
+    heights = _merge_heights(pivot, pivot.vertices_for(removed), pivot.vertices_for(survivors))
     return {label: float(h.min()) for label, h in zip(removed, heights)}
 
 
@@ -385,9 +385,8 @@ def _check_leaves_for_disagreement(a, b, info):
 
 class _Pair:
     """The work every estimator shares for one (a, b) pair: the label split,
-    the pivot and its counterpart, their unknown labels, the pivot's leaf
-    labels, the matching, the epsilon of the known x known block, and the
-    result record."""
+    the pivot and its counterpart, their unknown labels, the matching, the
+    epsilon of the known x known block, and the result record."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self._lap = perf_counter()  # the set-up goes to the first record
@@ -431,10 +430,6 @@ class _Pair:
         if not self.pivot_is_a:
             pairs = [(o, p) for p, o in pairs]
         return tuple(pairs), tuple(piv_rows[i] for i in asn.unmatched_rows)
-
-    @functools.cached_property
-    def piv_leaf_labels(self) -> tuple[int, ...]:
-        return self.piv.leaf_labels()
 
     @functools.cached_property
     def _known_vertices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -501,7 +496,7 @@ class _Pair:
         the set-up.  Every unmatched pivot label without a grant pays delta."""
         grants, unmatched_piv = dict(grants or {}), tuple(unmatched_piv)
         removed = [l for l in unmatched_piv if l not in grants]
-        deltas = _delta_map(self.piv, removed, self.piv_leaf_labels)
+        deltas = _delta_map(self.piv, removed)
         eps, unified = self.induced(self.columns(pairs_ab, grants))
         now = perf_counter()
         wall_time, self._lap = now - self._lap, now
@@ -571,7 +566,7 @@ def _elm(p: _Pair) -> MethodResult:
     k = len(p.piv_unknown) - len(p.oth_unknown)
     trimmed = ()
     if k:  # with nothing to trim, S would rank rows for nothing
-        trimmed = select_trim(build_s_matrix(p.piv, p.piv_unknown, p.piv_leaf_labels), k)
+        trimmed = select_trim(build_s_matrix(p.piv, p.piv_unknown, p.piv.leaf_labels()), k)
     cut = set(trimmed)
     pairs_ab, _ = p.match(tuple(l for l in p.piv_unknown if l not in cut))
     return p.result(pairs_ab, trimmed, trimmed=trimmed)
@@ -599,8 +594,7 @@ def _greedy(p: _Pair) -> MethodResult:
         leaves = set(oth.tree.leaves)
         cand = [v for v in oth.labels.by_vertex if v in leaves]
         ds_rows = _leaf_distance_rows(oth.tree, np.asarray(cand, dtype=np.int64), oth_nk)
-        um_v = piv.vertices_for(unmatched)
-        dmat = piv.tree.path_distance_many(um_v[:, None], piv_nk[None, :])
+        dmat = _leaf_distance_rows(piv.tree, piv.vertices_for(unmatched), piv_nk)(slice(None))
         for label, c in zip(unmatched, _closest_rows(dmat, ds_rows, len(cand)).tolist()):
             grants[label] = oth.labels.labels_of(cand[c])[0]
     return p.result(pairs_ab, unmatched, grants=grants)
@@ -717,7 +711,7 @@ def _oracle_search(p: _Pair) -> tuple[float, tuple[int, ...], tuple[tuple[int, i
         for r in removed:
             vr = piv.labels.vertex_of(r)
             best = None
-            for l in p.piv_leaf_labels:
+            for l in piv.leaf_labels():
                 if l in removed_set:
                     continue
                 vl = piv.labels.vertex_of(l)

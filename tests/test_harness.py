@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import multiprocessing
 import shutil
 from collections import Counter
 
@@ -344,6 +346,26 @@ def test_compare_outputs_equal_matrix_runs_for_any_worker_count(tmp_path):
                 assert (out / name).read_bytes() == (ref / name).read_bytes(), name
     assert reports[0] == reports[1]
     assert len(reports[0]["failures"]) == 8  # elm and mmb on single's four pairs
+
+
+def test_compare_on_a_spawned_pool_writes_the_serial_outputs(monkeypatch, tmp_path):
+    """A spawned worker inherits nothing from the parent, so the corpus
+    reaches it only through the pool's pickle of the initializer's
+    arguments; its CSVs and report counts equal the serial run's."""
+    (tmp_path / "in").mkdir()
+    inputs = _write_mixed_corpus(tmp_path / "in")
+    serial = cmd_compare(inputs, tmp_path / "w1", workers=1)
+    spawned = functools.partial(
+        harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+    )
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", spawned)
+    pooled = cmd_compare(inputs, tmp_path / "w2", workers=2)
+    assert "trees" not in harness._POOL_STATE
+    for field in ("counts", "disagreement_counts", "failures", "pair_count"):
+        assert getattr(pooled, field) == getattr(serial, field), field
+    for method in ("elm", "mmb", "greedy"):
+        name = f"distances_{method}.csv"
+        assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
 
 def test_compare_report_on_mixed_corpus(tmp_path):

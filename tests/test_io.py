@@ -321,6 +321,27 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, m.values)
 
 
+def test_matrix_csv_round_trips_ids_that_need_quoting(tmp_path):
+    ids = ("a,b", 'c"d', "e\nf", "g\rh", "plain")
+    values = np.arange(25.0).reshape(5, 5)
+    m = DistanceMatrix(ids, values + values.T)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(m, path)
+    assert path.read_bytes().startswith(b'id,"a,b","c""d","e\nf","g\rh",plain\n"a,b",0.0,')
+    back = read_matrix_csv(path)
+    assert back.member_ids == ids
+    assert np.array_equal(back.values, m.values)
+    # errors name the physical line: the header takes lines 1 to 3
+    path.write_text('id,"a\nb","c\nd"\n"a\nb",0.0,x\n', newline="")
+    with pytest.raises(errors.MtreeSyntaxError, match="non-numeric") as info:
+        read_matrix_csv(path)
+    assert info.value.line_no == 5
+    path.write_text('id,a\na,"0.0\n', newline="")
+    with pytest.raises(errors.MtreeSyntaxError, match="bad CSV") as info:
+        read_matrix_csv(path)
+    assert info.value.line_no == 2  # the open quote runs to the end of the file
+
+
 def test_matrix_csv_rejects_empty_file_and_misplaced_rows(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("")
@@ -412,6 +433,15 @@ def test_matrix_checks():
     nan_diagonal = DistanceMatrix(("a", "b"), np.array([[np.nan, 2.0], [2.0, 0.0]]))
     with pytest.raises(errors.ValidationError, match="diagonal"):
         nan_diagonal.check()
+    # an infinity equals only the same infinity, and is no zero diagonal
+    for cells in ([[0.0, np.inf], [5.0, 0.0]], [[0.0, np.inf], [-np.inf, 0.0]]):
+        with pytest.raises(errors.ValidationError, match="not symmetric"):
+            DistanceMatrix(("a", "b"), np.array(cells)).check()
+    DistanceMatrix(("a", "b"), np.array([[0.0, np.inf], [np.inf, 0.0]])).check()
+    for diagonal in (np.inf, -np.inf):
+        cells = np.array([[0.0, 2.0], [2.0, diagonal]])
+        with pytest.raises(errors.ValidationError, match="diagonal"):
+            DistanceMatrix(("a", "b"), cells).check()
 
 
 def test_heatmap_p6_header_and_uniform(tmp_path):

@@ -42,6 +42,35 @@ from conftest import load_example, oracle_pairs, random_pair, rescaled
 # -- building blocks -------------------------------------------------------------
 
 
+def _leaf_index_sets(tree):
+    """(rows, cols) leaf sets: some leaves (one twice) against all of them,
+    so row vertices recur among the columns, the reverse, and empty sets."""
+    leaves = np.asarray(tree.leaves, dtype=np.int64)
+    some = np.random.default_rng(0).choice(leaves, size=min(7, len(leaves)), replace=False)
+    some = np.r_[some, some[:1]]
+    none = leaves[:0]
+    return [(some, leaves), (leaves, some), (none, leaves), (some, none), (none, none)]
+
+
+@pytest.mark.parametrize("max_vertices, dtype", [(41, np.uint8), (601, np.uint16)])
+def test_leaf_reads_equal_lca_many_and_path_distance_many(max_vertices, dtype):
+    """The estimators' leaf reader gives ``lca_many``'s scalars and
+    ``path_distance_many``'s distances byte for byte."""
+    for lt in random_pair(0, max_vertices=max_vertices):
+        tree = lt.tree
+        for rows, cols in _leaf_index_sets(tree):
+            pairs = (
+                (methods._lca_scalars(tree, rows, cols),
+                 tree.scalars[tree.lca_many(rows[:, None], cols[None, :])]),
+                (methods._leaf_distance_rows(tree, rows, cols)(slice(None)),
+                 tree.path_distance_many(rows[:, None], cols[None, :])),
+            )
+            for got, want in pairs:
+                assert (got.dtype, got.shape) == (want.dtype, (len(rows), len(cols)))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert tree._leaf_lca[3].dtype == dtype
+
+
 def test_s_matrix_example1(example1):
     a, _ = example1
     s = build_s_matrix(a, (3, 4), a.leaf_labels())
