@@ -9,9 +9,11 @@ The MT_WORKERS environment variable sets the default worker count.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import errors, harness
+from .io import _ascii_number
 
 __all__ = ["main"]
 
@@ -26,6 +28,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for kind in (int, float):  # type=int and type=float refuse what _ascii_number does
+            self.register("type", kind, _ascii_number(kind))
+
     def error(self, message):  # argparse default exits with code 2
         raise _UsageError(message)
 
@@ -69,7 +76,11 @@ def _build_parser() -> _Parser:
 
 
 def _workers(flag: int | None) -> int:
-    workers = harness.default_workers() if flag is None else flag
+    env = os.environ.get("MT_WORKERS", "").strip()
+    try:  # --workers, else MT_WORKERS, else 1
+        workers = _ascii_number(int)(env or "1") if flag is None else flag
+    except ValueError:
+        raise errors.ValidationError(f"MT_WORKERS={env!r} is not an integer") from None
     if workers < 1:
         raise errors.ValidationError(f"worker count must be >= 1, got {workers}")
     return workers

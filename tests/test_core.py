@@ -36,7 +36,7 @@ def chain_tree() -> MergeTree:
 
 
 def test_minimal_chain_is_valid():
-    MergeTree([2.0, 1.0, 0.0], [None, 0, 1]).validate()
+    MergeTree([2.0, 1.0, 0.0], [None, 0, 1])
 
 
 def test_two_roots_rejected():
@@ -45,15 +45,13 @@ def test_two_roots_rejected():
 
 
 def test_child_above_parent_rejected():
-    t = MergeTree([3.0, 5.0, 0.0], [None, 0, 0])
     with pytest.raises(errors.NonDecreasingScalar):
-        t.validate()
+        MergeTree([3.0, 5.0, 0.0], [None, 0, 0])
 
 
 def test_equal_scalars_rejected():
-    t = MergeTree([3.0, 3.0, 0.0], [None, 0, 0])
     with pytest.raises(errors.NonDecreasingScalar):
-        t.validate()
+        MergeTree([3.0, 3.0, 0.0], [None, 0, 0])
 
 
 @pytest.mark.parametrize(
@@ -74,30 +72,25 @@ def test_malformed_trees_refused_at_construction(scalars, parents, error):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_scalar_rejected(bad):
     with pytest.raises(errors.ValidationError, match="vertex 1 has a non-finite scalar"):
-        MergeTree([1.0, bad, 0.0], [None, 0, 0]).validate()
+        MergeTree([1.0, bad, 0.0], [None, 0, 0])
 
 
 def test_cycle_rejected():
     with pytest.raises(errors.CycleDetected):
         MergeTree([1.0, 0.5], [1, 0])
-    # a leafless cycle off the root passes construction; leaf queries see it
-    tree = MergeTree([1.0, 0.5, 0.4, 0.3, 0.2], [None, 0, 0, 4, 3])
-    with pytest.raises(errors.CycleDetected):
-        tree.lca_many([1], [2])
+    # a leafless cycle off the root has a root, but construction still sees it
     with pytest.raises(errors.CycleDetected, match="vertex 3 is not reachable"):
-        tree.validate()
+        MergeTree([1.0, 0.5, 0.4, 0.3, 0.2], [None, 0, 0, 4, 3])
 
 
 def test_unary_interior_semantically_valid():
     # chains are valid merge trees; the file loader canonicalizes them away
     t = MergeTree([3.0, 2.0, 1.0, 0.5], [None, 0, 1, 0])
-    t.validate()
     assert t.path_distance(2, 3) == 4.5
 
 
 def test_unary_root_allowed():
-    t = MergeTree([3.0, 1.0, 0.0, 0.5], [None, 0, 1, 1])
-    t.validate()
+    MergeTree([3.0, 1.0, 0.0, 0.5], [None, 0, 1, 1])
 
 
 # -- lca / distances -----------------------------------------------------------
@@ -195,7 +188,6 @@ def _caterpillar(n_leaves: int) -> MergeTree:
 def test_lca_many_on_deep_tree_with_many_leaves():
     # over 2^22 leaf pairs, 2,099 levels deep
     tree = _caterpillar(2100)
-    tree.validate()
     rng = np.random.default_rng(7)
     leaves = np.asarray(tree.leaves)
     internal = np.flatnonzero([bool(tree.children(v)) for v in range(tree.n_vertices)])
@@ -214,8 +206,7 @@ def test_validate_load_and_generate_build_no_leaf_table(monkeypatch):
         raise AssertionError("leaf table built")
 
     monkeypatch.setattr(core, "_build_leaf_table", refuse)
-    tree = _caterpillar(20_000)  # its table would take 800 MB
-    tree.validate()
+    _caterpillar(20_000)  # its table would take 800 MB
     members = generate_ensemble(EnsembleSpec(max_vertices=61, ensemble_size=3))
     for lt in members:
         parse_mtree(write_mtree(lt))
@@ -510,7 +501,6 @@ def test_label_table_keeps_labels_in_ascending_order():
         for v, ls in table.by_vertex.items():
             assert table.labels_of(v) == ls == tuple(sorted(l for l in mapping if mapping[l] == v))
         lt = LabeledMergeTree(tree, table)
-        lt.validate()
         assert lt.leaf_labels() == tuple(sorted(l for l in mapping if mapping[l] in leaves))
         tables.append((list(table.items()), list(table.by_vertex.items())))
     assert all(t == tables[0] for t in tables)
@@ -533,14 +523,18 @@ def _classify_by_sets(a: LabeledMergeTree, b: LabeledMergeTree) -> core.Agreemen
 
 
 def _random_labeled(rng: np.random.Generator, pool: list[int]) -> LabeledMergeTree:
-    """A random tree of 1-8 vertices whose labels come from ``pool``, shuffled
-    onto any vertex: some trees are leafless, some labels sit inside."""
-    tree = _random_rooted_tree(int(rng.integers(1, 9)), int(rng.integers(1 << 30)))
+    """A random tree of 1-8 vertices whose labels come from ``pool``: one on
+    each leaf, the rest shuffled onto any vertex.  Some trees are leafless,
+    some labels sit inside."""
     labels = [l for l in pool if rng.random() < 0.6]
     rng.shuffle(labels)
-    return LabeledMergeTree(
-        tree, LabelTable({l: int(rng.integers(tree.n_vertices)) for l in labels})
-    )
+    # n vertices have at most n - 1 leaves: enough labels for every leaf
+    n = int(rng.integers(1, min(8, len(labels) + 1) + 1))
+    tree = _random_rooted_tree(n, int(rng.integers(1 << 30)))
+    leaves = list(tree.leaves)
+    mapping = dict(zip(labels, leaves))
+    mapping.update({l: int(rng.integers(n)) for l in labels[len(leaves) :]})
+    return LabeledMergeTree(tree, LabelTable(mapping))
 
 
 def test_classify_agreement_matches_set_algebra():
@@ -567,13 +561,11 @@ def test_classify_agreement_matches_set_algebra():
 
 def test_label_on_missing_vertex_refused():
     tree = MergeTree([1.0, 0.0, 0.5], [None, 0, 0])
-    lt = LabeledMergeTree(tree, LabelTable({1: 1, 2: 2, 3: 7}))
     with pytest.raises(errors.InvalidVertex, match="label 3 points at missing vertex 7"):
-        lt.validate_labels()
+        LabeledMergeTree(tree, LabelTable({1: 1, 2: 2, 3: 7}))
 
 
 def test_leaf_must_carry_label():
     tree = MergeTree([1.0, 0.0, 0.5], [None, 0, 0])
-    lt = LabeledMergeTree(tree, LabelTable({1: 1}))
     with pytest.raises(errors.MissingLeafLabel):
-        lt.validate()
+        LabeledMergeTree(tree, LabelTable({1: 1}))

@@ -51,7 +51,7 @@ def test_gen_writes_members_and_manifest(tmp_path):
     assert manifest["seed"] == 7
     assert manifest["files"] == [f"member_{i:02d}.mtree" for i in range(20)]
     for f in files:
-        read_mtree_file(f).validate()
+        read_mtree_file(f)
 
 
 def test_gen_rerun_is_byte_identical(tmp_path):
@@ -61,6 +61,23 @@ def test_gen_rerun_is_byte_identical(tmp_path):
     cmd_gen(b_dir, max_vertices=21, count=4, seed=9)
     for name in ("member_00.mtree", "member_03.mtree", "manifest.json"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+def test_gen_refuses_a_directory_with_stale_members(tmp_path, capsys):
+    cmd_gen(tmp_path, max_vertices=9, count=4, seed=0)
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(errors.ValidationError, match="member_02.mtree is not one of the 2"):
+        cmd_gen(tmp_path, max_vertices=9, count=2, seed=1)
+    assert main(["gen", "--max-vertices", "9", "--count", "2", "--seed", "1",
+                 "--out", str(tmp_path)]) == 2
+    assert "member_02.mtree" in capsys.readouterr().err
+    # nothing was written, and the same or a larger count still overwrites
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+    assert len(cmd_gen(tmp_path, max_vertices=9, count=4, seed=1)) == 4
+    assert len(cmd_gen(tmp_path, max_vertices=9, count=5, seed=1)) == 5
+    assert sorted(p.name for p in tmp_path.glob("member_*.mtree")) == [
+        f"member_{i:02d}.mtree" for i in range(5)
+    ]
 
 
 def test_gen_count_one(tmp_path):
@@ -635,6 +652,30 @@ def test_cli_rejects_non_integer_mt_workers(small_ensemble, tmp_path, monkeypatc
     monkeypatch.setenv("MT_WORKERS", "two")
     assert main(["matrix", *small_ensemble, "--out", str(tmp_path)]) == 2
     assert "MT_WORKERS='two' is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0662", "\uff12"])
+def test_cli_rejects_mt_workers_beyond_ascii(value, small_ensemble, tmp_path, monkeypatch, capsys):
+    # Python's int() takes 1_0 and the Arabic-Indic and full-width digit two
+    monkeypatch.setenv("MT_WORKERS", value)
+    assert main(["matrix", *small_ensemble, "--out", str(tmp_path)]) == 2
+    assert f"MT_WORKERS={value!r} is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, kind",
+    [("--count", "\u0662", "int"), ("--count", "1_0", "int"), ("--seed", "\uff11", "int"),
+     ("--max-vertices", "1_3", "int"), ("--label-fraction", "0.\u0665", "float"),
+     ("--label-fraction", "0.2_5", "float")],
+)
+def test_cli_numbers_are_ascii_without_underscores(option, value, kind, tmp_path, capsys):
+    argv = ["gen", "--max-vertices", "9", "--out", str(tmp_path / "trees"), option, value]
+    assert main(argv) == 1
+    assert f"invalid {kind} value: {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "trees").exists()
+    for bad in ("\u0662", "2_0"):
+        assert main(["matrix", *_example_files(1), "--out", str(tmp_path), "--workers", bad]) == 1
+        assert main(["bench", *_example_files(1), "--repeat", bad]) == 1
 
 
 def test_compare_and_bench_refuse_bad_arguments(tmp_path):

@@ -141,6 +141,30 @@ def test_pairwise_leaf_distances(example2):
     assert both.entries.tolist() == [[0.0, 12.0], [12.0, 0.0]]
 
 
+# -- library-built inputs ---------------------------------------------------------
+
+_ESTIMATORS = (elm_distance, mmb_distance, greedy_distance, oracle_distance)
+
+
+def _cherry(scalars, labels) -> LabeledMergeTree:
+    """Root 0 over leaves 1 and 2, built directly, as a library caller would."""
+    return LabeledMergeTree(MergeTree(scalars, [None, 0, 0]), LabelTable(labels))
+
+
+def test_pair_with_leaves_above_the_root_refused_before_any_estimator():
+    good = _cherry([5.0, 1.0, 2.0], {1: 1, 2: 2})
+    for estimator in _ESTIMATORS:
+        with pytest.raises(errors.NonDecreasingScalar, match="vertex 1 .* is not strictly below"):
+            estimator(good, _cherry([0.0, 4.0, 5.0], {1: 1, 2: 2}))
+
+
+def test_pair_with_an_unlabeled_leaf_refused_before_any_estimator():
+    good = _cherry([5.0, 1.0, 2.0], {1: 1, 2: 2})
+    for estimator in _ESTIMATORS:
+        with pytest.raises(errors.MissingLeafLabel, match="leaf 2 carries no label"):
+            estimator(good, _cherry([5.0, 1.0, 2.0], {1: 1}))
+
+
 # -- golden outcomes --------------------------------------------------------------
 
 
@@ -783,9 +807,7 @@ def _sibling_tree(groups) -> LabeledMergeTree:
             labels[label] = len(scalars)
             scalars.append(leaf_scalar)
             parents.append(top)
-    lt = LabeledMergeTree(MergeTree(scalars, parents), LabelTable(labels))
-    lt.validate()
-    return lt
+    return LabeledMergeTree(MergeTree(scalars, parents), LabelTable(labels))
 
 
 def _sibling_pairs():

