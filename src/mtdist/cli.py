@@ -78,12 +78,9 @@ def _build_parser() -> _Parser:
 def _workers(flag: int | None) -> int:
     env = os.environ.get("MT_WORKERS", "").strip()
     try:  # --workers, else MT_WORKERS, else 1
-        workers = _ascii_number(int)(env or "1") if flag is None else flag
+        return _ascii_number(int)(env or "1") if flag is None else flag
     except ValueError:
         raise errors.ValidationError(f"MT_WORKERS={env!r} is not an integer") from None
-    if workers < 1:
-        raise errors.ValidationError(f"worker count must be >= 1, got {workers}")
-    return workers
 
 
 def _run(args) -> int:

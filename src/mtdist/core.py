@@ -447,14 +447,6 @@ class AgreementInfo:
     unknown_a: tuple[int, ...]
     unknown_b: tuple[int, ...]
 
-    @property
-    def n_unknown_a(self) -> int:
-        return len(self.unknown_a)
-
-    @property
-    def n_unknown_b(self) -> int:
-        return len(self.unknown_b)
-
 
 def classify_agreement(a: LabeledMergeTree, b: LabeledMergeTree) -> AgreementInfo:
     """Split the two trees' leaf labels into known (shared) and unknown sets,

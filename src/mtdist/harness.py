@@ -145,6 +145,8 @@ def _map_pairs(fn, trees: list[LabeledMergeTree], workers: int) -> list:
     """``fn((i, j))`` for every pair i < j of ``trees`` in canonical order,
     serially or on a pool of at most ``workers`` processes, never more than
     there are pairs; ``fn`` reads the trees from ``_POOL_STATE``."""
+    if workers < 1:
+        raise errors.ValidationError(f"worker count must be >= 1, got {workers}")
     tasks = _pairs(len(trees))
     # the pool forks all its workers at once, so one per pair at most
     workers = min(workers, len(tasks))
@@ -182,12 +184,13 @@ def _method_pair(method: str, task: tuple[int, int]) -> tuple:
 def _compare_pair(task: tuple[int, int]) -> tuple[dict[str, tuple], Agreement, int]:
     """The pair record: a cell per ``PAIR_STEPS`` estimator, all run on one
     shared pair context (a method that raises loses only its own cell), with
-    the pair's agreement case and its |n_unknown_a - n_unknown_b|."""
+    the pair's agreement case and how many more unknown labels its pivot
+    has than the other tree."""
     i, j = task
     trees = _POOL_STATE["trees"]
     pair = methods._Pair(trees[i], trees[j])
     cells = {method: _cell(step, pair) for method, step in PAIR_STEPS.items()}
-    return cells, pair.info.case, abs(pair.info.n_unknown_a - pair.info.n_unknown_b)
+    return cells, pair.info.case, len(pair.piv_unknown) - len(pair.oth_unknown)
 
 
 def _assemble(

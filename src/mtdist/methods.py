@@ -45,13 +45,15 @@ so several estimators run on one ``_Pair`` (as the harness's comparison
 does) solve each distinct matching once: ``greedy`` reuses ``mmb``'s, and
 ``elm`` reuses it whenever it trims nothing.
 
-``_Pair.result`` is the one way a value leaves the pair: it takes a
-configuration (matched pairs, the pivot labels left unmatched, and greedy's
-grants), takes delta for every unmatched pivot label that was not granted
-(so greedy has none) and epsilon over the matched and granted labels,
-builds the objective and laps the pair's clock, so each record's
-``wall_time`` is its own step's.  The set-up goes to the first record; a
-step that raises leaves its time to the next.
+``_Pair.result`` is the one place a configuration is scored and the one way
+a value leaves the pair: it takes delta for every unmatched pivot label that
+was not granted (so greedy has none) and epsilon over the matched and
+granted labels itself, builds the objective and laps the pair's clock, so
+each record's ``wall_time`` is its own step's.  The set-up goes to the first
+record; a step that raises leaves its time to the next.  Delta
+(``_delta_map``, and the oracle's ``delta_of``) refuses a leafless tree
+against a disjoint-label one with ``DisagreementEmptyTree``: every pivot leaf
+is then removed, with none left to measure a merge height from.
 
 The known x known block of the LCA-scalar matrices is the same for every
 estimator on a pair, so the pair takes its epsilon once and keeps only that
@@ -69,6 +71,10 @@ So no pair holds an n1 x n2 x K tensor and, at benchmark sizes, no
 temporary is large enough to be memory-mapped.  A result keeps the labels
 and vertices its epsilon was taken over, and gathers its induced matrices
 from them, in sorted label order, only when read.
+
+The matching and greedy's grant search square distance profiles, so they
+first scale them by the exact power of two ``_Pair.shift``, which keeps the
+squares in range whatever the finite scalars (0 at ordinary scales).
 
 Greedy's grant search needs, per unmatched pivot leaf, only the first
 candidate whose profile is closest to the leaf's.  ``_closest_rows``
@@ -99,7 +105,6 @@ import numpy as np
 from . import assignment, errors
 from .core import (
     Agreement,
-    AgreementInfo,
     LabeledMatrix,
     LabeledMergeTree,
     MergeTree,
@@ -265,10 +270,10 @@ def pairwise_leaf_distances(lt: LabeledMergeTree, labels: Sequence[int]) -> Labe
 _BLOCK_CELLS = 1 << 13
 
 
-def _row_blocks(first: int, stop: int, row_cells: int):
-    """Slices of rows first..stop, each of at most _BLOCK_CELLS cells or one row."""
+def _row_blocks(stop: int, row_cells: int):
+    """Slices of rows 0..stop, each of at most _BLOCK_CELLS cells or one row."""
     step = max(1, _BLOCK_CELLS // max(row_cells, 1))
-    return (slice(lo, min(lo + step, stop)) for lo in range(first, stop, step))
+    return (slice(lo, min(lo + step, stop)) for lo in range(0, stop, step))
 
 
 def _row_gaps(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -276,8 +281,8 @@ def _row_gaps(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     d2's rows and d1's rows."""
     out = np.empty((len(d1), len(d2)))
     k = d1.shape[1]
-    for cols in _row_blocks(0, len(d2), k):
-        for rows in _row_blocks(0, len(d1), (cols.stop - cols.start) * k):
+    for cols in _row_blocks(len(d2), k):
+        for rows in _row_blocks(len(d1), (cols.stop - cols.start) * k):
             diff = d1[rows, None, :] - d2[None, cols, :]
             out[rows, cols] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
@@ -328,23 +333,28 @@ def _closest_rows(d1: np.ndarray, d2_rows, n2: int) -> np.ndarray:
     d2 = d2_rows(kept)
     gaps = lower  # every lower end has been read
     gaps.fill(np.inf)
-    for chunk in _row_blocks(0, len(ii), k):
+    for chunk in _row_blocks(len(ii), k):
         diff = d1[ii[chunk]] - d2[at[chunk]]
         gaps[ii[chunk], jj[chunk]] = np.einsum("ij,ij->i", diff, diff)
     return np.argmin(gaps, axis=1)
 
 
-def _leaf_distance_rows(tree: MergeTree, rows: np.ndarray, cols: np.ndarray):
+def _scaled(x: np.ndarray, shift: int) -> np.ndarray:
+    """x * 2**shift, or x itself when shift is 0."""
+    return np.ldexp(x, shift) if shift else x
+
+
+def _leaf_distance_rows(tree: MergeTree, rows: np.ndarray, cols: np.ndarray, shift: int = 0):
     """``index -> `` path distances from leaves ``rows[index]`` to leaves
-    ``cols``, bit for bit ``tree.path_distance_many``'s, read from the leaf
-    table without per-call checks."""
+    ``cols``, bit for bit ``tree.path_distance_many``'s times 2**shift, read
+    from the leaf table without per-call checks."""
     s = tree.scalars
     p, q = tree.leaf_rows(rows), tree.leaf_rows(cols)
     s_rows, s_cols = s[rows], s[cols]
 
     def gather(index) -> np.ndarray:
         sl = s.take(tree.leaf_lcas(p[index], q))
-        return (sl - s_rows[index, None]) + (sl - s_cols)
+        return _scaled((sl - s_rows[index, None]) + (sl - s_cols), shift)
 
     return gather
 
@@ -356,31 +366,18 @@ def _row_norm_weights(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.abs(n1[:, None] - n2[None, :])
 
 
-def _pivot_is_a(info: AgreementInfo) -> bool:
-    """Canonical pivot choice: more unknowns, ties to the lexicographically
-    smaller unknown-label list.  Unknown labels are one-sided by definition
-    (a shared leaf label is known), so equal-size lists always differ and
-    the choice is independent of argument order."""
-    if info.n_unknown_a != info.n_unknown_b:
-        return info.n_unknown_a > info.n_unknown_b
-    return info.unknown_a < info.unknown_b
-
-
 def _delta_map(pivot: LabeledMergeTree, removed: Sequence[int]) -> dict[int, float]:
-    """Merge height of each removed leaf above the nearest surviving leaf."""
+    """Merge height of each removed leaf above the nearest surviving leaf.
+    Every pivot leaf is removed only when the other tree of a disjoint-label
+    pair has no leaves, and then no leaf is left to measure from."""
     if not removed:
         return {}
     removed_set = set(removed)
     survivors = [l for l in pivot.leaf_labels() if l not in removed_set]
+    if not survivors:
+        raise errors.DisagreementEmptyTree("cannot compare a tree with no leaves")
     heights = _merge_heights(pivot, pivot.vertices_for(removed), pivot.vertices_for(survivors))
     return {label: float(h.min()) for label, h in zip(removed, heights)}
-
-
-def _check_leaves_for_disagreement(a, b, info):
-    if info.case is Agreement.DISAGREEMENT and (
-        not a.tree.leaves or not b.tree.leaves
-    ):
-        raise errors.DisagreementEmptyTree("cannot compare a tree with no leaves")
 
 
 class _Pair:
@@ -393,8 +390,13 @@ class _Pair:
         self.a, self.b = a, b
         self._matches: dict[tuple[int, ...], tuple] = {}
         self.info = info = classify_agreement(a, b)
-        self.pivot_is_a = _pivot_is_a(info)
-        sides = ((a, info.unknown_a), (b, info.unknown_b))
+        # The canonical pivot has more unknowns, ties to the lexicographically
+        # smaller unknown-label list.  Unknown labels are one-sided by
+        # definition (a shared leaf label is known), so equal-size lists
+        # always differ and the choice is independent of argument order.
+        ua, ub = info.unknown_a, info.unknown_b
+        self.pivot_is_a = (-len(ua), ua) < (-len(ub), ub)
+        sides = ((a, ua), (b, ub))
         piv, oth = sides if self.pivot_is_a else sides[::-1]
         (self.piv, self.piv_unknown), (self.oth, self.oth_unknown) = piv, oth
 
@@ -417,19 +419,30 @@ class _Pair:
         oth_rows = self.oth_unknown
         if not oth_rows:
             return (), piv_rows
-        if self.info.case is Agreement.PARTIAL:
+        partial = self.info.case is Agreement.PARTIAL
+        if partial:
             d1 = unknown_to_known_distances(self.piv, piv_rows, self.info.known)
             d2 = unknown_to_known_distances(self.oth, oth_rows, self.info.known)
-            weights = np.sqrt(_row_gaps(d1.entries, d2.entries))
         else:
             d1 = pairwise_leaf_distances(self.piv, piv_rows)
             d2 = pairwise_leaf_distances(self.oth, oth_rows)
-            weights = _row_norm_weights(d1.entries, d2.entries)
+        d1, d2 = (_scaled(d.entries, self.shift) for d in (d1, d2))
+        weights = np.sqrt(_row_gaps(d1, d2)) if partial else _row_norm_weights(d1, d2)
         asn = assignment.solve(weights)
         pairs = [(piv_rows[i], oth_rows[j]) for i, j in asn.pairs]
         if not self.pivot_is_a:
             pairs = [(o, p) for p, o in pairs]
         return tuple(pairs), tuple(piv_rows[i] for i in asn.unmatched_rows)
+
+    @functools.cached_property
+    def shift(self) -> int:
+        """The power of two profiles are scaled by before they are squared:
+        0 while twice the larger scalar span (root minus least scalar), a
+        bound on every profile entry, lies in [2^-500, 2^500), else the one
+        that brings it into [2^499, 2^500).  The scaling is exact."""
+        span = max(t.tree.scalars[t.tree.root] - t.tree.scalars.min() for t in (self.a, self.b))
+        e = math.frexp(span)[1] + 1
+        return 0 if -500 < e <= 500 else 500 - e
 
     @functools.cached_property
     def _known_vertices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -476,15 +489,6 @@ class _Pair:
         the float is kept."""
         return self._eps_rows(self.info.known, self._known_vertices, 0)
 
-    def induced(self, columns: tuple) -> tuple[float, tuple]:
-        """Epsilon over the labels of :meth:`columns`, and the labels, trees
-        and vertices a result gathers its induced matrices from.  Besides
-        the known corner, only the rows past the known labels are gathered:
-        the rest of the block mirrors them."""
-        labels, cols = columns
-        rows_eps = self._eps_rows(labels, cols, len(self.info.known))
-        return max(self._known_eps, rows_eps), (labels, (self.a.tree, self.b.tree), tuple(cols))
-
     def result(
         self,
         pairs_ab: Sequence[tuple[int, int]] = (),
@@ -493,11 +497,15 @@ class _Pair:
         grants: Mapping[int, int] | None = None,
     ) -> MethodResult:
         """The record of one configuration, timed from the previous record or
-        the set-up.  Every unmatched pivot label without a grant pays delta."""
+        the set-up.  Every unmatched pivot label without a grant pays delta;
+        epsilon is taken over the labels of :meth:`columns`, where besides
+        the known corner only the rows past the known labels are gathered:
+        the rest of the block mirrors them."""
         grants, unmatched_piv = dict(grants or {}), tuple(unmatched_piv)
         removed = [l for l in unmatched_piv if l not in grants]
         deltas = _delta_map(self.piv, removed)
-        eps, unified = self.induced(self.columns(pairs_ab, grants))
+        labels, cols = self.columns(pairs_ab, grants)
+        eps = max(self._known_eps, self._eps_rows(labels, cols, len(self.info.known)))
         now = perf_counter()
         wall_time, self._lap = now - self._lap, now
         return MethodResult(
@@ -513,7 +521,7 @@ class _Pair:
             trimmed=frozenset(trimmed),
             wall_time=wall_time,
             assigned_labels=grants,
-            unified=unified,
+            unified=(labels, (self.a.tree, self.b.tree), tuple(cols)),
         )
 
 
@@ -562,7 +570,6 @@ def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
 
 
 def _elm(p: _Pair) -> MethodResult:
-    _check_leaves_for_disagreement(p.a, p.b, p.info)
     k = len(p.piv_unknown) - len(p.oth_unknown)
     trimmed = ()
     if k:  # with nothing to trim, S would rank rows for nothing
@@ -573,7 +580,6 @@ def _elm(p: _Pair) -> MethodResult:
 
 
 def _mmb(p: _Pair) -> MethodResult:
-    _check_leaves_for_disagreement(p.a, p.b, p.info)
     return p.result(*p.match(p.piv_unknown))
 
 
@@ -593,8 +599,9 @@ def _greedy(p: _Pair) -> MethodResult:
         # candidate receivers: leaves of the smaller tree, by smallest label
         leaves = set(oth.tree.leaves)
         cand = [v for v in oth.labels.by_vertex if v in leaves]
-        ds_rows = _leaf_distance_rows(oth.tree, np.asarray(cand, dtype=np.int64), oth_nk)
-        dmat = _leaf_distance_rows(piv.tree, piv.vertices_for(unmatched), piv_nk)(slice(None))
+        shift = p.shift
+        ds_rows = _leaf_distance_rows(oth.tree, np.asarray(cand, dtype=np.int64), oth_nk, shift)
+        dmat = _leaf_distance_rows(piv.tree, piv.vertices_for(unmatched), piv_nk, shift)(slice(None))
         for label, c in zip(unmatched, _closest_rows(dmat, ds_rows, len(cand)).tolist()):
             grants[label] = oth.labels.labels_of(cand[c])[0]
     return p.result(pairs_ab, unmatched, grants=grants)
@@ -621,7 +628,6 @@ def evaluate_configuration(
     unless ``removed`` and ``pairs`` hold each unknown label once, on its side.
     """
     p = _Pair(a, b)
-    _check_leaves_for_disagreement(a, b, p.info)
     removed, pairs = tuple(removed), tuple(map(tuple, pairs))
     if any(len(pair) != 2 for pair in pairs):
         raise errors.ValidationError("pairs must be (side-A label, side-B label) pairs")
@@ -679,7 +685,6 @@ def _oracle_search(p: _Pair) -> tuple[float, tuple[int, ...], tuple[tuple[int, i
         raise errors.TooLarge(
             f"{total} combined unknown leaves exceeds the bound {_ORACLE_MAX_UNKNOWN}"
         )
-    _check_leaves_for_disagreement(a, b, info)
 
     pa, pb = ([int(x) for x in t.tree.parents] for t in (a, b))
     sa, sb = a.tree.scalars, b.tree.scalars
@@ -717,7 +722,9 @@ def _oracle_search(p: _Pair) -> tuple[float, tuple[int, ...], tuple[tuple[int, i
                 vl = piv.labels.vertex_of(l)
                 h = float(piv_s[_naive_lca(piv_par, vr, vl)] - piv_s[vr])
                 best = h if best is None else min(best, h)
-            worst = max(worst, 0.0 if best is None else best)
+            if best is None:  # as in _delta_map
+                raise errors.DisagreementEmptyTree("cannot compare a tree with no leaves")
+            worst = max(worst, best)
         return worst
 
     best = (float("inf"), (), ())

@@ -84,7 +84,7 @@ def oracle_pairs(count: int):
             a, b = random_pair(seed, max_vertices=9, label_fraction=0.5)
         seed += 1
         info = classify_agreement(a, b)
-        if info.n_unknown_a + info.n_unknown_b <= 6:
+        if len(info.unknown_a) + len(info.unknown_b) <= 6:
             found += 1
             yield a, b
 

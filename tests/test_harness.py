@@ -648,6 +648,16 @@ def test_cli_rejects_mt_workers_below_one(value, small_ensemble, tmp_path, monke
     assert main(["compare", *small_ensemble, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_library_rejects_worker_count_below_one(workers, small_ensemble, tmp_path):
+    corpus = load_corpus(small_ensemble)
+    with pytest.raises(errors.ValidationError, match=f"worker count must be >= 1, got {workers}"):
+        distance_matrix("elm", corpus, workers=workers)
+    with pytest.raises(errors.ValidationError, match=f"worker count must be >= 1, got {workers}"):
+        cmd_compare(small_ensemble, tmp_path / "out", workers=workers)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_non_integer_mt_workers(small_ensemble, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MT_WORKERS", "two")
     assert main(["matrix", *small_ensemble, "--out", str(tmp_path)]) == 2

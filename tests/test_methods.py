@@ -220,6 +220,19 @@ def test_example3_all_methods(example3):
     assert r_g.assigned_labels == {2: 1}
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-1000, -600, -520, 520, 600, 1000])
+@pytest.mark.parametrize(
+    "n, want", [(1, (0.5, 0.5, 2.0)), (2, (0.5, 0.5, 3.0)), (3, (2.0, 0.5, 1.0))]
+)
+def test_golden_distances_scale_with_every_scalar(n, want, k):
+    """Scaled by 2^k, every golden distance scales exactly: profiles are
+    squared, and their squares must neither overflow nor underflow."""
+    a, b = (rescaled(lt, mul=2.0**k) for lt in load_example(n))
+    for estimator, d in zip((elm_distance, mmb_distance, greedy_distance), want):
+        assert estimator(a, b).distance == math.ldexp(d, k)
+
+
 def test_oracle_on_fixtures(example1, example2, example3):
     for pair, want in [(example1, 0.5), (example2, 0.5), (example3, 0.5)]:
         assert oracle_min_objective(*pair) == want
@@ -313,7 +326,7 @@ def test_elm_builds_s_only_when_it_trims(monkeypatch):
     )
     a, b = _equal_unknowns_pair()
     info = classify_agreement(a, b)
-    assert info.case is Agreement.PARTIAL and info.n_unknown_a == info.n_unknown_b == 1
+    assert info.case is Agreement.PARTIAL and len(info.unknown_a) == len(info.unknown_b) == 1
     for pair in [*_full_pairs(), (a, b), (b, a)]:
         r = elm_distance(*pair)
         assert calls == [] and not r.trimmed
@@ -354,6 +367,34 @@ def test_disagreement_empty_tree_rejected():
     # the baseline refuses every disjoint-label pair with its own error
     with pytest.raises(errors.DisagreementUnsupported):
         greedy_distance(lone, a)
+
+
+def _evaluate_all_removed(x, y):
+    """The one valid configuration of a leafless disjoint pair: every leaf of
+    the other tree removed."""
+    return evaluate_configuration(x, y, removed=(x.leaf_labels() or y.leaf_labels()), pairs=())
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    [elm_distance, mmb_distance, _evaluate_all_removed, oracle_distance, oracle_min_objective],
+)
+def test_leafless_disjoint_pair_refused_in_either_order(estimator):
+    lone = LabeledMergeTree(MergeTree([0.0], [None]), LabelTable({}))
+    a, _ = _disjoint_pair()
+    for pair in ((lone, a), (a, lone)):
+        with pytest.raises(errors.DisagreementEmptyTree) as refused:
+            estimator(*pair)
+        assert str(refused.value) == "cannot compare a tree with no leaves"
+        with pytest.raises(errors.DisagreementUnsupported):
+            greedy_distance(*pair)
+
+
+def test_leafless_disjoint_pair_checks_a_configuration_before_scoring_it():
+    lone = LabeledMergeTree(MergeTree([0.0], [None]), LabelTable({}))
+    a, _ = _disjoint_pair()
+    with pytest.raises(errors.ValidationError, match="are not the unknowns"):
+        evaluate_configuration(lone, a, removed=a.leaf_labels()[1:], pairs=())
 
 
 # -- properties ---------------------------------------------------------------------
@@ -444,7 +485,7 @@ def _oracle_eligible_pairs(count, *, max_vertices=9, start_seed=0, budget=6):
         fraction = 0.0 if seed % 4 == 3 else 0.5
         a, b = random_pair(seed, max_vertices=max_vertices, label_fraction=fraction)
         info = classify_agreement(a, b)
-        if info.n_unknown_a + info.n_unknown_b <= budget:
+        if len(info.unknown_a) + len(info.unknown_b) <= budget:
             yield a, b
             found += 1
         seed += 1
@@ -460,7 +501,7 @@ def test_oracle_lower_bounds_heuristics():
 def test_oracle_guard():
     a, b = random_pair(1, max_vertices=31)
     info = classify_agreement(a, b)
-    assert info.n_unknown_a + info.n_unknown_b > 8
+    assert len(info.unknown_a) + len(info.unknown_b) > 8
     with pytest.raises(errors.TooLarge):
         oracle_min_objective(a, b)
 
@@ -602,26 +643,27 @@ def _strip_cells(first: int, n: int, cap: int) -> int:
     return triangle + sum(h * (h - 1) // 2 for h in heights)
 
 
-def _spy_inside_induced(monkeypatch, record):
+def _spy_inside_eps_rows(monkeypatch, record):
     """Call ``record(tree, p, q)`` on each leaf-table gather made inside
-    ``_Pair.induced`` (and so inside its known block's epsilon)."""
+    ``_Pair._eps_rows``: the known block's epsilon, then a result's rows
+    past it."""
     inside = []
-    leaf_lcas, induced = MergeTree.leaf_lcas, methods._Pair.induced
+    leaf_lcas, eps_rows = MergeTree.leaf_lcas, methods._Pair._eps_rows
 
     def recording_leaf_lcas(tree, p, q):
         if inside:
             record(tree, p, q)
         return leaf_lcas(tree, p, q)
 
-    def flagged_induced(pair, extra):
+    def flagged_eps_rows(pair, *args):
         inside.append(True)
         try:
-            return induced(pair, extra)
+            return eps_rows(pair, *args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(MergeTree, "leaf_lcas", recording_leaf_lcas)
-    monkeypatch.setattr(methods._Pair, "induced", flagged_induced)
+    monkeypatch.setattr(methods._Pair, "_eps_rows", flagged_eps_rows)
     return inside
 
 
@@ -639,7 +681,7 @@ def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypat
     def count(tree, p, q):
         cells[id(tree)] = cells.get(id(tree), 0) + len(p) * len(q)
 
-    _spy_inside_induced(monkeypatch, count)
+    _spy_inside_eps_rows(monkeypatch, count)
     k = len(info.known)
     for cap in (1, 5, methods._BLOCK_CELLS):
         monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
@@ -846,14 +888,14 @@ def test_greedy_grants_equal_the_whole_profile_argmin(cap, monkeypatch):
 
 @pytest.mark.parametrize("cap", [1, 5])
 def test_blocked_epsilon_keeps_every_result(cap, monkeypatch):
-    """Capped blocks change no result.  Inside ``_Pair.induced`` no
+    """Capped blocks change no result.  Inside ``_Pair._eps_rows`` no
     leaf-table strip spans more rows than a tile side, and no tile that
     reaches ``inf_norm_diff`` holds more than the cap."""
     pairs = _shared_eps_pairs()
     steps = harness.PAIR_STEPS
     want = [{m: _run(step, methods._Pair(a, b)) for m, step in steps.items()} for a, b in pairs]
     strips, tiles = [], []
-    inside = _spy_inside_induced(monkeypatch, lambda tree, p, q: strips.append(len(p)))
+    inside = _spy_inside_eps_rows(monkeypatch, lambda tree, p, q: strips.append(len(p)))
 
     def recording_inf_norm_diff(x, y):
         if inside:
