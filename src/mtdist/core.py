@@ -107,9 +107,10 @@ class MergeTree:
     ends with ``_validate``, so a tree that exists is valid.  Vertex ids
     are dense 0..V-1 and stable for the lifetime of the tree; like labels,
     they are integers by ``operator.index``, so 0.5 is no vertex id.
+    ``half_span`` is s[root]/2 - min(s)/2, finite for any finite scalars.
     """
 
-    __slots__ = ("_scalars", "_parents", "_children", "_root", "_leaves", "_leaf_lca")
+    __slots__ = ("_scalars", "_parents", "_children", "_root", "_leaves", "_leaf_lca", "half_span")
 
     def __init__(self, scalars: Sequence[float], parents: Sequence[int | None]):
         s = np.asarray(scalars, dtype=np.float64)
@@ -144,6 +145,7 @@ class MergeTree:
         )
         self._leaf_lca: tuple[np.ndarray, ...] | None = None
         self._validate()
+        self.half_span = float(s[self._root]) / 2 - float(s.min()) / 2
 
     # -- structure ---------------------------------------------------------
 

@@ -72,9 +72,10 @@ temporary is large enough to be memory-mapped.  A result keeps the labels
 and vertices its epsilon was taken over, and gathers its induced matrices
 from them, in sorted label order, only when read.
 
-The matching and greedy's grant search square distance profiles, so they
-first scale them by the exact power of two ``_Pair.shift``, which keeps the
-squares in range whatever the finite scalars (0 at ordinary scales).
+A pair computes at one scale: when the larger ``half_span`` of its trees
+lies outside [2^-503, 2^497), ``_Pair`` holds both trees times the power of
+two that brings it just below 2^497, so no square or sum leaves the range,
+and scales each value leaving it back exactly (NonFiniteCost past float64).
 
 Greedy's grant search needs, per unmatched pivot leaf, only the first
 candidate whose profile is closest to the leaf's.  ``_closest_rows``
@@ -339,22 +340,17 @@ def _closest_rows(d1: np.ndarray, d2_rows, n2: int) -> np.ndarray:
     return np.argmin(gaps, axis=1)
 
 
-def _scaled(x: np.ndarray, shift: int) -> np.ndarray:
-    """x * 2**shift, or x itself when shift is 0."""
-    return np.ldexp(x, shift) if shift else x
-
-
-def _leaf_distance_rows(tree: MergeTree, rows: np.ndarray, cols: np.ndarray, shift: int = 0):
+def _leaf_distance_rows(tree: MergeTree, rows: np.ndarray, cols: np.ndarray):
     """``index -> `` path distances from leaves ``rows[index]`` to leaves
-    ``cols``, bit for bit ``tree.path_distance_many``'s times 2**shift, read
-    from the leaf table without per-call checks."""
+    ``cols``, bit for bit ``tree.path_distance_many``'s, read from the leaf
+    table without per-call checks."""
     s = tree.scalars
     p, q = tree.leaf_rows(rows), tree.leaf_rows(cols)
     s_rows, s_cols = s[rows], s[cols]
 
     def gather(index) -> np.ndarray:
         sl = s.take(tree.leaf_lcas(p[index], q))
-        return _scaled((sl - s_rows[index, None]) + (sl - s_cols), shift)
+        return (sl - s_rows[index, None]) + (sl - s_cols)
 
     return gather
 
@@ -383,10 +379,17 @@ def _delta_map(pivot: LabeledMergeTree, removed: Sequence[int]) -> dict[int, flo
 class _Pair:
     """The work every estimator shares for one (a, b) pair: the label split,
     the pivot and its counterpart, their unknown labels, the matching, the
-    epsilon of the known x known block, and the result record."""
+    epsilon of the known x known block, and the result record.  ``a`` and
+    ``b`` are the given trees times 2**shift."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self._lap = perf_counter()  # the set-up goes to the first record
+        self.given = ta, tb = a.tree, b.tree  # results gather their induced matrices from these
+        h = ta.half_span if ta.half_span > tb.half_span else tb.half_span  # max() costs more
+        self.shift = k = 497 - math.frexp(h)[1] if 0 < h < 2.0**-503 or h >= 2.0**497 else 0
+        if k:
+            a, b = (LabeledMergeTree(MergeTree(np.ldexp(t.tree.scalars, k), t.tree.parents),
+                                     t.labels) for t in (a, b))
         self.a, self.b = a, b
         self._matches: dict[tuple[int, ...], tuple] = {}
         self.info = info = classify_agreement(a, b)
@@ -396,9 +399,8 @@ class _Pair:
         # always differ and the choice is independent of argument order.
         ua, ub = info.unknown_a, info.unknown_b
         self.pivot_is_a = (-len(ua), ua) < (-len(ub), ub)
-        sides = ((a, ua), (b, ub))
-        piv, oth = sides if self.pivot_is_a else sides[::-1]
-        (self.piv, self.piv_unknown), (self.oth, self.oth_unknown) = piv, oth
+        sides = ((a, ua), (b, ub)) if self.pivot_is_a else ((b, ub), (a, ua))
+        (self.piv, self.piv_unknown), (self.oth, self.oth_unknown) = sides
 
     def match(
         self, piv_rows: tuple[int, ...]
@@ -421,28 +423,17 @@ class _Pair:
             return (), piv_rows
         partial = self.info.case is Agreement.PARTIAL
         if partial:
-            d1 = unknown_to_known_distances(self.piv, piv_rows, self.info.known)
-            d2 = unknown_to_known_distances(self.oth, oth_rows, self.info.known)
+            d1 = unknown_to_known_distances(self.piv, piv_rows, self.info.known).entries
+            d2 = unknown_to_known_distances(self.oth, oth_rows, self.info.known).entries
         else:
-            d1 = pairwise_leaf_distances(self.piv, piv_rows)
-            d2 = pairwise_leaf_distances(self.oth, oth_rows)
-        d1, d2 = (_scaled(d.entries, self.shift) for d in (d1, d2))
+            d1 = pairwise_leaf_distances(self.piv, piv_rows).entries
+            d2 = pairwise_leaf_distances(self.oth, oth_rows).entries
         weights = np.sqrt(_row_gaps(d1, d2)) if partial else _row_norm_weights(d1, d2)
         asn = assignment.solve(weights)
         pairs = [(piv_rows[i], oth_rows[j]) for i, j in asn.pairs]
         if not self.pivot_is_a:
             pairs = [(o, p) for p, o in pairs]
         return tuple(pairs), tuple(piv_rows[i] for i in asn.unmatched_rows)
-
-    @functools.cached_property
-    def shift(self) -> int:
-        """The power of two profiles are scaled by before they are squared:
-        0 while twice the larger scalar span (root minus least scalar), a
-        bound on every profile entry, lies in [2^-500, 2^500), else the one
-        that brings it into [2^499, 2^500).  The scaling is exact."""
-        span = max(t.tree.scalars[t.tree.root] - t.tree.scalars.min() for t in (self.a, self.b))
-        e = math.frexp(span)[1] + 1
-        return 0 if -500 < e <= 500 else 500 - e
 
     @functools.cached_property
     def _known_vertices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -489,6 +480,12 @@ class _Pair:
         the float is kept."""
         return self._eps_rows(self.info.known, self._known_vertices, 0)
 
+    def unscaled(self, x: float) -> float:
+        """x at the given trees' scale, exactly; NonFiniteCost past float64."""
+        if math.frexp(x)[1] - self.shift > 1024:
+            raise errors.NonFiniteCost(f"a value of {x} * 2**{-self.shift} is past float64")
+        return math.ldexp(x, -self.shift)
+
     def result(
         self,
         pairs_ab: Sequence[tuple[int, int]] = (),
@@ -503,9 +500,10 @@ class _Pair:
         the rest of the block mirrors them."""
         grants, unmatched_piv = dict(grants or {}), tuple(unmatched_piv)
         removed = [l for l in unmatched_piv if l not in grants]
-        deltas = _delta_map(self.piv, removed)
+        deltas = {l: self.unscaled(d) for l, d in _delta_map(self.piv, removed).items()}
         labels, cols = self.columns(pairs_ab, grants)
         eps = max(self._known_eps, self._eps_rows(labels, cols, len(self.info.known)))
+        eps = self.unscaled(eps)
         now = perf_counter()
         wall_time, self._lap = now - self._lap, now
         return MethodResult(
@@ -521,7 +519,7 @@ class _Pair:
             trimmed=frozenset(trimmed),
             wall_time=wall_time,
             assigned_labels=grants,
-            unified=(labels, (self.a.tree, self.b.tree), tuple(cols)),
+            unified=(labels, self.given, tuple(cols)),
         )
 
 
@@ -599,9 +597,8 @@ def _greedy(p: _Pair) -> MethodResult:
         # candidate receivers: leaves of the smaller tree, by smallest label
         leaves = set(oth.tree.leaves)
         cand = [v for v in oth.labels.by_vertex if v in leaves]
-        shift = p.shift
-        ds_rows = _leaf_distance_rows(oth.tree, np.asarray(cand, dtype=np.int64), oth_nk, shift)
-        dmat = _leaf_distance_rows(piv.tree, piv.vertices_for(unmatched), piv_nk, shift)(slice(None))
+        ds_rows = _leaf_distance_rows(oth.tree, np.asarray(cand, dtype=np.int64), oth_nk)
+        dmat = _leaf_distance_rows(piv.tree, piv.vertices_for(unmatched), piv_nk)(slice(None))
         for label, c in zip(unmatched, _closest_rows(dmat, ds_rows, len(cand)).tolist()):
             grants[label] = oth.labels.labels_of(cand[c])[0]
     return p.result(pairs_ab, unmatched, grants=grants)
@@ -665,7 +662,8 @@ def oracle_min_objective(a: LabeledMergeTree, b: LabeledMergeTree) -> float:
     naive parent-walk primitives (independent of the vectorized code paths).
     Raises TooLarge beyond ``_ORACLE_MAX_UNKNOWN`` combined unknown leaves.
     """
-    return _oracle_search(_Pair(a, b))[0]
+    p = _Pair(a, b)
+    return p.unscaled(_oracle_search(p)[0])
 
 
 def oracle_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:

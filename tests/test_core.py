@@ -39,6 +39,14 @@ def test_minimal_chain_is_valid():
     MergeTree([2.0, 1.0, 0.0], [None, 0, 1])
 
 
+@pytest.mark.filterwarnings("error")
+def test_half_span_is_finite_for_any_finite_scalars():
+    """s[root] - min(s) would overflow here; halves taken first do not."""
+    assert MergeTree([1e308, -1e308], [None, 0]).half_span == 1e308
+    assert MergeTree([3.0, 1.0, -2.0], [None, 0, 0]).half_span == 2.5
+    assert MergeTree([7.0], [None]).half_span == 0.0
+
+
 def test_two_roots_rejected():
     with pytest.raises(errors.MultipleRoots):
         MergeTree([1.0, 0.5], [None, None])

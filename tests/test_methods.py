@@ -220,17 +220,43 @@ def test_example3_all_methods(example3):
     assert r_g.assigned_labels == {2: 1}
 
 
+def _centred(n: int, mul: float) -> tuple[LabeledMergeTree, LabeledMergeTree]:
+    """Golden pair n moved by minus half its largest scalar, so that its
+    scalars are centred on 0, then multiplied by mul."""
+    pair = load_example(n)
+    top = max(float(lt.tree.scalars.max()) for lt in pair)
+    return tuple(rescaled(rescaled(lt, add=-top / 2), mul=mul) for lt in pair)
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("k", [-1000, -600, -520, 520, 600, 1000])
+@pytest.mark.parametrize("k", [-1000, -600, -520, 520, 600, 1000, 1021, "centred 1022"])
 @pytest.mark.parametrize(
     "n, want", [(1, (0.5, 0.5, 2.0)), (2, (0.5, 0.5, 3.0)), (3, (2.0, 0.5, 1.0))]
 )
 def test_golden_distances_scale_with_every_scalar(n, want, k):
     """Scaled by 2^k, every golden distance scales exactly: profiles are
-    squared, and their squares must neither overflow nor underflow."""
-    a, b = (rescaled(lt, mul=2.0**k) for lt in load_example(n))
+    squared and S rows summed, and neither may overflow nor underflow.
+    Centred on 0 and scaled by 2^1022, twice a tree's span is past float64,
+    although every scalar and distance is finite."""
+    if k == "centred 1022":
+        k, (a, b) = 1022, _centred(n, 2.0**1022)
+    else:
+        a, b = (rescaled(lt, mul=2.0**k) for lt in load_example(n))
     for estimator, d in zip((elm_distance, mmb_distance, greedy_distance), want):
         assert estimator(a, b).distance == math.ldexp(d, k)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_distance_past_float64_raises_non_finite_cost():
+    """Centred on 0 at +-1.7e308, golden pair 1 has greedy's distance 2 times
+    1.7e308 / 1.5, about 2.27e308: refused with NonFiniteCost.  elm and mmb
+    still return 0.5 times that factor."""
+    mul = 1.7e308 / 1.5
+    a, b = _centred(1, mul)
+    with pytest.raises(errors.NonFiniteCost):
+        greedy_distance(a, b)
+    for estimator in (elm_distance, mmb_distance):
+        assert math.isclose(estimator(a, b).distance, 0.5 * mul)
 
 
 def test_oracle_on_fixtures(example1, example2, example3):
@@ -509,6 +535,37 @@ def test_oracle_guard():
 def test_oracle_identical_trees(example2):
     a, _ = example2
     assert oracle_min_objective(a, a) == 0.0
+
+
+def _configuration(estimator, a, b, k: int = 0):
+    """(distance, deltas and induced matrices over 2^k, matching, trimmed
+    set, grants), or the type of the MtdistError the estimator raises."""
+    try:
+        r = estimator(a, b)
+    except errors.MtdistError as exc:
+        return type(exc)
+    deltas = {label: math.ldexp(d, -k) for label, d in r.deltas.items()}
+    induced = [np.ldexp(m.entries, -k).tolist() for m in (r.induced_a, r.induced_b)]
+    return math.ldexp(r.distance, -k), deltas, induced, r.matching, r.trimmed, r.assigned_labels
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1019, 1020, 1021])
+def test_random_pairs_scale_exactly_at_the_top_of_the_float_range(k):
+    """Scaled by 2^k, each estimator keeps its configuration and returns
+    exactly 2^k times its distance, deltas and induced matrices, and the
+    oracle 2^k times its minimum on pairs with at most 6 unknowns.  At
+    these scales S row sums and squared profiles are past float64 unless
+    the pair computes at a scale of its own."""
+    shapes = [(11, 0.5), (30, 0.5), (11, 0.0)]
+    for seed, (size, fraction) in itertools.product(range(100), shapes):
+        a, b = random_pair(seed, max_vertices=size, label_fraction=fraction)
+        big = [rescaled(lt, mul=2.0**k) for lt in (a, b)]
+        for estimator in (elm_distance, mmb_distance, greedy_distance):
+            assert _configuration(estimator, *big, k) == _configuration(estimator, a, b), seed
+        info = classify_agreement(a, b)
+        if len(info.unknown_a) + len(info.unknown_b) <= 6:
+            assert oracle_min_objective(*big) == math.ldexp(oracle_min_objective(a, b), k)
 
 
 @pytest.mark.parametrize("seed", range(12))
