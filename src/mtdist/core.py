@@ -107,10 +107,9 @@ class MergeTree:
     ends with ``_validate``, so a tree that exists is valid.  Vertex ids
     are dense 0..V-1 and stable for the lifetime of the tree; like labels,
     they are integers by ``operator.index``, so 0.5 is no vertex id.
-    ``half_span`` is s[root]/2 - min(s)/2, finite for any finite scalars.
     """
 
-    __slots__ = ("_scalars", "_parents", "_children", "_root", "_leaves", "_leaf_lca", "half_span")
+    __slots__ = ("_scalars", "_parents", "_children", "_root", "_leaves", "_leaf_lca", "_extent")
 
     def __init__(self, scalars: Sequence[float], parents: Sequence[int | None]):
         s = np.asarray(scalars, dtype=np.float64)
@@ -144,8 +143,8 @@ class MergeTree:
             [v for v, kids in enumerate(children) if not kids and v != self._root]
         )
         self._leaf_lca: tuple[np.ndarray, ...] | None = None
+        self._extent: tuple[float, float] | None = None
         self._validate()
-        self.half_span = float(s[self._root]) / 2 - float(s.min()) / 2
 
     # -- structure ---------------------------------------------------------
 
@@ -164,6 +163,15 @@ class MergeTree:
     @property
     def root(self) -> int:
         return self._root
+
+    @property
+    def extent(self) -> tuple[float, float]:
+        """(half span, largest |scalar|): s[root]/2 - min(s)/2, which is
+        finite for any finite scalars, and max(s[root], -min(s)); taken once."""
+        if self._extent is None:
+            top, bottom = float(self._scalars[self._root]), float(self._scalars.min())
+            self._extent = (top / 2 - bottom / 2, max(top, -bottom))
+        return self._extent
 
     @property
     def leaves(self) -> tuple[int, ...]:
@@ -281,6 +289,24 @@ class MergeTree:
         both from :meth:`leaf_rows`, in the table's own dtype: two takes."""
         return self._leaf_table()[3].take(p, axis=0).take(q, axis=1)
 
+    def scaled(self, k: int) -> MergeTree:
+        """This tree with every scalar times 2**k, sharing its structure and
+        leaf table (which holds vertex ids only) and checked again.  Exact
+        unless a scalar underflows; NonDecreasingScalar if that merges a
+        child into its parent."""
+        t = object.__new__(MergeTree)
+        for name in MergeTree.__slots__:
+            setattr(t, name, getattr(self, name))
+        t._scalars = np.ldexp(self._scalars, k)
+        t._scalars.setflags(write=False)
+        t._leaf_lca = self._leaf_table()
+        t._extent = None
+        try:
+            t._validate()
+        except errors.NonDecreasingScalar as exc:
+            raise errors.NonDecreasingScalar(f"times 2**{k}, {exc}") from None
+        return t
+
     def path_distance(self, u: int, v: int) -> float:
         """Length of the tree path between u and v under the scalar metric."""
         a = self.lca(u, v)
@@ -383,6 +409,15 @@ class LabeledMergeTree:
         for leaf in self.tree.leaves:
             if leaf not in labeled:
                 raise errors.MissingLeafLabel(f"leaf {leaf} carries no label")
+
+    def scaled(self, k: int) -> LabeledMergeTree:
+        """The tree times 2**k (:meth:`MergeTree.scaled`) under the same
+        labels, which it leaves valid, so they are not checked again."""
+        t = object.__new__(LabeledMergeTree)
+        t.tree = self.tree.scaled(k)
+        t.labels = self.labels
+        t._leaf_index = self.leaf_index()
+        return t
 
     def leaf_labels(self) -> tuple[int, ...]:
         """Labels sitting on leaves of the tree, in ascending order."""

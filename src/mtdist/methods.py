@@ -72,10 +72,11 @@ temporary is large enough to be memory-mapped.  A result keeps the labels
 and vertices its epsilon was taken over, and gathers its induced matrices
 from them, in sorted label order, only when read.
 
-A pair computes at one scale: when the larger ``half_span`` of its trees
-lies outside [2^-503, 2^497), ``_Pair`` holds both trees times the power of
-two that brings it just below 2^497, so no square or sum leaves the range,
-and scales each value leaving it back exactly (NonFiniteCost past float64).
+A pair computes at one scale, ``_Pair.shift``: when the larger half span of
+its trees lies outside [2^-503, 2^497), or a scalar's magnitude reaches
+2^1022, ``_Pair`` works on both trees times a power of two that brings them
+in range, so no square, sum or difference leaves float64, and scales each
+value leaving it back exactly (NonFiniteCost past float64).
 
 Greedy's grant search needs, per unmatched pivot leaf, only the first
 candidate whose profile is closest to the leaf's.  ``_closest_rows``
@@ -379,18 +380,12 @@ def _delta_map(pivot: LabeledMergeTree, removed: Sequence[int]) -> dict[int, flo
 class _Pair:
     """The work every estimator shares for one (a, b) pair: the label split,
     the pivot and its counterpart, their unknown labels, the matching, the
-    epsilon of the known x known block, and the result record.  ``a`` and
-    ``b`` are the given trees times 2**shift."""
+    epsilon of the known x known block, and the result record.  ``a``, ``b``,
+    ``piv`` and ``oth`` are the trees at the pair's scale."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self._lap = perf_counter()  # the set-up goes to the first record
-        self.given = ta, tb = a.tree, b.tree  # results gather their induced matrices from these
-        h = ta.half_span if ta.half_span > tb.half_span else tb.half_span  # max() costs more
-        self.shift = k = 497 - math.frexp(h)[1] if 0 < h < 2.0**-503 or h >= 2.0**497 else 0
-        if k:
-            a, b = (LabeledMergeTree(MergeTree(np.ldexp(t.tree.scalars, k), t.tree.parents),
-                                     t.labels) for t in (a, b))
-        self.a, self.b = a, b
+        self.given = (a, b)  # at the caller's scale, as results report them
         self._matches: dict[tuple[int, ...], tuple] = {}
         self.info = info = classify_agreement(a, b)
         # The canonical pivot has more unknowns, ties to the lexicographically
@@ -399,8 +394,33 @@ class _Pair:
         # always differ and the choice is independent of argument order.
         ua, ub = info.unknown_a, info.unknown_b
         self.pivot_is_a = (-len(ua), ua) < (-len(ub), ub)
-        sides = ((a, ua), (b, ub)) if self.pivot_is_a else ((b, ub), (a, ua))
-        (self.piv, self.piv_unknown), (self.oth, self.oth_unknown) = sides
+        self.piv_unknown, self.oth_unknown = (ua, ub) if self.pivot_is_a else (ub, ua)
+
+    @functools.cached_property
+    def shift(self) -> int:
+        """The power of two the pair computes at, taken on first use, so that
+        greedy's refusal never pays for it.  The larger half span h bounds
+        every profile entry, and the largest |scalar| m every difference
+        across the trees.  The shift is 0 while h is 0 or lies in
+        [2^-503, 2^497) and m is below 2^1022; else it brings h just below
+        2^497, but never m to 2^1022 or above, so no square, sum or
+        difference leaves float64."""
+        (ha, ma), (hb, mb) = (t.tree.extent for t in self.given)
+        h, m = max(ha, hb), max(ma, mb)
+        h_fits = h == 0 or 2.0**-503 <= h < 2.0**497
+        if h_fits and m < 2.0**1022:
+            return 0
+        return min(0 if h_fits else 497 - math.frexp(h)[1], 1022 - math.frexp(m)[1])
+
+    @functools.cached_property
+    def _trees(self) -> tuple[LabeledMergeTree, ...]:
+        """(a, b) times 2**shift: copies, or the given trees when it is 0."""
+        return tuple(t.scaled(self.shift) for t in self.given) if self.shift else self.given
+
+    a = property(lambda self: self._trees[0])
+    b = property(lambda self: self._trees[1])
+    piv = property(lambda self: self._trees[0 if self.pivot_is_a else 1])
+    oth = property(lambda self: self._trees[1 if self.pivot_is_a else 0])
 
     def match(
         self, piv_rows: tuple[int, ...]
@@ -482,7 +502,7 @@ class _Pair:
 
     def unscaled(self, x: float) -> float:
         """x at the given trees' scale, exactly; NonFiniteCost past float64."""
-        if math.frexp(x)[1] - self.shift > 1024:
+        if not math.isfinite(x) or math.frexp(x)[1] - self.shift > 1024:
             raise errors.NonFiniteCost(f"a value of {x} * 2**{-self.shift} is past float64")
         return math.ldexp(x, -self.shift)
 
@@ -500,7 +520,9 @@ class _Pair:
         the rest of the block mirrors them."""
         grants, unmatched_piv = dict(grants or {}), tuple(unmatched_piv)
         removed = [l for l in unmatched_piv if l not in grants]
-        deltas = {l: self.unscaled(d) for l, d in _delta_map(self.piv, removed).items()}
+        deltas = _delta_map(self.piv, removed)
+        if self.shift:
+            deltas = {l: self.unscaled(d) for l, d in deltas.items()}
         labels, cols = self.columns(pairs_ab, grants)
         eps = max(self._known_eps, self._eps_rows(labels, cols, len(self.info.known)))
         eps = self.unscaled(eps)
@@ -519,7 +541,7 @@ class _Pair:
             trimmed=frozenset(trimmed),
             wall_time=wall_time,
             assigned_labels=grants,
-            unified=(labels, self.given, tuple(cols)),
+            unified=(labels, tuple(t.tree for t in self.given), tuple(cols)),
         )
 
 

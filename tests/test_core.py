@@ -40,11 +40,35 @@ def test_minimal_chain_is_valid():
 
 
 @pytest.mark.filterwarnings("error")
-def test_half_span_is_finite_for_any_finite_scalars():
+def test_extent_is_finite_for_any_finite_scalars():
     """s[root] - min(s) would overflow here; halves taken first do not."""
-    assert MergeTree([1e308, -1e308], [None, 0]).half_span == 1e308
-    assert MergeTree([3.0, 1.0, -2.0], [None, 0, 0]).half_span == 2.5
-    assert MergeTree([7.0], [None]).half_span == 0.0
+    assert MergeTree([1e308, -1e308], [None, 0]).extent == (1e308, 1e308)
+    assert MergeTree([3.0, 1.0, -2.0], [None, 0, 0]).extent == (2.5, 3.0)
+    assert MergeTree([-7.0], [None]).extent == (0.0, 7.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scaled_copy_shares_the_leaf_table():
+    tree = MergeTree([3.0, 1.0, -2.0], [None, 0, 0])
+    big = tree.scaled(1000)
+    assert big.scalars.tolist() == [3.0 * 2.0**1000, 2.0**1000, -(2.0**1001)]
+    assert big.parents.tolist() == tree.parents.tolist()
+    assert big.lca(1, 2) == 0
+    assert big._leaf_table() is tree._leaf_table()
+    assert big.extent == (2.5 * 2.0**1000, 3.0 * 2.0**1000)
+    labeled = LabeledMergeTree(tree, LabelTable({5: 1, 6: 2}))
+    small = labeled.scaled(-3)
+    assert small.labels is labeled.labels and small.leaf_labels() == (5, 6)
+    assert small.tree.scalars.tolist() == [0.375, 0.125, -0.25]
+
+
+@pytest.mark.filterwarnings("error")
+def test_scaled_copy_that_merges_scalars_names_its_power():
+    """Scaled by 2^-600, the subnormal steps below the root all underflow
+    to 0.0, so child and parent meet."""
+    tree = MergeTree([2e-320, 1e-320, 0.0], [None, 0, 0])
+    with pytest.raises(errors.NonDecreasingScalar, match=r"times 2\*\*-600"):
+        tree.scaled(-600)
 
 
 def test_two_roots_rejected():

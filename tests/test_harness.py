@@ -269,6 +269,25 @@ def test_cli_compare_failures_exit_3(tmp_path, capsys):
     assert "single / three (mmb): DisagreementEmptyTree" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_pair_without_a_scaled_copy_fails_only_its_own_cells(tmp_path):
+    """Against the 1e300 span, the pair computes at 2^-499, where tiny's
+    subnormal steps underflow into one value: its three cells fail with the
+    copy's error, and the other two pairs are computed."""
+    (tmp_path / "huge.mtree").write_text("mtree 1\nv 0 1e300\nv 1 0.0 1\ne 1 0\n")
+    (tmp_path / "tiny.mtree").write_text(
+        "mtree 1\nv 0 2e-320\nv 1 1e-320 1\nv 2 0.0 2\ne 1 0\ne 2 0\n"
+    )
+    shutil.copy(FIXTURES / "example1_a.mtree", tmp_path / "example1_a.mtree")
+    inputs = sorted(str(p) for p in tmp_path.glob("*.mtree"))
+    report = cmd_compare(inputs, tmp_path / "out")
+    failed = sorted((f["method"], f["member_a"], f["member_b"]) for f in report.failures)
+    assert failed == [(m, "huge", "tiny") for m in ("elm", "greedy", "mmb")]
+    assert all(f["error"].startswith("NonDecreasingScalar: times 2**-499") for f in report.failures)
+    values = read_matrix_csv(tmp_path / "out" / "distances_elm.csv").values
+    assert np.isnan(values[1, 2]) and np.isfinite(values[0, 1]) and np.isfinite(values[0, 2])
+
+
 def _overflows(*args):
     raise RecursionError("maximum recursion depth exceeded")
 

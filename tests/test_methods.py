@@ -257,6 +257,26 @@ def test_a_distance_past_float64_raises_non_finite_cost():
         greedy_distance(a, b)
     for estimator in (elm_distance, mmb_distance):
         assert math.isclose(estimator(a, b).distance, 0.5 * mul)
+    # each tree's span is in range, but one lies about 3.4e308 above the other
+    a, b = (rescaled(rescaled(lt, mul=2.0**990), add=at) for lt, at in
+            zip(load_example(1), (-1.7e308, 1.7e308)))
+    for estimator in (elm_distance, mmb_distance, greedy_distance, oracle_min_objective):
+        with pytest.raises(errors.NonFiniteCost):
+            estimator(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_single_vertex_tree_bounds_the_pair_scale():
+    """The other tree's half span, 1e-160, asks for a scale of about 2^1028,
+    which would take the single vertex at 1.0 past float64; the pair scales
+    by 2^1022 at most and reaches the typed refusal of a leafless tree."""
+    a = LabeledMergeTree(MergeTree([1.0], [None]), LabelTable({1: 0}))
+    b = LabeledMergeTree(MergeTree([2e-160, 1e-160, 0.0], [None, 0, 0]), LabelTable({1: 1, 2: 2}))
+    for estimator in (elm_distance, mmb_distance, oracle_min_objective):
+        with pytest.raises(errors.DisagreementEmptyTree):
+            estimator(a, b)
+    with pytest.raises(errors.DisagreementUnsupported):
+        greedy_distance(a, b)
 
 
 def test_oracle_on_fixtures(example1, example2, example3):
