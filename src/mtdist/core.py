@@ -31,10 +31,10 @@ vertices, two up to 65,536, four above.  A query touching an internal
 vertex reads the table at one leaf below each side and keeps the
 shallowest of that LCA and the two query vertices.  Blocks over leaves
 alone skip those checks: ``leaf_rows`` checks the vertices and resolves
-their table rows once, and each ``leaf_lcas`` block is two takes on the
-table.  There is no size cutoff, and the table stays cached on its tree, so
-a process holds one per tree it has queried: 34 MB a tree at L = 4096.  The
-cache is dropped on pickling.
+their table rows once, each ``leaf_lcas`` block is two takes on the
+table and ``leaf_lca_pairs`` one.  There is no size cutoff, and the table
+stays cached on its tree, so a process holds one per tree it has queried:
+34 MB a tree at L = 4096.  The cache is dropped on pickling.
 """
 
 from __future__ import annotations
@@ -289,6 +289,10 @@ class MergeTree:
         both from :meth:`leaf_rows`, in the table's own dtype: two takes."""
         return self._leaf_table()[3].take(p, axis=0).take(q, axis=1)
 
+    def leaf_lca_pairs(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """:meth:`leaf_lcas` of p[i] and q[i] alone, for each i: one take."""
+        return self._leaf_table()[3][p, q]
+
     def scaled(self, k: int) -> MergeTree:
         """This tree with every scalar times 2**k, sharing its structure and
         leaf table (which holds vertex ids only) and checked again.  Exact
@@ -308,19 +312,21 @@ class MergeTree:
         return t
 
     def path_distance(self, u: int, v: int) -> float:
-        """Length of the tree path between u and v under the scalar metric."""
-        a = self.lca(u, v)
-        s = self._scalars
-        # summed as two non-negative legs; addition commutes, so swapping
-        # u and v gives the bit-identical result
-        return float((s[a] - s[u]) + (s[a] - s[v]))
+        """Length of the tree path between u and v; NonFiniteCost past float64."""
+        return float(self.path_distance_many([self._check_vertex(u)], [self._check_vertex(v)])[0])
 
     def path_distance_many(self, us, vs) -> np.ndarray:
         us = np.asarray(us)
         vs = np.asarray(vs)
         s = self._scalars
         sl = s[self.lca_many(us, vs)]
-        return (sl - s[us]) + (sl - s[vs])
+        # summed as two non-negative legs; addition commutes, so swapping
+        # u and v gives the bit-identical result
+        with np.errstate(over="ignore"):
+            d = (sl - s[us]) + (sl - s[vs])
+        if self.extent[0] >= 2.0**1020 and not np.isfinite(d).all():  # else d < 2**1023
+            raise errors.NonFiniteCost("a path distance is past float64")
+        return d
 
     # pickling: drop the cached leaf table (cheap to rebuild, shrinks payloads)
     def __getstate__(self):

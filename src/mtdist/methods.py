@@ -31,7 +31,7 @@ the per-tree pairwise leaf distance matrices are compared instead
 ``unknown_to_known_distances`` and ``pairwise_leaf_distances``, alone call
 ``path_distance_many`` and so ``lca_many``; every other read of the trees (S,
 delta, epsilon, induced matrices, greedy's profiles) takes leaf-table cells
-through ``leaf_rows`` and ``leaf_lcas``.
+through ``leaf_rows``, ``leaf_lcas`` and ``leaf_lca_pairs``.
 
 All three run on one private pair context, ``_Pair``: it holds the label
 split, the pivot and the unknown lists, and owns the steps the estimators
@@ -56,11 +56,12 @@ against a disjoint-label one with ``DisagreementEmptyTree``: every pivot leaf
 is then removed, with none left to measure a merge height from.
 
 The known x known block of the LCA-scalar matrices is the same for every
-estimator on a pair, so the pair takes its epsilon once and keeps only that
-float.  Every epsilon gathers just its matched or granted rows against the
-columns up to the diagonal (known labels first) and takes the larger of the
-block's epsilon and the rows': the rest of the full block mirrors those
-cells, and a max does not depend on how its entries are grouped.  Each side's
+estimator on a pair, so the pair takes its epsilon once, on 3K - 2 of its
+K^2 label pairs (``_Pair._known_eps``), and keeps only that float.  Every
+epsilon gathers just its matched or granted rows against the columns up to
+the diagonal (known labels first) and takes the larger of the block's
+epsilon and the rows': the rest of the full block mirrors those cells, and
+a max does not depend on how its entries are grouped.  Each side's
 leaf-table rows are resolved once per epsilon; a block of rows is then read
 with two takes on the table and compared in square tiles.  These tiles, the
 row gaps behind the matching and the blocks of greedy's grant search each
@@ -476,8 +477,8 @@ class _Pair:
         ]
         return self.info.known + tuple(extra), cols
 
-    def _eps_rows(self, labels: tuple[int, ...], cols: Sequence[np.ndarray], first: int) -> float:
-        """Epsilon over rows ``first:`` of the symmetric labels x labels block
+    def _eps_rows(self, labels: tuple[int, ...], cols: Sequence[np.ndarray]) -> float:
+        """Epsilon over the rows past the known labels of the symmetric block
         at vertices ``cols``, on and left of its diagonal.  Each block of
         rows reads both leaf tables once, up to its last row's column, and
         compares that strip in square tiles of at most _BLOCK_CELLS cells."""
@@ -485,7 +486,7 @@ class _Pair:
         trees = (self.a.tree, self.b.tree)
         leaf_rows = [t.leaf_rows(v) for t, v in zip(trees, cols)]
         eps = 0.0
-        for lo in range(first, len(labels), side):
+        for lo in range(len(self.info.known), len(labels), side):
             hi = min(lo + side, len(labels))
             strips = [(t.scalars, t.leaf_lcas(r[lo:hi], r[:hi])) for t, r in zip(trees, leaf_rows)]
             for c in range(0, hi, side):
@@ -496,9 +497,23 @@ class _Pair:
 
     @functools.cached_property
     def _known_eps(self) -> float:
-        """Epsilon over the known x known block, gathered once per pair; only
-        the float is kept."""
-        return self._eps_rows(self.info.known, self._known_vertices, 0)
+        """Epsilon over the known x known block, once per pair, on its
+        diagonal and each tree's leaf-table-order neighbours (3K - 2 label
+        pairs).  With A, B the LCA-scalar matrices and w = lca_a(i, j): the
+        labels below w are a run in a's order, whose LCA in b is the highest
+        of its neighbours', so a neighbour pair t in it has B(t) >= B(i, j)
+        and A(t) <= A(i, j).  So max(B - A) lies on the diagonal or a's
+        neighbours, max(A - B) on it or b's, and as rounded subtraction is
+        monotone and odd, max |fl(A - B)| is the dense one's, bit for bit."""
+        trees = (self.a.tree, self.b.tree)
+        rows = [t.leaf_rows(v) for t, v in zip(trees, self._known_vertices)]
+        if not len(rows[0]):
+            return 0.0
+        oa, ob = (np.argsort(r, kind="stable") for r in rows)
+        p = np.concatenate((np.arange(len(oa)), oa[:-1], ob[:-1]))
+        q = np.concatenate((np.arange(len(oa)), oa[1:], ob[1:]))
+        sa, sb = (t.scalars.take(t.leaf_lca_pairs(r[p], r[q])) for t, r in zip(trees, rows))
+        return float(np.abs(sa - sb).max())
 
     def unscaled(self, x: float) -> float:
         """x at the given trees' scale, exactly; NonFiniteCost past float64."""
@@ -524,8 +539,7 @@ class _Pair:
         if self.shift:
             deltas = {l: self.unscaled(d) for l, d in deltas.items()}
         labels, cols = self.columns(pairs_ab, grants)
-        eps = max(self._known_eps, self._eps_rows(labels, cols, len(self.info.known)))
-        eps = self.unscaled(eps)
+        eps = self.unscaled(max(self._known_eps, self._eps_rows(labels, cols)))
         now = perf_counter()
         wall_time, self._lap = now - self._lap, now
         return MethodResult(

@@ -141,6 +141,24 @@ def test_path_distance_identity_and_chain():
     assert t.path_distance(2, 0) == 3.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_path_distance_past_float64_raises_non_finite_cost():
+    """From -1.7e308 up to the root at 1.7e308 is 3.4e308: past float64,
+    so refused with the typed error and no overflow warning; the finite
+    distances of the same tree still come out."""
+    t = MergeTree([1.7e308, -1.7e308, 1e308], [None, 0, 0])
+    for far in (
+        lambda: t.path_distance(1, 2),
+        lambda: t.path_distance_many([1], [2]),
+        lambda: t.path_distance_many([[2], [0]], [1, 2]),
+    ):
+        with pytest.raises(errors.NonFiniteCost):
+            far()
+    d = 1.7e308 - 1e308
+    assert t.path_distance(0, 2) == d
+    assert t.path_distance_many([2, 0], [[2], [0]]).tolist() == [[0.0, d], [d, 0.0]]
+
+
 def _brute_lca(tree: MergeTree, u: int, v: int) -> int:
     def chain(x):
         out = []

@@ -722,8 +722,7 @@ def _strip_cells(first: int, n: int, cap: int) -> int:
 
 def _spy_inside_eps_rows(monkeypatch, record):
     """Call ``record(tree, p, q)`` on each leaf-table gather made inside
-    ``_Pair._eps_rows``: the known block's epsilon, then a result's rows
-    past it."""
+    ``_Pair._eps_rows``, on a result's rows past the known labels."""
     inside = []
     leaf_lcas, eps_rows = MergeTree.leaf_lcas, methods._Pair._eps_rows
 
@@ -746,31 +745,119 @@ def _spy_inside_eps_rows(monkeypatch, record):
 
 @pytest.mark.parametrize("index", range(len(_PARTIAL_PAIRS)))
 def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypatch):
-    """Per side: the known block's triangle once, then the X matched or
-    granted labels' rows up to the diagonal, each plus its tile overlap;
-    never the full (K + X)^2 block, nor the K^2 + X (K + X) cells of a
-    gather of whole rows."""
+    """Per side: at most 3K - 2 cells of the K known labels' block, read
+    once, then the X matched or granted labels' rows up to the diagonal,
+    each plus its tile overlap; never the K^2 cells of the known block, nor
+    the X (K + X) of whole rows."""
     a, b = _PARTIAL_PAIRS[index]
-    info = classify_agreement(a, b)
-    assert a.tree is not b.tree
-    cells: dict[int, int] = {}
+    k = len(classify_agreement(a, b).known)
+    assert a.tree is not b.tree and k
+    cells: dict[tuple[str, int], int] = {}
 
-    def count(tree, p, q):
-        cells[id(tree)] = cells.get(id(tree), 0) + len(p) * len(q)
+    def count(kind, tree, n):
+        cells[kind, id(tree)] = cells.get((kind, id(tree)), 0) + n
 
-    _spy_inside_eps_rows(monkeypatch, count)
-    k = len(info.known)
+    def spy(name, size):
+        reader = getattr(MergeTree, name)
+
+        def read(tree, p, q):
+            count(name, tree, size(p, q))
+            return reader(tree, p, q)
+
+        monkeypatch.setattr(MergeTree, name, read)
+
+    spy("leaf_lcas", lambda p, q: p.size * q.size)
+    spy("leaf_lca_pairs", lambda p, q: p.size)
+    _spy_inside_eps_rows(monkeypatch, lambda t, p, q: count("rows", t, len(p) * len(q)))
+    pair = methods._Pair(a, b)
+    trees = (pair.a.tree, pair.b.tree)
+    cells.clear()
+    assert pair._known_eps == pair._known_eps  # taken once, then kept
+    known = {id(t): cells.pop(("leaf_lca_pairs", id(t))) for t in trees}
+    assert not cells and all(0 < n <= 3 * k - 2 for n in known.values())
     for cap in (1, 5, methods._BLOCK_CELLS):
         monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
         for m in harness.PAIR_STEPS:
             cells.clear()
             r = harness.METHODS[m](a, b)
             x = len(r.relabeling) + len(r.assigned_labels)
-            want = _strip_cells(0, k, cap) + _strip_cells(k, k + x, cap)
-            assert cells == {id(a.tree): want, id(b.tree): want}
-            assert want <= k * k + x * (k + x)
-            if cap == 1:  # one-cell tiles: exactly the triangle
-                assert want == (k + x) * (k + x + 1) // 2
+            want = _strip_cells(k, k + x, cap)
+            for t in trees:
+                assert cells[("leaf_lca_pairs", id(t))] == known[id(t)]
+                assert cells.get(("rows", id(t)), 0) == want
+            assert want <= x * (k + x)
+            if cap == 1:  # one-cell tiles: exactly the rows' triangle
+                assert want == (k + x) * (k + x + 1) // 2 - k * (k + 1) // 2
+    # every step on the pair keeps to the epsilon it took
+    monkeypatch.setattr(MergeTree, "leaf_lca_pairs", lambda *args: pytest.fail("read twice"))
+    for m, step in harness.PAIR_STEPS.items():
+        _run(step, pair)
+
+
+def _random_labeled_tree(rng, shape: str, n: int, pool: int, scale: int) -> LabeledMergeTree:
+    """n vertices of the given shape with integer scalars times 2**scale, so
+    that merge heights tie across branches; every leaf gets a label from
+    1..pool, and some more go to random vertices, leaves included."""
+    if shape == "binary":
+        parents = [None] + [(v - 1) // 2 for v in range(1, n)]
+    elif shape == "caterpillar":
+        parents = [None] + [2 * ((v - 1) // 2) for v in range(1, n)]
+    else:
+        parents = [None] + [int(rng.integers(v)) for v in range(1, n)]
+    scalars = [0]
+    for v in range(1, n):
+        scalars.append(scalars[parents[v]] - int(rng.integers(1, 3)))
+    tree = MergeTree(np.ldexp(scalars, scale), parents)
+    leaves = list(tree.leaves)
+    pool = max(pool, len(leaves))
+    count = min(pool, len(leaves) + int(rng.integers(len(leaves) + 1)))
+    labels = rng.choice(np.arange(1, pool + 1), size=count, replace=False)
+    extra = rng.integers(n, size=len(labels) - len(leaves)).tolist()
+    return LabeledMergeTree(tree, LabelTable(dict(zip(labels.tolist(), leaves + extra))))
+
+
+def _preorder(tree: MergeTree) -> dict[int, int]:
+    """Each vertex's place in a depth-first walk from the root."""
+    order, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(tree.all_children[v]))
+    return {v: i for i, v in enumerate(order)}
+
+
+def test_known_eps_takes_the_dense_block_max_bit_for_bit():
+    """``_Pair._known_eps`` equals ``inf_norm_diff`` of the two induced
+    matrices over the known labels, sign of zero included, on random trees
+    of three shapes with tied integer scalars, several labels per leaf,
+    partly shared label sets and magnitudes 2^-60 to 2^1000.  Each family
+    of label pairs it reads is needed: without the diagonal, a's leaf-order
+    neighbours or b's, some case here comes out below the dense max."""
+    rng = np.random.default_rng(7)
+    sizes, short = set(), {"diagonal": 0, "a": 0, "b": 0}
+    for case in range(1500):
+        shapes = rng.choice(["random", "binary", "caterpillar"], size=2)
+        n, pool = int(rng.integers(2, 16)), int(rng.integers(2, 30))
+        scale = [0, -60, 60, 1000][case % 4]
+        pair = methods._Pair(*(_random_labeled_tree(rng, s, n, pool, scale) for s in shapes))
+        known = pair.info.known
+        ma, mb = induced_matrix(pair.a, known), induced_matrix(pair.b, known)
+        dense = inf_norm_diff(ma, mb)
+        assert pair._known_eps.hex() == dense.hex()
+        sizes.add(min(len(known), 2))
+        if len(known) < 2:
+            continue
+        gap = np.abs(ma.entries - mb.entries)
+        families = {"diagonal": [(i, i) for i in range(len(known))]}
+        for side, lt in (("a", pair.a), ("b", pair.b)):
+            place = _preorder(lt.tree)
+            order = sorted(range(len(known)), key=lambda i: place[lt.labels.vertex_of(known[i])])
+            families[side] = list(zip(order, order[1:]))
+        for name in families:
+            rest = [ij for other, ijs in families.items() if other != name for ij in ijs]
+            short[name] += max(gap[i, j] for i, j in rest) < gap.max()
+    assert sizes == {0, 1, 2}
+    assert all(short.values()), short
 
 
 def test_each_record_times_only_its_own_step(monkeypatch):
