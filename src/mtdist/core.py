@@ -16,8 +16,8 @@ of labels holds the scalar of the lowest common ancestor of each label
 pair, with the vertex's own scalar on the diagonal.
 
 All types here are immutable after construction and all operations are pure,
-so values can be shared freely across worker processes.  Each constructor
-checks its invariants, unpickling included, so every tree here is valid.
+so values can be shared freely across worker processes.  Every tree, even an
+unpickled or scaled one, comes from a constructor that checks its invariants.
 
 Every LCA query is answered from one per-tree *leaf table*: the L x L
 matrix of LCA vertex ids over the tree's L childless vertices, i.e. the
@@ -34,7 +34,7 @@ alone skip those checks: ``leaf_rows`` checks the vertices and resolves
 their table rows once, each ``leaf_lcas`` block is two takes on the
 table and ``leaf_lca_pairs`` one.  There is no size cutoff, and the table
 stays cached on its tree, so a process holds one per tree it has queried:
-34 MB a tree at L = 4096.  The cache is dropped on pickling.
+34 MB a tree at L = 4096.  Pickling drops the cache; a scaled copy shares it.
 """
 
 from __future__ import annotations
@@ -246,9 +246,11 @@ class MergeTree:
 
     def lca_many(self, us, vs) -> np.ndarray:
         """Vectorized LCA over broadcastable arrays of vertex ids."""
-        us = np.asarray(us)
-        vs = np.asarray(vs)
-        shape = np.broadcast_shapes(us.shape, vs.shape)
+        try:
+            us, vs = np.asarray(us), np.asarray(vs)
+            shape = np.broadcast_shapes(us.shape, vs.shape)
+        except ValueError:  # ragged, or shapes that do not broadcast
+            raise errors.InvalidVertex("vertex ids must form broadcastable arrays") from None
         if 0 in shape:
             return np.zeros(shape, dtype=np.int64)
         self._check_ids(us, vs)
@@ -274,7 +276,10 @@ class MergeTree:
     def leaf_rows(self, vs) -> np.ndarray:
         """The leaf-table rows of the childless vertices ``vs``, checked once
         here so that :meth:`leaf_lcas` can gather blocks without checks."""
-        vs = np.asarray(vs)
+        try:
+            vs = np.asarray(vs)
+        except ValueError:
+            raise errors.InvalidVertex("vertex ids must form an array, not a ragged list") from None
         if vs.size == 0:
             return np.zeros(vs.shape, dtype=np.int64)
         self._check_ids(vs)
@@ -294,21 +299,15 @@ class MergeTree:
         return self._leaf_table()[3][p, q]
 
     def scaled(self, k: int) -> MergeTree:
-        """This tree with every scalar times 2**k, sharing its structure and
-        leaf table (which holds vertex ids only) and checked again.  Exact
-        unless a scalar underflows; NonDecreasingScalar if that merges a
-        child into its parent."""
-        t = object.__new__(MergeTree)
-        for name in MergeTree.__slots__:
-            setattr(t, name, getattr(self, name))
-        t._scalars = np.ldexp(self._scalars, k)
-        t._scalars.setflags(write=False)
-        t._leaf_lca = self._leaf_table()
-        t._extent = None
+        """This tree with every scalar times 2**k, built by the constructor
+        and adopting this tree's leaf table (which holds vertex ids only).
+        Exact unless a scalar underflows; NonDecreasingScalar if that merges
+        a child into its parent."""
         try:
-            t._validate()
+            t = MergeTree(np.ldexp(self._scalars, k), self._parents.tolist())
         except errors.NonDecreasingScalar as exc:
             raise errors.NonDecreasingScalar(f"times 2**{k}, {exc}") from None
+        t._leaf_lca = self._leaf_table()
         return t
 
     def path_distance(self, u: int, v: int) -> float:
@@ -316,10 +315,11 @@ class MergeTree:
         return float(self.path_distance_many([self._check_vertex(u)], [self._check_vertex(v)])[0])
 
     def path_distance_many(self, us, vs) -> np.ndarray:
-        us = np.asarray(us)
-        vs = np.asarray(vs)
         s = self._scalars
-        sl = s[self.lca_many(us, vs)]
+        sl = s[self.lca_many(us, vs)]  # which checks the ids
+        if sl.size == 0:
+            return sl
+        us, vs = np.asarray(us), np.asarray(vs)
         # summed as two non-negative legs; addition commutes, so swapping
         # u and v gives the bit-identical result
         with np.errstate(over="ignore"):
@@ -415,15 +415,6 @@ class LabeledMergeTree:
         for leaf in self.tree.leaves:
             if leaf not in labeled:
                 raise errors.MissingLeafLabel(f"leaf {leaf} carries no label")
-
-    def scaled(self, k: int) -> LabeledMergeTree:
-        """The tree times 2**k (:meth:`MergeTree.scaled`) under the same
-        labels, which it leaves valid, so they are not checked again."""
-        t = object.__new__(LabeledMergeTree)
-        t.tree = self.tree.scaled(k)
-        t.labels = self.labels
-        t._leaf_index = self.leaf_index()
-        return t
 
     def leaf_labels(self) -> tuple[int, ...]:
         """Labels sitting on leaves of the tree, in ascending order."""

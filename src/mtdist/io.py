@@ -271,6 +271,8 @@ class DistanceMatrix:
         n = len(self.member_ids)
         if v.shape != (n, n):
             raise errors.LabelMismatch(f"matrix shape {v.shape} for {n} members")
+        if len(set(self.member_ids)) != n:
+            raise errors.ValidationError("duplicate member ids")
         object.__setattr__(self, "values", v)
 
     def check(self) -> None:

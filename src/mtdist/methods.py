@@ -77,7 +77,8 @@ A pair computes at one scale, ``_Pair.shift``: when the larger half span of
 its trees lies outside [2^-503, 2^497), or a scalar's magnitude reaches
 2^1022, ``_Pair`` works on both trees times a power of two that brings them
 in range, so no square, sum or difference leaves float64, and scales each
-value leaving it back exactly (NonFiniteCost past float64).
+value leaving it back exactly (NonFiniteCost past float64).  The copies come
+from the constructors and share only the labels and leaf tables.
 
 Greedy's grant search needs, per unmatched pivot leaf, only the first
 candidate whose profile is closest to the leaf's.  ``_closest_rows``
@@ -415,8 +416,10 @@ class _Pair:
 
     @functools.cached_property
     def _trees(self) -> tuple[LabeledMergeTree, ...]:
-        """(a, b) times 2**shift: copies, or the given trees when it is 0."""
-        return tuple(t.scaled(self.shift) for t in self.given) if self.shift else self.given
+        """(a, b) times 2**shift under the same labels, or as given at 0."""
+        if not self.shift:
+            return self.given
+        return tuple(LabeledMergeTree(t.tree.scaled(self.shift), t.labels) for t in self.given)
 
     a = property(lambda self: self._trees[0])
     b = property(lambda self: self._trees[1])

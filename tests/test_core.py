@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import pickle
 
 import numpy as np
@@ -56,8 +58,10 @@ def test_scaled_copy_shares_the_leaf_table():
     assert big.lca(1, 2) == 0
     assert big._leaf_table() is tree._leaf_table()
     assert big.extent == (2.5 * 2.0**1000, 3.0 * 2.0**1000)
+    assert tree.extent == (2.5, 3.0)
+    assert tree.scaled(2).extent == (10.0, 12.0)  # its own, though the original's was read
     labeled = LabeledMergeTree(tree, LabelTable({5: 1, 6: 2}))
-    small = labeled.scaled(-3)
+    small = LabeledMergeTree(labeled.tree.scaled(-3), labeled.labels)
     assert small.labels is labeled.labels and small.leaf_labels() == (5, 6)
     assert small.tree.scalars.tolist() == [0.375, 0.125, -0.25]
 
@@ -382,6 +386,104 @@ def test_vertex_ids_must_be_integers():
     ):
         with pytest.raises(errors.InvalidVertex):
             call()
+
+
+@st.composite
+def _small_trees(draw) -> tuple[MergeTree, list[int | None]]:
+    """A tree of 1-7 vertices with integer scalar steps, ids in random order."""
+    n = draw(st.integers(1, 7))
+    up = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    order = draw(st.permutations(range(n)))  # vertex v gets id order[v]
+    parents: list[int | None] = [None] * n
+    scalars = [10.0] * n
+    for v in range(1, n):
+        parents[order[v]] = order[up[v]]
+        scalars[order[v]] = scalars[order[up[v]]] - draw(st.integers(1, 3))
+    return MergeTree(scalars, parents), parents
+
+
+_ID = st.one_of(
+    st.integers(-2, 8), st.integers(0, 6), st.booleans(), st.floats(-1, 8),
+    st.sampled_from([2**63, 2**70]),
+)
+_IDS = st.one_of(_ID, st.lists(_ID, max_size=3), st.lists(st.lists(_ID, max_size=2), max_size=3))
+
+
+def _walk_lca(parents: list[int | None], u: int, v: int) -> int:
+    above = set()
+    while u is not None:
+        above.add(u)
+        u = parents[u]
+    while v not in above:
+        v = parents[v]
+    return v
+
+
+def _vertex(n: int, x) -> int | None:
+    """x as a vertex id of an n-vertex tree, or None where it is none."""
+    try:
+        v = operator.index(x)
+    except TypeError:
+        return None
+    return v if 0 <= v < n else None
+
+
+def _id_arrays(n: int, *xs) -> list[np.ndarray] | None:
+    """xs broadcast to arrays of vertex ids, or None where they are not that;
+    an empty broadcast holds no id to check."""
+    try:
+        arrays = np.broadcast_arrays(*map(np.asarray, xs))
+    except ValueError:
+        return None
+    if arrays[0].size and not all(
+        a.dtype.kind in "iu" and ((0 <= a) & (a < n)).all() for a in arrays
+    ):
+        return None
+    return arrays
+
+
+def _answer(call, *args):
+    """The call's result, or None where it raises an MtdistError; any other
+    exception fails the test."""
+    try:
+        return call(*args)
+    except errors.MtdistError:
+        return None
+
+
+@given(_small_trees(), _IDS, _IDS)
+@settings(max_examples=300, deadline=None)
+def test_vertex_queries_match_a_parent_walk_or_raise_mtdist_errors(tree_parents, us, vs):
+    tree, parents = tree_parents
+    n, s = tree.n_vertices, tree.scalars.tolist()
+    walk = functools.partial(_walk_lca, parents)
+
+    def dist(u, v):
+        w = s[walk(u, v)]
+        return (w - s[u]) + (w - s[v])
+
+    u, v = _vertex(n, us), _vertex(n, vs)
+    pair = None if u is None or v is None else (u, v)
+    assert _answer(tree.lca, us, vs) == (pair and walk(*pair))
+    assert _answer(tree.path_distance, us, vs) == (pair and dist(*pair))
+    assert _answer(tree.is_leaf, us) == (None if u is None else u != tree.root and u not in parents)
+
+    arrays = _id_arrays(n, us, vs)
+    for call, one in ((tree.lca_many, walk), (tree.path_distance_many, dist)):
+        got = _answer(call, us, vs)
+        assert (got is None) == (arrays is None), call.__name__
+        if got is not None:
+            want = [one(int(a), int(b)) for a, b in zip(arrays[0].ravel(), arrays[1].ravel())]
+            assert got.shape == arrays[0].shape and got.ravel().tolist() == want
+
+    ids = _id_arrays(n, us)
+    if ids is not None and any(int(x) in parents for x in ids[0].ravel()):
+        ids = None  # a vertex with children has no leaf-table row
+    rows = _answer(tree.leaf_rows, us)
+    assert (rows is None) == (ids is None)
+    if rows is not None:  # the table's diagonal holds each row's own vertex
+        assert rows.shape == ids[0].shape
+        assert tree.leaf_lca_pairs(rows, rows).tolist() == ids[0].tolist()
 
 
 # -- induced matrices ----------------------------------------------------------

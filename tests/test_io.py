@@ -378,6 +378,16 @@ def test_distance_matrix_refuses_wrong_shape_and_nonzero_diagonal():
         DistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.5]])).check()
 
 
+def test_matrix_csv_rejects_duplicate_member_ids(tmp_path):
+    """A header naming one member twice would key two rows by one id."""
+    path = tmp_path / "m.csv"
+    path.write_text("id,a,a\na,0.0,1.0\na,1.0,0.0\n")
+    with pytest.raises(errors.ValidationError, match="duplicate member ids"):
+        read_matrix_csv(path)
+    with pytest.raises(errors.ValidationError, match="duplicate member ids"):
+        DistanceMatrix(("a", "b", "a"), np.zeros((3, 3)))
+
+
 def test_matrix_csv_rejects_short_row(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("id,a,b\na,0.0\nb,1.0,0.0\n")
