@@ -443,6 +443,24 @@ class LabeledMergeTree:
         return f"LabeledMergeTree({self.tree!r}, labels={len(self.labels)})"
 
 
+def _float_matrix(entries, shape: tuple[int, int]) -> np.ndarray:
+    """``entries`` as a float64 array: LabelMismatch unless they form a
+    matrix of ``shape``, ValidationError if its cells are not all numbers."""
+    try:
+        e = np.asarray(entries, dtype=np.float64)
+    except (TypeError, ValueError):
+        try:  # ragged rows give an object array of another shape, or none
+            formed = np.asarray(entries, dtype=object).shape == shape
+        except ValueError:
+            formed = False
+        if formed:
+            raise errors.ValidationError("matrix cells are not all numbers") from None
+        raise errors.LabelMismatch(f"entries do not form a {shape} matrix") from None
+    if e.shape != shape:
+        raise errors.LabelMismatch(f"entry shape {e.shape} does not match {shape}")
+    return e
+
+
 @dataclass(frozen=True)
 class LabeledMatrix:
     """Dense real matrix whose rows and columns are indexed by label lists."""
@@ -456,12 +474,7 @@ class LabeledMatrix:
             raise errors.DuplicateLabel("duplicate row label")
         if len(set(self.col_labels)) != len(self.col_labels):
             raise errors.DuplicateLabel("duplicate column label")
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.shape != (len(self.row_labels), len(self.col_labels)):
-            raise errors.LabelMismatch(
-                f"entry shape {e.shape} does not match labels "
-                f"({len(self.row_labels)}, {len(self.col_labels)})"
-            )
+        e = _float_matrix(self.entries, (len(self.row_labels), len(self.col_labels)))
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -492,12 +505,7 @@ def classify_agreement(a: LabeledMergeTree, b: LabeledMergeTree) -> AgreementInf
     unknown_a = tuple(l for l in la if l not in in_b)
     unknown_b = tuple(l for l in lb if l not in in_a)
     known = tuple(l for l in la if l in in_b)
-    if not unknown_a and not unknown_b:
-        case = Agreement.FULL
-    elif known:
-        case = Agreement.PARTIAL
-    else:
-        case = Agreement.DISAGREEMENT
+    case = Agreement.PARTIAL if unknown_a or unknown_b else Agreement.FULL
     return AgreementInfo(case, known, unknown_a, unknown_b)
 
 
@@ -507,7 +515,10 @@ def induced_matrix(lt: LabeledMergeTree, labels: Sequence[int]) -> LabeledMatrix
     Entry (i, j) is the scalar of lca(vertex(label_i), vertex(label_j));
     the diagonal holds the labeled vertex's own scalar.
     """
-    labels = tuple(int(l) for l in labels)
+    try:  # labels are integers by operator.index, as LabelTable says
+        labels = tuple(map(operator.index, labels))
+    except TypeError:
+        raise errors.UnknownLabel("label subset holds a non-integer") from None
     if len(set(labels)) != len(labels):
         raise errors.DuplicateLabel("label subset contains duplicates")
     verts = lt.vertices_for(labels)

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .core import LabelTable, LabeledMergeTree, MergeTree
+from .core import LabelTable, LabeledMergeTree, MergeTree, _float_matrix
 
 __all__ = [
     "parse_mtree",
@@ -267,13 +267,13 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        n = len(self.member_ids)
-        if v.shape != (n, n):
-            raise errors.LabelMismatch(f"matrix shape {v.shape} for {n} members")
-        if len(set(self.member_ids)) != n:
+        ids = tuple(self.member_ids)
+        if not all(isinstance(m, str) for m in ids):
+            raise errors.ValidationError("member ids must be strings")
+        if len(set(ids)) != len(ids):
             raise errors.ValidationError("duplicate member ids")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "member_ids", ids)
+        object.__setattr__(self, "values", _float_matrix(self.values, (len(ids),) * 2))
 
     def check(self) -> None:
         v = self.values

@@ -27,7 +27,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from . import errors
 from .core import LabelTable, LabeledMergeTree, MergeTree
@@ -40,8 +39,6 @@ __all__ = [
     "assign_labels",
     "perturb",
     "generate_ensemble",
-    "default_schedule",
-    "preset_schedule",
 ]
 
 # labels >= this are "unknown" (member-private); below are ensemble-shared
@@ -228,44 +225,30 @@ def _perturb(lt: LabeledMergeTree, spec: PerturbationSpec, member: int | None) -
 
 
 def _schedule(
-    spec: EnsembleSpec, base: MergeTree, deletion_bound: Callable[[int], int]
+    spec: EnsembleSpec, base: MergeTree, preset: bool
 ) -> tuple[PerturbationSpec, ...]:
     """Member k gets noise 0.05*k, ceil(k/5) rotations, ceil(0.1*V) scalar
-    updates and uniform 0..deletion_bound(k) deletions."""
+    updates and uniform 0..bound deletions. The bound is ceil(0.1*#leaves),
+    or under the benchmark preset min(#leaves-1, max(1, round(0.04*k*#leaves))),
+    which spreads member sizes and unknown-count imbalances widely."""
+    n_leaves = len(base.leaves)
     out = []
     for k in range(1, spec.ensemble_size):
         seed = _child_seed(spec.seed, f"member-{k}")
         rng = random.Random(_child_seed(seed, "deletions"))
+        bound = math.ceil(0.1 * n_leaves)
+        if preset:
+            bound = min(n_leaves - 1, max(1, round(0.04 * k * n_leaves)))
         out.append(
             PerturbationSpec(
                 scalar_update_count=math.ceil(0.1 * base.n_vertices),
                 scalar_magnitude=0.05 * k,
                 rotation_count=math.ceil(k / 5),
-                deletion_count=rng.randint(0, deletion_bound(k)),
+                deletion_count=rng.randint(0, bound),
                 seed=seed,
             )
         )
     return tuple(out)
-
-
-def default_schedule(
-    spec: EnsembleSpec, base: MergeTree
-) -> tuple[PerturbationSpec, ...]:
-    """Escalating defaults: up to ceil(0.1*#leaves) deletions per member."""
-    bound = math.ceil(0.1 * len(base.leaves))
-    return _schedule(spec, base, lambda k: bound)
-
-
-def preset_schedule(
-    spec: EnsembleSpec, base: MergeTree
-) -> tuple[PerturbationSpec, ...]:
-    """Benchmark-preset schedule: deletions also escalate with the member
-    index (uniform in [0, round(0.04*k*#leaves)]), giving ensembles whose
-    member sizes and unknown-count imbalances spread widely."""
-    n_leaves = len(base.leaves)
-    return _schedule(
-        spec, base, lambda k: min(n_leaves - 1, max(1, round(0.04 * k * n_leaves)))
-    )
 
 
 def generate_ensemble(
@@ -275,17 +258,17 @@ def generate_ensemble(
 
     Unknown labels are rebased per member (member i uses the range starting
     at UNKNOWN_LABEL_BASE * (i + 1)) so members never share unknowns.
-    ``schedule_kind`` is "default" or "preset" (see the two schedules above).
+    ``schedule_kind`` is "default" or "preset" (see ``_schedule``).
     """
-    make_schedule = {"default": default_schedule, "preset": preset_schedule}.get(schedule_kind)
-    if make_schedule is None:
+    if schedule_kind not in ("default", "preset"):
         raise errors.ValidationError(f"unknown schedule_kind {schedule_kind!r}")
     base = random_base_tree(spec.max_vertices, _child_seed(spec.seed, "tree"))
     labeled = assign_labels(
         base, spec.label_fraction, _child_seed(spec.seed, "fractions")
     )
     members = [labeled]  # its unknowns already start at UNKNOWN_LABEL_BASE + 1
-    for k, pspec in enumerate(make_schedule(spec, base), start=1):
+    schedule = _schedule(spec, base, schedule_kind == "preset")
+    for k, pspec in enumerate(schedule, start=1):
         members.append(_perturb(labeled, pspec, k))
     return members
 

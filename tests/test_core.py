@@ -516,6 +516,21 @@ def test_induced_matrix_unknown_label(example1):
         induced_matrix(a, [1, 1])
 
 
+def test_induced_matrix_takes_labels_by_operator_index():
+    """A float or a string is no label, as LabelTable defines labels: it is
+    refused, not truncated to the integer it resembles."""
+    lt = LabeledMergeTree(
+        MergeTree([0.0, -1.0, -2.0, -3.0], [None, 0, 0, 0]), LabelTable({1: 1, 2: 2, 3: 3})
+    )
+    for labels in ([1.5, 2], ["1"], [2.0]):
+        with pytest.raises(errors.UnknownLabel):
+            induced_matrix(lt, labels)
+    m = induced_matrix(lt, np.array([3, 1], dtype=np.int64))
+    assert m.row_labels == m.col_labels == (3, 1)
+    assert all(type(l) is int for l in m.row_labels)
+    assert m.entries.tolist() == [[-3.0, 0.0], [0.0, -1.0]]
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_induced_matrix_symmetric_and_dominant(seed):
@@ -573,6 +588,17 @@ def test_labeled_matrix_refuses_duplicate_labels_and_wrong_shape():
         LabeledMatrix((1, 2), (2, 2), np.zeros((2, 2)))
     with pytest.raises(errors.LabelMismatch, match="shape"):
         LabeledMatrix((1, 2), (1, 2), np.zeros((2, 3)))
+
+
+def test_labeled_matrix_refuses_ragged_and_non_numeric_entries():
+    with pytest.raises(errors.LabelMismatch):
+        LabeledMatrix((1, 2), (1,), [[1.0], [2.0, 3.0]])
+    with pytest.raises(errors.LabelMismatch):
+        LabeledMatrix((1, 2), (1, 2), [np.zeros(2), np.zeros((2, 2))])
+    with pytest.raises(errors.ValidationError):
+        LabeledMatrix((1,), (1,), [["x"]])
+    with pytest.raises(errors.ValidationError):
+        LabeledMatrix((1,), (1, 2), [[1.0, [2.0]]])
 
 
 def test_inf_norm_label_mismatch():

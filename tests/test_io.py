@@ -388,6 +388,24 @@ def test_matrix_csv_rejects_duplicate_member_ids(tmp_path):
         DistanceMatrix(("a", "b", "a"), np.zeros((3, 3)))
 
 
+def test_distance_matrix_holds_string_ids_in_a_tuple(tmp_path):
+    """Ids stored as given broke later: ints failed the CSV writer with a bare
+    TypeError, and a list never equalled the same members held as a tuple."""
+    values = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(errors.ValidationError, match="strings"):
+        DistanceMatrix((1, 2), values)
+    listed = DistanceMatrix(["a", "b"], values)
+    assert listed.member_ids == ("a", "b")
+    write_comparison_heatmap(listed, DistanceMatrix(("a", "b"), values), tmp_path / "c.ppm")
+
+
+def test_distance_matrix_refuses_ragged_and_non_numeric_values():
+    with pytest.raises(errors.LabelMismatch):
+        DistanceMatrix(("a", "b"), [[0.0], [1.0, 0.0]])
+    with pytest.raises(errors.ValidationError):
+        DistanceMatrix(("a",), [["x"]])
+
+
 def test_matrix_csv_rejects_short_row(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("id,a,b\na,0.0\nb,1.0,0.0\n")

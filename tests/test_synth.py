@@ -25,7 +25,7 @@ from mtdist import (
     write_mtree,
 )
 from mtdist.harness import cmd_gen
-from mtdist.synth import UNKNOWN_LABEL_BASE, preset_schedule
+from mtdist.synth import UNKNOWN_LABEL_BASE, _schedule
 
 
 def _zero_spec(seed=0):
@@ -187,7 +187,7 @@ def test_unknown_schedule_kind_refused():
 def test_preset_schedule_escalates():
     spec = EnsembleSpec(max_vertices=50, ensemble_size=20, seed=7)
     base = random_base_tree(50, 0)
-    sched = preset_schedule(spec, base)
+    sched = _schedule(spec, base, True)
     assert len(sched) == 19
     assert sched[-1].scalar_magnitude > sched[0].scalar_magnitude
     assert sched[-1].rotation_count >= sched[0].rotation_count
