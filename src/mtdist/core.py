@@ -7,11 +7,12 @@ scalar differences along edges, so the distance between two vertices is
     d(u, v) = 2 * scalar(lca(u, v)) - scalar(u) - scalar(v).
 
 Labels are integers in 1..2**63 - 1 (they go through int64 arrays) attached
-to vertices.  Every leaf must carry at least one label; a vertex may carry
-several (the label map need not be injective).  A ``LabelTable`` keeps its
-labels in ascending order, and the label tuples derived from it (leaf
-labels, the known and unknown splits) come out in that order without a
-second sort; callers rely on it.  The square *induced matrix* over a list
+to vertices; a lookup reads a label by the same rule, so 2.0 or "1" is none
+(UnknownLabel).  Every leaf must carry at least one label; a vertex may
+carry several (the label map need not be injective).  A ``LabelTable``
+keeps its labels in ascending order, and the label tuples derived from it
+(leaf labels, the known and unknown splits) come out in that order without
+a second sort; callers rely on it.  The square *induced matrix* over a list
 of labels holds the scalar of the lowest common ancestor of each label
 pair, with the vertex's own scalar on the diagonal.
 
@@ -344,11 +345,13 @@ class LabelTable:
     """Bidirectional mapping between labels and vertices.
 
     This is the one place that says what a label is: an integer (by
-    ``operator.index``) in 1..2**63 - 1.  The forward map label -> vertex is
-    single valued; the inverse is a multimap since one vertex may carry
-    several labels.  The table keeps its labels in ascending order:
-    ``items()``, ``by_vertex`` and each ``labels_of(v)`` yield them so, and
-    callers rely on that instead of sorting again.
+    ``operator.index``) in 1..2**63 - 1, at construction and on every lookup
+    (:meth:`vertex_of`, :meth:`vertices_of`), which refuses anything else
+    with UnknownLabel.  The forward map label -> vertex is single valued;
+    the inverse is a multimap since one vertex may carry several labels.
+    The table keeps its labels in ascending order: ``items()``,
+    ``by_vertex`` and each ``labels_of(v)`` yield them so, and callers rely
+    on that instead of sorting again.
     """
 
     __slots__ = ("_label_to_vertex", "_vertex_to_labels")
@@ -374,9 +377,20 @@ class LabelTable:
 
     def vertex_of(self, label: int) -> int:
         try:
-            return self._label_to_vertex[label]
-        except KeyError:
-            raise errors.UnknownLabel(f"label {label} is not assigned") from None
+            return self._label_to_vertex[operator.index(label)]
+        except (TypeError, KeyError):
+            raise errors.UnknownLabel(f"label {label!r} is not assigned") from None
+
+    def vertices_of(self, labels: Sequence[int]) -> np.ndarray:
+        """Each label's vertex, as int64, by operator.index and the table with
+        no Python frame per label; UnknownLabel names the first bad label."""
+        try:
+            found = map(self._label_to_vertex.__getitem__, map(operator.index, labels))
+            return np.fromiter(found, dtype=np.int64, count=len(labels))
+        except (TypeError, KeyError):
+            for label in labels:  # the first bad label raises
+                self.vertex_of(label)
+            raise
 
     def labels_of(self, vertex: int) -> tuple[int, ...]:
         return self._vertex_to_labels.get(vertex, ())
@@ -428,9 +442,6 @@ class LabeledMergeTree:
             labels = tuple(l for l, v in self.labels.items() if v in leafset)
             self._leaf_index = labels, frozenset(labels)
         return self._leaf_index
-
-    def vertices_for(self, labels: Sequence[int]) -> np.ndarray:
-        return np.asarray([self.labels.vertex_of(l) for l in labels], dtype=np.int64)
 
     # pickling: drop the cached leaf index, as MergeTree drops its table
     def __getstate__(self):
@@ -515,13 +526,11 @@ def induced_matrix(lt: LabeledMergeTree, labels: Sequence[int]) -> LabeledMatrix
     Entry (i, j) is the scalar of lca(vertex(label_i), vertex(label_j));
     the diagonal holds the labeled vertex's own scalar.
     """
-    try:  # labels are integers by operator.index, as LabelTable says
-        labels = tuple(map(operator.index, labels))
-    except TypeError:
-        raise errors.UnknownLabel("label subset holds a non-integer") from None
+    labels = tuple(labels)
+    verts = lt.labels.vertices_of(labels)
+    labels = tuple(map(operator.index, labels))  # as Python ints
     if len(set(labels)) != len(labels):
         raise errors.DuplicateLabel("label subset contains duplicates")
-    verts = lt.vertices_for(labels)
     lcas = lt.tree.lca_many(verts[:, None], verts[None, :])
     return LabeledMatrix(labels, labels, lt.tree.scalars[lcas])
 

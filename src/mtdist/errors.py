@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its check for integers."""
+
+import operator
 
 
 class MtdistError(Exception):
@@ -85,3 +87,12 @@ class MtreeSyntaxError(MtdistError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int by ``operator.index``, the rule labels and vertex
+    ids follow; ValidationError naming ``what`` for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None

@@ -145,6 +145,7 @@ def _map_pairs(fn, trees: list[LabeledMergeTree], workers: int) -> list:
     """``fn((i, j))`` for every pair i < j of ``trees`` in canonical order,
     serially or on a pool of at most ``workers`` processes, never more than
     there are pairs; ``fn`` reads the trees from ``_POOL_STATE``."""
+    workers = errors.integer(workers, "worker count")
     if workers < 1:
         raise errors.ValidationError(f"worker count must be >= 1, got {workers}")
     tasks = _pairs(len(trees))
@@ -173,6 +174,11 @@ def _cell(step: Callable[..., methods.MethodResult], *args) -> tuple:
     except Exception as exc:
         return float("nan"), 0.0, f"{type(exc).__name__}: {exc}"
     return r.distance, r.wall_time, None
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise errors.ValidationError(f"unknown method {method!r}")
 
 
 def _method_pair(method: str, task: tuple[int, int]) -> tuple:
@@ -221,6 +227,7 @@ def distance_matrix(
     ``method_seconds`` sums the per-pair method execution times (parse and
     scheduling overhead excluded).
     """
+    _check_method(method)
     trees = [t for _, t in corpus]
     cells = _map_pairs(functools.partial(_method_pair, method), trees, workers)
     return _assemble([mid for mid, _ in corpus], cells)
@@ -269,10 +276,10 @@ def cmd_gen(
     manifest = {
         "format": "mtree 1",
         "preset": preset,
-        "max_vertices": max_vertices,
-        "ensemble_size": count,
+        "max_vertices": spec.max_vertices,
+        "ensemble_size": spec.ensemble_size,
         "label_fraction": label_fraction,
-        "seed": seed,
+        "seed": spec.seed,
         "files": [p.name for p in files],
     }
     (out / "manifest.json").write_text(
@@ -283,8 +290,7 @@ def cmd_gen(
 
 def cmd_dist(method: str, file_a: str | Path, file_b: str | Path) -> methods.MethodResult:
     """Distance between two tree files with full provenance."""
-    if method not in METHODS:
-        raise errors.ValidationError(f"unknown method {method!r}")
+    _check_method(method)
     a, b = _read_members([str(file_a), str(file_b)], [file_a, file_b])
     return METHODS[method](a, b)
 
@@ -337,6 +343,7 @@ def cmd_matrix(
     heatmap: bool = False,
 ) -> tuple[DistanceMatrix, list[tuple[str, str, str]], float]:
     """Distance matrix over a corpus; CSV (and optional heatmap) on disk."""
+    _check_method(method)  # before any file is parsed
     corpus = load_corpus(inputs)
     matrix, failures, method_seconds = distance_matrix(method, corpus, workers=workers)
     out = Path(out_dir)
@@ -500,6 +507,7 @@ def cmd_bench(
     Pairs a method cannot handle surface as NaN cells; the clock covers
     method execution only, never parsing.
     """
+    repeat = errors.integer(repeat, "repeat")
     if repeat < 1:
         raise errors.ValidationError("repeat must be >= 1")
     corpus = load_corpus(inputs)

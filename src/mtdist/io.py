@@ -35,6 +35,7 @@ value is smaller, yellow where larger, gray where equal; NaN cells are red.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -267,6 +268,8 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.member_ids, str) or not isinstance(self.member_ids, Iterable):
+            raise errors.ValidationError("member ids must be a collection of strings")
         ids = tuple(self.member_ids)
         if not all(isinstance(m, str) for m in ids):
             raise errors.ValidationError("member ids must be strings")

@@ -135,17 +135,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SMatrix:
+class SMatrix(LabeledMatrix):
     """Merge heights from selected leaves (rows) to a leaf subset (columns).
 
     Entry (i, j) = scalar(lca(v_i, v_j)) - scalar(v_i) >= 0, zero when the
     row leaf also appears as the column.  ``row_sums`` is the appended
-    row-sum column used to rank rows for trimming.
+    row-sum column used to rank rows for trimming.  As a ``LabeledMatrix``
+    it refuses a label listed twice (DuplicateLabel).
     """
 
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
-    entries: np.ndarray
     row_sums: np.ndarray
 
 
@@ -206,7 +204,7 @@ class MethodResult:
 
 
 def _require_leaves(lt: LabeledMergeTree, labels: Sequence[int]) -> np.ndarray:
-    verts = lt.vertices_for(labels)
+    verts = lt.labels.vertices_of(labels)
     for label, v in zip(labels, verts):
         if not lt.tree.is_leaf(int(v)):
             raise errors.NonLeafLabel(f"label {label} is not on a leaf")
@@ -238,6 +236,7 @@ def build_s_matrix(
 
 def select_trim(s: SMatrix, k: int) -> tuple[int, ...]:
     """The k row labels with the smallest row sums, ties to the lowest label."""
+    k = errors.integer(k, "trim count")
     if k < 0:
         raise errors.ValidationError(f"cannot trim {k} rows")
     if k > len(s.row_labels):
@@ -254,8 +253,8 @@ def unknown_to_known_distances(
     """Path distances from each unknown-labeled vertex to the known ones."""
     unknown = tuple(unknown)
     known = tuple(known)
-    rows = lt.vertices_for(unknown)
-    cols = lt.vertices_for(known)
+    rows = lt.labels.vertices_of(unknown)
+    cols = lt.labels.vertices_of(known)
     d = lt.tree.path_distance_many(rows[:, None], cols[None, :])
     return LabeledMatrix(unknown, known, d.reshape(len(unknown), len(known)))
 
@@ -375,7 +374,7 @@ def _delta_map(pivot: LabeledMergeTree, removed: Sequence[int]) -> dict[int, flo
     survivors = [l for l in pivot.leaf_labels() if l not in removed_set]
     if not survivors:
         raise errors.DisagreementEmptyTree("cannot compare a tree with no leaves")
-    heights = _merge_heights(pivot, pivot.vertices_for(removed), pivot.vertices_for(survivors))
+    heights = _merge_heights(pivot, *map(pivot.labels.vertices_of, (removed, survivors)))
     return {label: float(h.min()) for label, h in zip(removed, heights)}
 
 
@@ -462,7 +461,7 @@ class _Pair:
     @functools.cached_property
     def _known_vertices(self) -> tuple[np.ndarray, np.ndarray]:
         known = self.info.known
-        return self.a.vertices_for(known), self.b.vertices_for(known)
+        return self.a.labels.vertices_of(known), self.b.labels.vertices_of(known)
 
     def columns(self, pairs_ab: Sequence[tuple[int, int]], grants: Mapping | None = None) -> tuple:
         """The known labels, the matched ones under their side-A names, then
@@ -472,13 +471,10 @@ class _Pair:
         at = {la: (la, lb) for la, lb in pairs_ab}
         for label, anchor in (grants or {}).items():  # it sits on the anchor's leaf
             at[label] = (label, anchor) if self.pivot_is_a else (anchor, label)
-        a, b = self.a.labels, self.b.labels
-        extra = {name: (a.vertex_of(la), b.vertex_of(lb)) for name, (la, lb) in at.items()}
-        cols = [
-            np.concatenate((kv, np.asarray([v[side] for v in extra.values()], dtype=np.int64)))
-            for side, kv in enumerate(self._known_vertices)
-        ]
-        return self.info.known + tuple(extra), cols
+        sides = list(zip(*at.values())) or [(), ()]  # side-A labels, side-B labels
+        extra = (t.labels.vertices_of(ls) for t, ls in zip((self.a, self.b), sides))
+        cols = list(map(np.concatenate, zip(self._known_vertices, extra)))
+        return self.info.known + tuple(at), cols
 
     def _eps_rows(self, labels: tuple[int, ...], cols: Sequence[np.ndarray]) -> float:
         """Epsilon over the rows past the known labels of the symmetric block
@@ -637,7 +633,7 @@ def _greedy(p: _Pair) -> MethodResult:
         leaves = set(oth.tree.leaves)
         cand = [v for v in oth.labels.by_vertex if v in leaves]
         ds_rows = _leaf_distance_rows(oth.tree, np.asarray(cand, dtype=np.int64), oth_nk)
-        dmat = _leaf_distance_rows(piv.tree, piv.vertices_for(unmatched), piv_nk)(slice(None))
+        dmat = _leaf_distance_rows(piv.tree, piv.labels.vertices_of(unmatched), piv_nk)(slice(None))
         for label, c in zip(unmatched, _closest_rows(dmat, ds_rows, len(cand)).tolist()):
             grants[label] = oth.labels.labels_of(cand[c])[0]
     return p.result(pairs_ab, unmatched, grants=grants)
@@ -664,7 +660,10 @@ def evaluate_configuration(
     unless ``removed`` and ``pairs`` hold each unknown label once, on its side.
     """
     p = _Pair(a, b)
-    removed, pairs = tuple(removed), tuple(map(tuple, pairs))
+    try:
+        removed, pairs = tuple(removed), tuple(map(tuple, pairs))
+    except TypeError:
+        raise errors.ValidationError("removed and each pair must be sequences of labels") from None
     if any(len(pair) != 2 for pair in pairs):
         raise errors.ValidationError("pairs must be (side-A label, side-B label) pairs")
     piv = 0 if p.pivot_is_a else 1

@@ -50,6 +50,12 @@ def _child_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _integer_fields(spec, *names: str) -> None:
+    """Hold each named field of a frozen spec as an int (``errors.integer``)."""
+    for name in names:
+        object.__setattr__(spec, name, errors.integer(getattr(spec, name), name))
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     scalar_update_count: int
@@ -59,6 +65,7 @@ class PerturbationSpec:
     seed: int
 
     def __post_init__(self):
+        _integer_fields(self, "scalar_update_count", "rotation_count", "deletion_count", "seed")
         if min(self.scalar_update_count, self.rotation_count, self.deletion_count) < 0:
             raise errors.ValidationError("perturbation counts must be >= 0")
         if self.scalar_magnitude < 0:
@@ -73,6 +80,7 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_fields(self, "max_vertices", "ensemble_size", "seed")
         if self.max_vertices < 3:
             raise errors.TooSmall("need max_vertices >= 3")
         if self.ensemble_size < 1:

@@ -712,6 +712,31 @@ def test_compare_and_bench_refuse_bad_arguments(tmp_path):
         cmd_compare(_example_files(1)[:1], tmp_path)
     with pytest.raises(errors.ValidationError, match="repeat"):
         cmd_bench(_example_files(1), repeat=0)
+    for repeat in ("2", 1.5):
+        with pytest.raises(errors.ValidationError, match="repeat must be an integer"):
+            cmd_bench(_example_files(1), repeat=repeat)
+
+
+def test_library_refuses_a_worker_count_that_is_no_integer(tmp_path):
+    # one pair: even a worker count the pool took would start no process
+    corpus = load_corpus(_example_files(1))
+    for workers in ("2", 2.5):
+        with pytest.raises(errors.ValidationError, match="worker count must be an integer"):
+            distance_matrix("elm", corpus, workers=workers)
+        with pytest.raises(errors.ValidationError, match="worker count must be an integer"):
+            cmd_compare(_example_files(1), tmp_path / "out", workers=workers)
+    assert not (tmp_path / "out").exists()
+    assert distance_matrix("elm", corpus, workers=np.int64(1))[0].values[0, 1] == 0.5
+
+
+def test_matrix_run_refuses_an_unknown_method_before_any_work(tmp_path):
+    corpus = load_corpus(_example_files(1))
+    with pytest.raises(errors.ValidationError, match="unknown method 'nope'"):
+        distance_matrix("nope", corpus)
+    missing = [str(tmp_path / "a.mtree"), str(tmp_path / "b.mtree")]  # never opened
+    with pytest.raises(errors.ValidationError, match="unknown method 'nope'"):
+        cmd_matrix("nope", missing, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bench(tmp_path, capsys):

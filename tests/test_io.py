@@ -392,8 +392,9 @@ def test_distance_matrix_holds_string_ids_in_a_tuple(tmp_path):
     """Ids stored as given broke later: ints failed the CSV writer with a bare
     TypeError, and a list never equalled the same members held as a tuple."""
     values = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(errors.ValidationError, match="strings"):
-        DistanceMatrix((1, 2), values)
+    for ids in ((1, 2), "ab", 5):  # a string is no collection of ids, nor is a number
+        with pytest.raises(errors.ValidationError, match="strings"):
+            DistanceMatrix(ids, values)
     listed = DistanceMatrix(["a", "b"], values)
     assert listed.member_ids == ("a", "b")
     write_comparison_heatmap(listed, DistanceMatrix(("a", "b"), values), tmp_path / "c.ppm")

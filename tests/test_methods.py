@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,48 @@ def test_select_trim_refuses_a_negative_k():
     assert select_trim(tied, 0) == ()
     with pytest.raises(errors.ValidationError):
         select_trim(tied, -1)  # a slice to -1 would pick every row but the last
+    for k in (1.5, "1"):
+        with pytest.raises(errors.ValidationError, match="trim count must be an integer"):
+            select_trim(tied, k)
+    assert select_trim(tied, np.int64(1)) == (5,)
+
+
+def test_s_matrix_refuses_duplicate_labels(example1):
+    a, _ = example1
+    with pytest.raises(errors.DuplicateLabel):
+        build_s_matrix(a, (3, 3), a.leaf_labels())  # select_trim would trim 3 twice
+    with pytest.raises(errors.DuplicateLabel):
+        build_s_matrix(a, (3,), (1, 2, 2))
+    with pytest.raises(errors.DuplicateLabel):
+        SMatrix((5, 5), (5,), np.zeros((2, 1)), np.zeros(2))
+
+
+def test_every_label_lookup_takes_labels_by_operator_index():
+    """A label is an integer by operator.index on every lookup, as LabelTable
+    builds them: 2.0, "1" and [1] are refused, never read as 2 or 1."""
+    lt = LabeledMergeTree(
+        MergeTree([0.0, -1.0, -2.0, -3.0], [None, 0, 0, 0]), LabelTable({1: 1, 2: 2, 3: 3})
+    )
+    lookups = [
+        lambda l: lt.labels.vertex_of(l),
+        lambda l: lt.labels.vertices_of([1, l]),
+        lambda l: unknown_to_known_distances(lt, [l], [1]),
+        lambda l: pairwise_leaf_distances(lt, [l, 1]),
+        lambda l: build_s_matrix(lt, [l], [1, 2]),
+        lambda l: induced_matrix(lt, [3, l]),
+    ]
+    for lookup, bad in itertools.product(lookups, (2.0, "1", [1], 99)):
+        with pytest.raises(errors.UnknownLabel, match=re.escape(f"label {bad!r} ")):
+            lookup(bad)
+    with pytest.raises(errors.UnknownLabel, match="label 2.0 "):  # the first bad label
+        lt.labels.vertices_of([1, 2.0, "1"])
+    # numpy integers are labels, and come back as the vertices Python ints give
+    for lookup in lookups:
+        lookup(np.int64(2))
+    assert lt.labels.vertex_of(np.int64(2)) == 2
+    got = lt.labels.vertices_of(np.array([3, 1], dtype=np.uint8))
+    assert got.dtype == np.int64 and got.tolist() == [3, 1]
+    assert lt.labels.vertices_of(()).tolist() == []
 
 
 def test_unknown_to_known_distances_fixture(example1):
@@ -493,6 +536,8 @@ def test_reported_configuration_reproduces_distance(seed):
         ((4,), ((4, 5),)),  # 4 both removed and matched, 3 in neither
         ((3,), ((5, 4),)),  # sides swapped
         ((3,), ((4, 5, 6),)),  # not a pair
+        (5, ()),  # removed is no sequence of labels
+        ((3,), (5,)),  # a pair that is no pair of labels
     ],
 )
 def test_evaluate_configuration_refuses_what_it_cannot_evaluate(example1, removed, pairs):
@@ -995,7 +1040,7 @@ def _reference_grants(a, b) -> dict[int, int]:
     cand = [v for v in p.oth.labels.by_vertex if v in leaves]
     cand_v = np.asarray(cand, dtype=np.int64)
     ds = p.oth.tree.path_distance_many(cand_v[:, None], oth_nk[None, :])
-    um_v = p.piv.vertices_for(unmatched)
+    um_v = p.piv.labels.vertices_of(unmatched)
     dmat = p.piv.tree.path_distance_many(um_v[:, None], piv_nk[None, :])
     closest = np.argmin(methods._row_gaps(dmat, ds), axis=1)
     return {label: p.oth.labels.labels_of(cand[int(c)])[0] for label, c in zip(unmatched, closest)}

@@ -202,16 +202,59 @@ def test_ensemble_spec_validation():
         EnsembleSpec(max_vertices=9, label_fraction=-0.1)
     with pytest.raises(errors.ValidationError, match="ensemble_size"):
         EnsembleSpec(max_vertices=9, ensemble_size=0)
+    # counts and seeds are integers by operator.index: no float, no string
+    for name, value in (("ensemble_size", 2.5), ("max_vertices", 9.5), ("seed", 1.5), ("seed", "0")):
+        with pytest.raises(errors.ValidationError, match=f"{name} must be an integer"):
+            EnsembleSpec(**{"max_vertices": 9, name: value})
+    spec = EnsembleSpec(max_vertices=np.int64(9), ensemble_size=np.int64(2), seed=np.int64(3))
+    assert [type(v) for v in (spec.max_vertices, spec.ensemble_size, spec.seed)] == [int] * 3
+    assert spec == EnsembleSpec(9, 2, seed=3)
 
 
 @pytest.mark.parametrize(
     "fields",
-    [(-1, 0.0, 0, 0), (0, 0.0, -1, 0), (0, 0.0, 0, -1), (0, -0.5, 0, 0)],
-    ids=["updates", "rotations", "deletions", "magnitude"],
+    [
+        (-1, 0.0, 0, 0),
+        (0, 0.0, -1, 0),
+        (0, 0.0, 0, -1),
+        (0, -0.5, 0, 0),
+        (1.5, 0.0, 0, 0),
+        (0, 0.0, 0.5, 0),
+        (0, 0.0, 0, 0.5),
+        (0, 0.0, 0, "1"),
+    ],
+    ids=[
+        "updates",
+        "rotations",
+        "deletions",
+        "magnitude",
+        "fractional-updates",
+        "fractional-rotations",
+        "fractional-deletions",
+        "string-deletions",
+    ],
 )
 def test_perturbation_spec_validation(fields):
     with pytest.raises(errors.ValidationError):
         PerturbationSpec(*fields, seed=0)
+
+
+def test_perturbation_seed_is_an_integer():
+    for seed in (1.5, "0"):
+        with pytest.raises(errors.ValidationError, match="seed must be an integer"):
+            PerturbationSpec(0, 0.0, 0, 0, seed)
+    assert PerturbationSpec(0, 0.0, 0, 0, np.int64(4)) == _zero_spec(4)
+
+
+def test_gen_refuses_a_count_that_is_no_integer_and_writes_nothing(tmp_path):
+    for options in (
+        dict(max_vertices=9, count=2.5),
+        dict(max_vertices=9.5),
+        dict(max_vertices=9, seed=1.5),
+    ):
+        with pytest.raises(errors.ValidationError, match="must be an integer"):
+            cmd_gen(tmp_path / "out", **options)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fraction", [-0.01, 1.01])
