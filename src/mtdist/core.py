@@ -40,6 +40,7 @@ stays cached on its tree, so a process holds one per tree it has queried:
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -409,7 +410,14 @@ class LabelTable:
 
 
 class LabeledMergeTree:
-    """A merge tree together with its label table.  Treated as immutable."""
+    """A merge tree together with its label table.  Treated as immutable.
+
+    Its *leaf index*, found on first use and kept, is what every pair reads
+    of the tree's leaves: the leaf labels in ascending order, the same
+    labels as a set, and each one's vertex (a read-only int64 array, a
+    vertex repeated for a leaf carrying several labels).  Pickling drops
+    it, as ``MergeTree`` drops its leaf table.
+    """
 
     __slots__ = ("tree", "labels", "_leaf_index")
 
@@ -434,13 +442,16 @@ class LabeledMergeTree:
         """Labels sitting on leaves of the tree, in ascending order."""
         return self.leaf_index()[0]
 
-    def leaf_index(self) -> tuple[tuple[int, ...], frozenset[int]]:
-        """The leaf labels in ascending order and as a set, found once, as
-        neither the tree nor its labels change."""
+    def leaf_index(self) -> tuple[tuple[int, ...], frozenset[int], np.ndarray]:
+        """(leaf labels in ascending order, the same as a set, their
+        vertices), found once, as neither the tree nor its labels change."""
         if self._leaf_index is None:
             leafset = set(self.tree.leaves)
-            labels = tuple(l for l, v in self.labels.items() if v in leafset)
-            self._leaf_index = labels, frozenset(labels)
+            on_leaves = [(l, v) for l, v in self.labels.items() if v in leafset]
+            labels = tuple(l for l, _ in on_leaves)
+            verts = np.fromiter((v for _, v in on_leaves), dtype=np.int64, count=len(on_leaves))
+            verts.setflags(write=False)
+            self._leaf_index = labels, frozenset(labels), verts
         return self._leaf_index
 
     # pickling: drop the cached leaf index, as MergeTree drops its table
@@ -508,14 +519,15 @@ class AgreementInfo:
 
 def classify_agreement(a: LabeledMergeTree, b: LabeledMergeTree) -> AgreementInfo:
     """Split the two trees' leaf labels into known (shared) and unknown sets,
-    each in ascending order: filters keep the order of the leaf labels."""
-    (la, in_a), (lb, in_b) = a.leaf_index(), b.leaf_index()
+    each in ascending order: filters keep the order of the leaf labels, and
+    test each label against the other tree's leaf index set."""
+    (la, in_a, _), (lb, in_b, _) = a.leaf_index(), b.leaf_index()
     if in_a.isdisjoint(in_b):  # nothing shared: every leaf label is unknown
         case = Agreement.DISAGREEMENT if la or lb else Agreement.FULL
         return AgreementInfo(case, (), la, lb)
-    unknown_a = tuple(l for l in la if l not in in_b)
-    unknown_b = tuple(l for l in lb if l not in in_a)
-    known = tuple(l for l in la if l in in_b)
+    unknown_a = tuple(itertools.filterfalse(in_b.__contains__, la))
+    unknown_b = tuple(itertools.filterfalse(in_a.__contains__, lb))
+    known = tuple(filter(in_b.__contains__, la))
     case = Agreement.PARTIAL if unknown_a or unknown_b else Agreement.FULL
     return AgreementInfo(case, known, unknown_a, unknown_b)
 

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and its check for integers."""
+"""Exception types shared across the package, and its checks for integers
+and real numbers."""
 
+import math
+import numbers
 import operator
 
 
@@ -96,3 +99,12 @@ def integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def real(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number (``numbers.Real``,
+    so ints and numpy scalars too, but no string); ValidationError naming
+    ``what`` for anything else."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)

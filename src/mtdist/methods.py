@@ -55,6 +55,17 @@ record; a step that raises leaves its time to the next.  Delta
 against a disjoint-label one with ``DisagreementEmptyTree``: every pivot leaf
 is then removed, with none left to measure a merge height from.
 
+What a pair needs of a tree's leaves comes from the tree's leaf index
+(``LabeledMergeTree.leaf_index``: leaf labels ascending, as a set, and their
+vertices), found once per tree: S's columns when they are the tree's own
+``leaf_labels()`` (no per-label leaf check), delta's survivors and greedy's
+candidate receivers.  Delta reads two leaf-table cells per removed leaf, not
+a removed x survivors block: the LCA of a removed leaf with its nearest
+surviving leaf on either side in the table's DFS order, the lower of which
+is the lowest LCA with any survivor (``_delta_map``), so every merge height
+keeps its bits.  The oracle's ``delta_of`` scans every survivor and stays
+the reference.
+
 The known x known block of the LCA-scalar matrices is the same for every
 estimator on a pair, so the pair takes its epsilon once, on 3K - 2 of its
 K^2 label pairs (``_Pair._known_eps``), and keeps only that float.  Every
@@ -204,6 +215,12 @@ class MethodResult:
 
 
 def _require_leaves(lt: LabeledMergeTree, labels: Sequence[int]) -> np.ndarray:
+    """The vertices of ``labels``; NonLeafLabel unless each is on a leaf.  The
+    tree's own ``leaf_labels()`` tuple is on leaves by construction, and its
+    vertices come from the leaf index."""
+    leaf_labels, _, leaf_verts = lt.leaf_index()
+    if labels is leaf_labels:
+        return leaf_verts
     verts = lt.labels.vertices_of(labels)
     for label, v in zip(labels, verts):
         if not lt.tree.is_leaf(int(v)):
@@ -367,15 +384,31 @@ def _row_norm_weights(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 def _delta_map(pivot: LabeledMergeTree, removed: Sequence[int]) -> dict[int, float]:
     """Merge height of each removed leaf above the nearest surviving leaf.
     Every pivot leaf is removed only when the other tree of a disjoint-label
-    pair has no leaves, and then no leaf is left to measure from."""
+    pair has no leaves, and then no leaf is left to measure from.
+    ``removed`` holds distinct leaf labels.
+
+    The leaves below any vertex are a run of the leaf table's (DFS) rows, so
+    the LCA of a removed leaf r with a survivor only rises as the survivor
+    lies further from r in that order, and the lowest is that of r's
+    nearest surviving row on one side or the other.  Rounded subtraction is
+    monotone, so that LCA's scalar minus r's is the least merge height bit
+    for bit."""
     if not removed:
         return {}
-    removed_set = set(removed)
-    survivors = [l for l in pivot.leaf_labels() if l not in removed_set]
-    if not survivors:
+    tree = pivot.tree
+    at = pivot.labels.vertices_of(removed)
+    rows = tree.leaf_rows(at)
+    # a leaf survives while it carries more labels than are removed from it;
+    # the survivors' leaf-table rows come out ascending, in DFS order
+    labels_on = np.bincount(tree.leaf_rows(pivot.leaf_index()[2]))
+    survivors = np.flatnonzero(labels_on > np.bincount(rows, minlength=len(labels_on)))
+    if not len(survivors):
         raise errors.DisagreementEmptyTree("cannot compare a tree with no leaves")
-    heights = _merge_heights(pivot, *map(pivot.labels.vertices_of, (removed, survivors)))
-    return {label: float(h.min()) for label, h in zip(removed, heights)}
+    right = np.searchsorted(survivors, rows)  # the first survivor at or after
+    sides = (survivors[np.maximum(right - 1, 0)], survivors[np.minimum(right, len(survivors) - 1)])
+    s = tree.scalars
+    lowest = np.minimum(*(s.take(tree.leaf_lca_pairs(rows, side)) for side in sides))
+    return dict(zip(removed, (lowest - s[at]).tolist()))
 
 
 class _Pair:
@@ -630,8 +663,7 @@ def _greedy(p: _Pair) -> MethodResult:
         newly = np.argsort(np.asarray(labels, dtype=np.int64))
         piv_nk, oth_nk = (c[newly] for c in (cols if p.pivot_is_a else cols[::-1]))
         # candidate receivers: leaves of the smaller tree, by smallest label
-        leaves = set(oth.tree.leaves)
-        cand = [v for v in oth.labels.by_vertex if v in leaves]
+        cand = list(dict.fromkeys(oth.leaf_index()[2].tolist()))
         ds_rows = _leaf_distance_rows(oth.tree, np.asarray(cand, dtype=np.int64), oth_nk)
         dmat = _leaf_distance_rows(piv.tree, piv.labels.vertices_of(unmatched), piv_nk)(slice(None))
         for label, c in zip(unmatched, _closest_rows(dmat, ds_rows, len(cand)).tolist()):
@@ -671,7 +703,11 @@ def evaluate_configuration(
         (removed + tuple(pair[piv] for pair in pairs), p.piv_unknown),
         (tuple(pair[1 - piv] for pair in pairs), p.oth_unknown),
     ):
-        if len(got) != len(want) or set(got) != set(want):
+        try:
+            same = len(got) == len(want) and set(got) == set(want)
+        except TypeError:  # an unhashable label
+            same = False
+        if not same:
             raise errors.ValidationError(f"labels {got} are not the unknowns {want}, each once")
     return p.result(pairs, removed).distance
 

@@ -50,10 +50,11 @@ def _child_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _integer_fields(spec, *names: str) -> None:
-    """Hold each named field of a frozen spec as an int (``errors.integer``)."""
+def _checked_fields(spec, check, *names: str) -> None:
+    """Hold each named field of a frozen spec as ``check`` (``errors.integer``
+    or ``errors.real``) returns it."""
     for name in names:
-        object.__setattr__(spec, name, errors.integer(getattr(spec, name), name))
+        object.__setattr__(spec, name, check(getattr(spec, name), name))
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,10 @@ class PerturbationSpec:
     seed: int
 
     def __post_init__(self):
-        _integer_fields(self, "scalar_update_count", "rotation_count", "deletion_count", "seed")
+        _checked_fields(
+            self, errors.integer, "scalar_update_count", "rotation_count", "deletion_count", "seed"
+        )
+        _checked_fields(self, errors.real, "scalar_magnitude")
         if min(self.scalar_update_count, self.rotation_count, self.deletion_count) < 0:
             raise errors.ValidationError("perturbation counts must be >= 0")
         if self.scalar_magnitude < 0:
@@ -80,7 +84,8 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _integer_fields(self, "max_vertices", "ensemble_size", "seed")
+        _checked_fields(self, errors.integer, "max_vertices", "ensemble_size", "seed")
+        _checked_fields(self, errors.real, "label_fraction")
         if self.max_vertices < 3:
             raise errors.TooSmall("need max_vertices >= 3")
         if self.ensemble_size < 1:
@@ -115,6 +120,7 @@ def assign_labels(
     unknown_base: int = UNKNOWN_LABEL_BASE,
 ) -> LabeledMergeTree:
     """Label ceil(fraction * #leaves) leaves 1..k; the rest get fresh labels."""
+    fraction = errors.real(fraction, "fraction")
     if not 0.0 <= fraction <= 1.0:
         raise errors.ValidationError("fraction must lie in [0, 1]")
     rng = random.Random(_child_seed(seed, "labels"))

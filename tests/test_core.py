@@ -289,12 +289,20 @@ def test_leaf_labels_found_once_and_never_pickled():
     lt = LabeledMergeTree(tree, LabelTable({9: 4, 2: 2, 5: 1, 7: 3}))
     payload = pickle.dumps(lt)
     assert lt.leaf_labels() == (2, 7, 9)
-    assert lt.leaf_index() == ((2, 7, 9), frozenset({2, 7, 9}))
+    labels, label_set, verts = lt.leaf_index()
+    assert (labels, label_set) == ((2, 7, 9), frozenset({2, 7, 9}))
+    assert verts.dtype == np.int64 and verts.tolist() == [2, 3, 4]
+    assert not verts.flags.writeable
     assert lt.leaf_index() is lt.leaf_index()
     assert pickle.dumps(lt) == payload  # the cached index never travels
     copy = pickle.loads(payload)
     assert copy._leaf_index is None
     assert copy.leaf_labels() == (2, 7, 9)
+    assert copy.leaf_index()[2].tolist() == [2, 3, 4]
+    # a leaf carrying two labels appears once per label
+    lt = LabeledMergeTree(tree, LabelTable({9: 4, 2: 2, 5: 1, 7: 3, 8: 2}))
+    assert lt.leaf_index()[0] == (2, 7, 8, 9)
+    assert lt.leaf_index()[2].tolist() == [2, 3, 2, 4]
 
 
 def _bfs_edge_sum(tree: MergeTree, u: int, v: int) -> float:

@@ -101,6 +101,29 @@ def test_s_matrix_rejects_nonleaf(example1):
     lt = LabeledMergeTree(a.tree, LabelTable({**dict(a.labels.items()), 99: a.tree.root}))
     with pytest.raises(errors.NonLeafLabel):
         build_s_matrix(lt, (99,), lt.leaf_labels())
+    # a caller-built column list is checked label by label
+    with pytest.raises(errors.NonLeafLabel):
+        build_s_matrix(lt, lt.leaf_labels()[:1], list(lt.leaf_labels()) + [99])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_s_matrix_over_the_leaf_index_equals_a_caller_built_list(seed, monkeypatch):
+    """The tree's own ``leaf_labels()`` tuple takes its vertices from the
+    leaf index, with no per-label leaf check; the same labels in a list are
+    checked one by one, and the two S matrices agree bit for bit."""
+    lt, _ = random_pair(seed, max_vertices=13)
+    leaves = lt.leaf_labels()
+    rows = leaves[seed % 3 :: 2]
+    checked = build_s_matrix(lt, rows, list(leaves))
+    calls = []
+    is_leaf = MergeTree.is_leaf
+    monkeypatch.setattr(MergeTree, "is_leaf", lambda t, v: calls.append(v) or is_leaf(t, v))
+    indexed = build_s_matrix(lt, rows, leaves)
+    assert len(calls) == len(rows)  # the rows alone
+    assert methods._require_leaves(lt, leaves) is lt.leaf_index()[2]
+    assert (indexed.row_labels, indexed.col_labels) == (checked.row_labels, checked.col_labels)
+    assert indexed.entries.tobytes() == checked.entries.tobytes()
+    assert indexed.row_sums.tobytes() == checked.row_sums.tobytes()
 
 
 def test_select_trim_values_and_ties(example1, example3):
@@ -538,6 +561,8 @@ def test_reported_configuration_reproduces_distance(seed):
         ((3,), ((4, 5, 6),)),  # not a pair
         (5, ()),  # removed is no sequence of labels
         ((3,), (5,)),  # a pair that is no pair of labels
+        (([3],), ((4, 5),)),  # an unhashable removed label
+        ((3,), [([4], 5)]),  # an unhashable matched label
     ],
 )
 def test_evaluate_configuration_refuses_what_it_cannot_evaluate(example1, removed, pairs):
@@ -793,11 +818,14 @@ def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypat
     """Per side: at most 3K - 2 cells of the K known labels' block, read
     once, then the X matched or granted labels' rows up to the diagonal,
     each plus its tile overlap; never the K^2 cells of the known block, nor
-    the X (K + X) of whole rows."""
+    the X (K + X) of whole rows.  Delta reads two cells of the pivot's
+    table per removed leaf, its nearest survivors on either side."""
     a, b = _PARTIAL_PAIRS[index]
     k = len(classify_agreement(a, b).known)
     assert a.tree is not b.tree and k
     cells: dict[tuple[str, int], int] = {}
+    in_delta = []
+    delta_map = methods._delta_map
 
     def count(kind, tree, n):
         cells[kind, id(tree)] = cells.get((kind, id(tree)), 0) + n
@@ -806,10 +834,19 @@ def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypat
         reader = getattr(MergeTree, name)
 
         def read(tree, p, q):
-            count(name, tree, size(p, q))
+            count("delta" if in_delta else name, tree, size(p, q))
             return reader(tree, p, q)
 
         monkeypatch.setattr(MergeTree, name, read)
+
+    def flagged_delta_map(*args):
+        in_delta.append(True)
+        try:
+            return delta_map(*args)
+        finally:
+            in_delta.pop()
+
+    monkeypatch.setattr(methods, "_delta_map", flagged_delta_map)
 
     spy("leaf_lcas", lambda p, q: p.size * q.size)
     spy("leaf_lca_pairs", lambda p, q: p.size)
@@ -830,11 +867,20 @@ def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypat
             for t in trees:
                 assert cells[("leaf_lca_pairs", id(t))] == known[id(t)]
                 assert cells.get(("rows", id(t)), 0) == want
+                delta = 2 * len(r.deltas) if t is pair.piv.tree else 0
+                assert cells.get(("delta", id(t)), 0) == delta
             assert want <= x * (k + x)
             if cap == 1:  # one-cell tiles: exactly the rows' triangle
                 assert want == (k + x) * (k + x + 1) // 2 - k * (k + 1) // 2
-    # every step on the pair keeps to the epsilon it took
-    monkeypatch.setattr(MergeTree, "leaf_lca_pairs", lambda *args: pytest.fail("read twice"))
+    # every step on the pair keeps to the epsilon it took; delta reads its own cells
+    pair_reader = MergeTree.leaf_lca_pairs
+
+    def known_block_unread(tree, p, q):
+        if not in_delta:
+            pytest.fail("read twice")
+        return pair_reader(tree, p, q)
+
+    monkeypatch.setattr(MergeTree, "leaf_lca_pairs", known_block_unread)
     for m, step in harness.PAIR_STEPS.items():
         _run(step, pair)
 
@@ -903,6 +949,67 @@ def test_known_eps_takes_the_dense_block_max_bit_for_bit():
             short[name] += max(gap[i, j] for i, j in rest) < gap.max()
     assert sizes == {0, 1, 2}
     assert all(short.values()), short
+
+
+def _same_shape(rng, lt: LabeledMergeTree) -> LabeledMergeTree:
+    """lt's tree and labels under fresh tied integer scalars: a full pair."""
+    parents = lt.tree.parents.tolist()
+    scalars = [0]
+    for v in range(1, len(parents)):
+        scalars.append(scalars[parents[v]] - int(rng.integers(1, 3)))
+    return LabeledMergeTree(MergeTree(scalars, [None] + parents[1:]), lt.labels)
+
+
+def test_delta_map_takes_the_dense_block_min_bit_for_bit():
+    """``_delta_map`` equals the row min of the dense merge-height block
+    against every surviving leaf, by ``float.hex``, on random pairs of all
+    three agreement cases: trees of three shapes (unary chains and vertices
+    with three or more children among them), tied integer scalars and
+    several labels per leaf, with random removed sets of pivot leaf labels.
+    Each side is needed: some removed leaf here has a strictly lower LCA
+    with its nearest survivor to the left in leaf-table order than with its
+    nearest to the right, and some the reverse."""
+    rng = np.random.default_rng(11)
+    cases, seen = set(), dict.fromkeys(["unary", "wide", "shared leaf", "empty"], 0)
+    lower = {"left": 0, "right": 0}
+    for case in range(1200):
+        shapes = rng.choice(["random", "binary", "caterpillar"], size=2)
+        n, pool = int(rng.integers(2, 16)), int(rng.integers(2, 30))
+        a = _random_labeled_tree(rng, shapes[0], n, pool, 0)
+        b = _same_shape(rng, a) if case % 3 == 0 else _random_labeled_tree(rng, shapes[1], n, pool, 0)
+        pair = methods._Pair(a, b)
+        cases.add(pair.info.case)
+        piv, leaves = pair.piv, pair.piv.leaf_labels()
+        if not leaves:
+            continue
+        kids = [len(c) for c in piv.tree.all_children]
+        seen["unary"] += 1 in kids
+        seen["wide"] += max(kids) >= 3
+        removed = [int(l) for l in rng.permutation(leaves)[: int(rng.integers(1, len(leaves) + 1))]]
+        survivors = [l for l in leaves if l not in removed]
+        if not survivors:
+            seen["empty"] += 1
+            with pytest.raises(errors.DisagreementEmptyTree):
+                methods._delta_map(piv, removed)
+            continue
+        at, kept = (piv.labels.vertices_of(ls) for ls in (removed, survivors))
+        dense = methods._merge_heights(piv, at, kept).min(axis=1)
+        got = methods._delta_map(piv, removed)
+        assert [got[l].hex() for l in removed] == [h.hex() for h in dense.tolist()]
+        seen["shared leaf"] += bool(set(at.tolist()) & set(kept.tolist()))
+        place = _preorder(piv.tree)
+        order = sorted(set(kept.tolist()), key=place.get)
+        for r in at.tolist():
+            left = [v for v in order if place[v] < place[r]]
+            right = [v for v in order if place[v] > place[r]]
+            if left and right and r not in order:
+                nearest = np.array([left[-1], right[0]])
+                hl, hr = methods._merge_heights(piv, np.array([r]), nearest)[0]
+                lower["left"] += hl < hr
+                lower["right"] += hr < hl
+    assert cases == set(Agreement)
+    assert all(seen.values()), seen
+    assert all(lower.values()), lower
 
 
 def test_each_record_times_only_its_own_step(monkeypatch):

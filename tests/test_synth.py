@@ -257,6 +257,22 @@ def test_gen_refuses_a_count_that_is_no_integer_and_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_float_parameters_are_finite_real_numbers():
+    # no string, none past the reals; the same conversion in every spec
+    for make in (
+        lambda x: EnsembleSpec(9, label_fraction=x),
+        lambda x: PerturbationSpec(0, x, 0, 0, 0),
+        lambda x: assign_labels(random_base_tree(9, 0), x, 0),
+    ):
+        for value in ("0.5", "1", None, [0.5], float("nan"), float("inf")):
+            with pytest.raises(errors.ValidationError, match="must be a finite real number"):
+                make(value)
+    spec = EnsembleSpec(9, label_fraction=np.float64(0.25))
+    assert type(spec.label_fraction) is float and spec == EnsembleSpec(9, label_fraction=0.25)
+    spec = PerturbationSpec(0, 1, 0, 0, 0)
+    assert type(spec.scalar_magnitude) is float and spec == PerturbationSpec(0, 1.0, 0, 0, 0)
+
+
 @pytest.mark.parametrize("fraction", [-0.01, 1.01])
 def test_assign_labels_fraction_bounds(fraction):
     with pytest.raises(errors.ValidationError, match="fraction"):
