@@ -114,7 +114,10 @@ class MergeTree:
     __slots__ = ("_scalars", "_parents", "_children", "_root", "_leaves", "_leaf_lca", "_extent")
 
     def __init__(self, scalars: Sequence[float], parents: Sequence[int | None]):
-        s = np.asarray(scalars, dtype=np.float64)
+        try:
+            s = np.asarray(scalars, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise errors.ValidationError("scalars must be real numbers") from None
         if s.ndim != 1 or len(s) == 0:
             raise errors.ValidationError("a tree needs at least one vertex")
         try:
@@ -492,10 +495,13 @@ class LabeledMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if len(set(self.row_labels)) != len(self.row_labels):
-            raise errors.DuplicateLabel("duplicate row label")
-        if len(set(self.col_labels)) != len(self.col_labels):
-            raise errors.DuplicateLabel("duplicate column label")
+        for labels, what in ((self.row_labels, "row"), (self.col_labels, "column")):
+            try:
+                distinct = len(set(labels)) == len(labels)
+            except TypeError:  # an unhashable label
+                raise errors.ValidationError(f"a {what} label is unhashable") from None
+            if not distinct:
+                raise errors.DuplicateLabel(f"duplicate {what} label")
         e = _float_matrix(self.entries, (len(self.row_labels), len(self.col_labels)))
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)

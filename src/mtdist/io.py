@@ -81,6 +81,8 @@ def parse_mtree(text: str, *, unknown_label_base: int | None = None) -> LabeledM
     several files should pass disjoint bases so rewritten unknowns never
     collide across trees.
     """
+    if unknown_label_base is not None:
+        unknown_label_base = errors.integer(unknown_label_base, "unknown_label_base")
     plain = text.isascii() and "_" not in text  # then every token is, checked once
     to_int, to_float = (int, float) if plain else map(_ascii_number, (int, float))
     lines = enumerate(text.splitlines(), start=1)

@@ -47,8 +47,8 @@ does) solve each distinct matching once: ``greedy`` reuses ``mmb``'s, and
 
 ``_Pair.result`` is the one place a configuration is scored and the one way
 a value leaves the pair: it takes delta for every unmatched pivot label that
-was not granted (so greedy has none) and epsilon over the matched and
-granted labels itself, builds the objective and laps the pair's clock, so
+was not granted (so greedy has none) and epsilon over the known, matched
+and granted labels, builds the objective and laps the pair's clock, so
 each record's ``wall_time`` is its own step's.  The set-up goes to the first
 record; a step that raises leaves its time to the next.  Delta
 (``_delta_map``, and the oracle's ``delta_of``) refuses a leafless tree
@@ -66,23 +66,20 @@ is the lowest LCA with any survivor (``_delta_map``), so every merge height
 keeps its bits.  The oracle's ``delta_of`` scans every survivor and stays
 the reference.
 
-The known x known block of the LCA-scalar matrices is the same for every
-estimator on a pair, so the pair takes its epsilon once, on 3K - 2 of its
-K^2 label pairs (``_Pair._known_eps``), and keeps only that float.  Every
-epsilon gathers just its matched or granted rows against the columns up to
-the diagonal (known labels first) and takes the larger of the block's
-epsilon and the rows': the rest of the full block mirrors those cells, and
-a max does not depend on how its entries are grouped.  Each side's
-leaf-table rows are resolved once per epsilon; a block of rows is then read
-with two takes on the table and compared in square tiles.  These tiles, the
-row gaps behind the matching and the blocks of greedy's grant search each
-hold at most ``_BLOCK_CELLS`` cells (64 KiB of float64) where the inputs
-allow: a row gap block holds at least one row pair, and a grant-search
-block as much as the unmatched leaves' own profiles when those are larger.
-So no pair holds an n1 x n2 x K tensor and, at benchmark sizes, no
-temporary is large enough to be memory-mapped.  A result keeps the labels
-and vertices its epsilon was taken over, and gathers its induced matrices
-from them, in sorted label order, only when read.
+Epsilon has one rule for every result (``_Pair._epsilon``): over its n
+known, matched and granted labels it reads 3n cells per tree, each label's
+LCA scalar with itself and with its successor in each tree's leaf-table
+(DFS) order, and compares the two n x 3 matrices with ``inf_norm_diff``.
+The largest gap of the dense n x n matrices lies on one of those label
+pairs, and rounded subtraction is monotone, so epsilon is the dense one's
+bit for bit.  The row gaps behind the matching and the blocks of greedy's
+grant search each hold at most ``_BLOCK_CELLS`` cells (64 KiB of float64)
+where the inputs allow: a row gap block holds at least one row pair, and a
+grant-search block as much as the unmatched leaves' own profiles when those
+are larger.  So no pair holds an n1 x n2 x K tensor and, at benchmark
+sizes, no temporary is large enough to be memory-mapped.  A result keeps the
+labels and vertices its epsilon was taken over, and gathers its induced
+matrices from them, in sorted label order, only when read.
 
 A pair computes at one scale, ``_Pair.shift``: when the larger half span of
 its trees lies outside [2^-503, 2^497), or a scalar's magnitude reaches
@@ -413,9 +410,9 @@ def _delta_map(pivot: LabeledMergeTree, removed: Sequence[int]) -> dict[int, flo
 
 class _Pair:
     """The work every estimator shares for one (a, b) pair: the label split,
-    the pivot and its counterpart, their unknown labels, the matching, the
-    epsilon of the known x known block, and the result record.  ``a``, ``b``,
-    ``piv`` and ``oth`` are the trees at the pair's scale."""
+    the pivot and its counterpart, their unknown labels, the matching,
+    epsilon and the result record.  ``a``, ``b``, ``piv`` and ``oth`` are
+    the trees at the pair's scale."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self._lap = perf_counter()  # the set-up goes to the first record
@@ -509,43 +506,32 @@ class _Pair:
         cols = list(map(np.concatenate, zip(self._known_vertices, extra)))
         return self.info.known + tuple(at), cols
 
-    def _eps_rows(self, labels: tuple[int, ...], cols: Sequence[np.ndarray]) -> float:
-        """Epsilon over the rows past the known labels of the symmetric block
-        at vertices ``cols``, on and left of its diagonal.  Each block of
-        rows reads both leaf tables once, up to its last row's column, and
-        compares that strip in square tiles of at most _BLOCK_CELLS cells."""
-        side = max(1, math.isqrt(_BLOCK_CELLS))
+    def _epsilon(self, labels: tuple[int, ...], cols: Sequence[np.ndarray]) -> float:
+        """Epsilon over ``labels`` at vertices ``cols`` (one array per tree):
+        each label against itself and against its successor in each tree's
+        leaf-table order (the last is its own): 3n cells for 3n - 2 of the
+        n^2 label pairs.  With A, B the LCA-scalar matrices and
+        w = lca_a(i, j): the labels below w are a run in a's order (labels
+        on one leaf sort together, as a grant and its anchor do), whose LCA
+        in b is the highest of its neighbours', so a neighbour pair t in it
+        has B(t) >= B(i, j) and A(t) <= A(i, j).  So max(B - A) lies on the
+        diagonal or a's neighbours, max(A - B) on it or b's, and as rounded
+        subtraction is monotone and odd, max |fl(A - B)| is the dense one's,
+        bit for bit."""
         trees = (self.a.tree, self.b.tree)
-        leaf_rows = [t.leaf_rows(v) for t, v in zip(trees, cols)]
-        eps = 0.0
-        for lo in range(len(self.info.known), len(labels), side):
-            hi = min(lo + side, len(labels))
-            strips = [(t.scalars, t.leaf_lcas(r[lo:hi], r[:hi])) for t, r in zip(trees, leaf_rows)]
-            for c in range(0, hi, side):
-                tile = slice(c, min(c + side, hi))
-                g = [LabeledMatrix(labels[lo:hi], labels[tile], s.take(ids[:, tile])) for s, ids in strips]
-                eps = max(eps, inf_norm_diff(*g))
-        return eps
-
-    @functools.cached_property
-    def _known_eps(self) -> float:
-        """Epsilon over the known x known block, once per pair, on its
-        diagonal and each tree's leaf-table-order neighbours (3K - 2 label
-        pairs).  With A, B the LCA-scalar matrices and w = lca_a(i, j): the
-        labels below w are a run in a's order, whose LCA in b is the highest
-        of its neighbours', so a neighbour pair t in it has B(t) >= B(i, j)
-        and A(t) <= A(i, j).  So max(B - A) lies on the diagonal or a's
-        neighbours, max(A - B) on it or b's, and as rounded subtraction is
-        monotone and odd, max |fl(A - B)| is the dense one's, bit for bit."""
-        trees = (self.a.tree, self.b.tree)
-        rows = [t.leaf_rows(v) for t, v in zip(trees, self._known_vertices)]
-        if not len(rows[0]):
-            return 0.0
-        oa, ob = (np.argsort(r, kind="stable") for r in rows)
-        p = np.concatenate((np.arange(len(oa)), oa[:-1], ob[:-1]))
-        q = np.concatenate((np.arange(len(oa)), oa[1:], ob[1:]))
-        sa, sb = (t.scalars.take(t.leaf_lca_pairs(r[p], r[q])) for t, r in zip(trees, rows))
-        return float(np.abs(sa - sb).max())
+        rows = [t.leaf_rows(v) for t, v in zip(trees, cols)]
+        partners = [np.arange(len(labels))]  # column 0: the label itself
+        for r in rows:  # columns 1 and 2: its successor in a's order, in b's
+            order = np.argsort(r, kind="stable")
+            successor = np.empty_like(partners[0])
+            successor[order] = np.concatenate((order[1:], order[-1:]))
+            partners.append(successor)
+        q = np.stack(partners, axis=1)
+        a, b = (
+            LabeledMatrix(labels, (0, 1, 2), t.scalars.take(t.leaf_lca_pairs(r[:, None], r[q])))
+            for t, r in zip(trees, rows)
+        )
+        return inf_norm_diff(a, b)
 
     def unscaled(self, x: float) -> float:
         """x at the given trees' scale, exactly; NonFiniteCost past float64."""
@@ -562,16 +548,14 @@ class _Pair:
     ) -> MethodResult:
         """The record of one configuration, timed from the previous record or
         the set-up.  Every unmatched pivot label without a grant pays delta;
-        epsilon is taken over the labels of :meth:`columns`, where besides
-        the known corner only the rows past the known labels are gathered:
-        the rest of the block mirrors them."""
+        epsilon is taken over the labels of :meth:`columns`."""
         grants, unmatched_piv = dict(grants or {}), tuple(unmatched_piv)
         removed = [l for l in unmatched_piv if l not in grants]
         deltas = _delta_map(self.piv, removed)
         if self.shift:
             deltas = {l: self.unscaled(d) for l, d in deltas.items()}
         labels, cols = self.columns(pairs_ab, grants)
-        eps = self.unscaled(max(self._known_eps, self._eps_rows(labels, cols)))
+        eps = self.unscaled(self._epsilon(labels, cols))
         now = perf_counter()
         wall_time, self._lap = now - self._lap, now
         return MethodResult(

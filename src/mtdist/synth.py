@@ -96,6 +96,7 @@ class EnsembleSpec:
 
 def random_base_tree(max_vertices: int, seed: int) -> MergeTree:
     """Random full binary merge tree with the largest odd count <= max_vertices."""
+    max_vertices, seed = errors.integer(max_vertices, "max_vertices"), errors.integer(seed, "seed")
     if max_vertices < 3:
         raise errors.TooSmall("a full binary tree needs at least 3 vertices")
     rng = random.Random(_child_seed(seed, "base-tree"))
@@ -121,6 +122,7 @@ def assign_labels(
 ) -> LabeledMergeTree:
     """Label ceil(fraction * #leaves) leaves 1..k; the rest get fresh labels."""
     fraction = errors.real(fraction, "fraction")
+    seed, unknown_base = errors.integer(seed, "seed"), errors.integer(unknown_base, "unknown_base")
     if not 0.0 <= fraction <= 1.0:
         raise errors.ValidationError("fraction must lie in [0, 1]")
     rng = random.Random(_child_seed(seed, "labels"))

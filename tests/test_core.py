@@ -97,8 +97,19 @@ def test_equal_scalars_rejected():
         ([1.0, 0.0], [None], errors.ValidationError),
         ([1.0, 0.0], [None, 2], errors.InvalidVertex),
         ([1.0, 0.0], [None, -2], errors.InvalidVertex),
+        (["a"], [None], errors.ValidationError),
+        ([1j], [None], errors.ValidationError),
+        ([[1.0], [0.0, 2.0]], [None, 0], errors.ValidationError),
     ],
-    ids=["no-vertex", "lengths-differ", "parent-past-end", "parent-below-none"],
+    ids=[
+        "no-vertex",
+        "lengths-differ",
+        "parent-past-end",
+        "parent-below-none",
+        "string-scalar",
+        "complex-scalar",
+        "ragged-scalars",
+    ],
 )
 def test_malformed_trees_refused_at_construction(scalars, parents, error):
     with pytest.raises(error):
@@ -596,6 +607,13 @@ def test_labeled_matrix_refuses_duplicate_labels_and_wrong_shape():
         LabeledMatrix((1, 2), (2, 2), np.zeros((2, 2)))
     with pytest.raises(errors.LabelMismatch, match="shape"):
         LabeledMatrix((1, 2), (1, 2), np.zeros((2, 3)))
+
+
+def test_labeled_matrix_refuses_unhashable_labels():
+    with pytest.raises(errors.ValidationError, match="row label is unhashable"):
+        LabeledMatrix(([1],), (1,), [[1.0]])
+    with pytest.raises(errors.ValidationError, match="column label is unhashable"):
+        LabeledMatrix((1,), ([1],), [[1.0]])
 
 
 def test_labeled_matrix_refuses_ragged_and_non_numeric_entries():

@@ -82,6 +82,14 @@ def test_minus_one_labels_rewritten():
     assert lt.leaf_labels() == (4, 5)
     shifted = parse_mtree(text, unknown_label_base=1000)
     assert shifted.leaf_labels() == (4, 1000)
+    assert parse_mtree(text, unknown_label_base=np.int64(1000)).leaf_labels() == (4, 1000)
+
+
+@pytest.mark.parametrize("base", ["7", 7.0, [7]])
+def test_unknown_label_base_is_an_integer(base):
+    text = "mtree 1\nv 0 3.0\nv 1 0.0 -1\nv 2 0.0 4\ne 1 0\ne 2 0\n"
+    with pytest.raises(errors.ValidationError, match="unknown_label_base must be an integer"):
+        parse_mtree(text, unknown_label_base=base)
 
 
 _TWO_LEAVES = "mtree 1\nv 0 0.0\nv 1 -1.0 1\nv 2 -1.0 2\ne 1 0\ne 2 0\n"

@@ -779,65 +779,22 @@ _PARTIAL_PAIRS = [
 ]
 
 
-def _strip_cells(first: int, n: int, cap: int) -> int:
-    """Cells ``_Pair._eps_rows`` gathers for rows first..n of a symmetric
-    n x n block: every block of rows up to its last row's column, that is
-    the triangle on and left of the diagonal plus each block's own overlap
-    past the diagonal."""
-    side = max(1, math.isqrt(cap))
-    triangle = sum(i + 1 for i in range(first, n))
-    heights = [min(side, n - lo) for lo in range(first, n, side)]
-    return triangle + sum(h * (h - 1) // 2 for h in heights)
-
-
-def _spy_inside_eps_rows(monkeypatch, record):
-    """Call ``record(tree, p, q)`` on each leaf-table gather made inside
-    ``_Pair._eps_rows``, on a result's rows past the known labels."""
-    inside = []
-    leaf_lcas, eps_rows = MergeTree.leaf_lcas, methods._Pair._eps_rows
-
-    def recording_leaf_lcas(tree, p, q):
-        if inside:
-            record(tree, p, q)
-        return leaf_lcas(tree, p, q)
-
-    def flagged_eps_rows(pair, *args):
-        inside.append(True)
-        try:
-            return eps_rows(pair, *args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(MergeTree, "leaf_lcas", recording_leaf_lcas)
-    monkeypatch.setattr(methods._Pair, "_eps_rows", flagged_eps_rows)
-    return inside
-
-
 @pytest.mark.parametrize("index", range(len(_PARTIAL_PAIRS)))
 def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypatch):
-    """Per side: at most 3K - 2 cells of the K known labels' block, read
-    once, then the X matched or granted labels' rows up to the diagonal,
-    each plus its tile overlap; never the K^2 cells of the known block, nor
-    the X (K + X) of whole rows.  Delta reads two cells of the pivot's
-    table per removed leaf, its nearest survivors on either side."""
+    """Per side, each result's epsilon reads 3n leaf-table cells for its n
+    known, matched and granted labels, not the n^2 of the whole block, and
+    delta two cells of the pivot's table per removed leaf, its nearest
+    survivors on either side.  Steps run on one pair read as lone calls do:
+    no epsilon is kept between them."""
     a, b = _PARTIAL_PAIRS[index]
-    k = len(classify_agreement(a, b).known)
-    assert a.tree is not b.tree and k
     cells: dict[tuple[str, int], int] = {}
     in_delta = []
-    delta_map = methods._delta_map
+    delta_map, pair_reader = methods._delta_map, MergeTree.leaf_lca_pairs
 
-    def count(kind, tree, n):
-        cells[kind, id(tree)] = cells.get((kind, id(tree)), 0) + n
-
-    def spy(name, size):
-        reader = getattr(MergeTree, name)
-
-        def read(tree, p, q):
-            count("delta" if in_delta else name, tree, size(p, q))
-            return reader(tree, p, q)
-
-        monkeypatch.setattr(MergeTree, name, read)
+    def read(tree, p, q):
+        kind = ("delta" if in_delta else "eps", id(tree))
+        cells[kind] = cells.get(kind, 0) + np.broadcast(p, q).size
+        return pair_reader(tree, p, q)
 
     def flagged_delta_map(*args):
         in_delta.append(True)
@@ -847,42 +804,20 @@ def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypat
             in_delta.pop()
 
     monkeypatch.setattr(methods, "_delta_map", flagged_delta_map)
-
-    spy("leaf_lcas", lambda p, q: p.size * q.size)
-    spy("leaf_lca_pairs", lambda p, q: p.size)
-    _spy_inside_eps_rows(monkeypatch, lambda t, p, q: count("rows", t, len(p) * len(q)))
+    monkeypatch.setattr(MergeTree, "leaf_lca_pairs", read)
     pair = methods._Pair(a, b)
     trees = (pair.a.tree, pair.b.tree)
-    cells.clear()
-    assert pair._known_eps == pair._known_eps  # taken once, then kept
-    known = {id(t): cells.pop(("leaf_lca_pairs", id(t))) for t in trees}
-    assert not cells and all(0 < n <= 3 * k - 2 for n in known.values())
-    for cap in (1, 5, methods._BLOCK_CELLS):
-        monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
-        for m in harness.PAIR_STEPS:
+    assert trees == (a.tree, b.tree) and a.tree is not b.tree
+    for m, step in harness.PAIR_STEPS.items():
+        for call in (lambda: harness.METHODS[m](a, b), lambda: step(pair)):
             cells.clear()
-            r = harness.METHODS[m](a, b)
-            x = len(r.relabeling) + len(r.assigned_labels)
-            want = _strip_cells(k, k + x, cap)
+            r = call()
+            n = len(r.unified[0])
+            assert n == len(classify_agreement(a, b).known) + len(r.relabeling) + len(r.assigned_labels)
             for t in trees:
-                assert cells[("leaf_lca_pairs", id(t))] == known[id(t)]
-                assert cells.get(("rows", id(t)), 0) == want
+                assert cells[("eps", id(t))] == 3 * n
                 delta = 2 * len(r.deltas) if t is pair.piv.tree else 0
                 assert cells.get(("delta", id(t)), 0) == delta
-            assert want <= x * (k + x)
-            if cap == 1:  # one-cell tiles: exactly the rows' triangle
-                assert want == (k + x) * (k + x + 1) // 2 - k * (k + 1) // 2
-    # every step on the pair keeps to the epsilon it took; delta reads its own cells
-    pair_reader = MergeTree.leaf_lca_pairs
-
-    def known_block_unread(tree, p, q):
-        if not in_delta:
-            pytest.fail("read twice")
-        return pair_reader(tree, p, q)
-
-    monkeypatch.setattr(MergeTree, "leaf_lca_pairs", known_block_unread)
-    for m, step in harness.PAIR_STEPS.items():
-        _run(step, pair)
 
 
 def _random_labeled_tree(rng, shape: str, n: int, pool: int, scale: int) -> LabeledMergeTree:
@@ -918,36 +853,48 @@ def _preorder(tree: MergeTree) -> dict[int, int]:
 
 
 def test_known_eps_takes_the_dense_block_max_bit_for_bit():
-    """``_Pair._known_eps`` equals ``inf_norm_diff`` of the two induced
-    matrices over the known labels, sign of zero included, on random trees
-    of three shapes with tied integer scalars, several labels per leaf,
-    partly shared label sets and magnitudes 2^-60 to 2^1000.  Each family
-    of label pairs it reads is needed: without the diagonal, a's leaf-order
-    neighbours or b's, some case here comes out below the dense max."""
+    """Each result's epsilon equals ``inf_norm_diff`` of its two induced
+    matrices by ``float.hex``: over the known labels alone and over each
+    estimator's unified labels, matched and granted ones included, on
+    random trees of three shapes with tied integer scalars, several labels
+    per leaf, partly shared label sets and magnitudes 2^-60 to 2^1000.
+    Each family of label pairs it reads is needed: without the diagonal,
+    a's leaf-order successors or b's, some case here comes out below the
+    dense max."""
     rng = np.random.default_rng(7)
     sizes, short = set(), {"diagonal": 0, "a": 0, "b": 0}
+    kinds = {"matched": 0, "granted": 0}
     for case in range(1500):
         shapes = rng.choice(["random", "binary", "caterpillar"], size=2)
         n, pool = int(rng.integers(2, 16)), int(rng.integers(2, 30))
         scale = [0, -60, 60, 1000][case % 4]
         pair = methods._Pair(*(_random_labeled_tree(rng, s, n, pool, scale) for s in shapes))
-        known = pair.info.known
-        ma, mb = induced_matrix(pair.a, known), induced_matrix(pair.b, known)
-        dense = inf_norm_diff(ma, mb)
-        assert pair._known_eps.hex() == dense.hex()
-        sizes.add(min(len(known), 2))
-        if len(known) < 2:
-            continue
-        gap = np.abs(ma.entries - mb.entries)
-        families = {"diagonal": [(i, i) for i in range(len(known))]}
-        for side, lt in (("a", pair.a), ("b", pair.b)):
-            place = _preorder(lt.tree)
-            order = sorted(range(len(known)), key=lambda i: place[lt.labels.vertex_of(known[i])])
-            families[side] = list(zip(order, order[1:]))
-        for name in families:
-            rest = [ij for other, ijs in families.items() if other != name for ij in ijs]
-            short[name] += max(gap[i, j] for i, j in rest) < gap.max()
+        results = [pair.result()]  # the known labels alone
+        for step in harness.PAIR_STEPS.values():
+            r = _run(step, pair)
+            if not isinstance(r, type):
+                results.append(r)
+        for r in results:
+            ma, mb = r.induced_a, r.induced_b
+            assert r.epsilon.hex() == inf_norm_diff(ma, mb).hex()
+            kinds["matched"] += bool(r.relabeling)
+            kinds["granted"] += bool(r.assigned_labels)
+            labels, trees, verts = r.unified
+            sizes.add(min(len(labels), 2))
+            if len(labels) < 2:
+                continue
+            gap = np.abs(ma.entries - mb.entries)
+            ranked = np.argsort(np.asarray(labels, dtype=np.int64))  # ma's label order
+            families = {"diagonal": [(i, i) for i in range(len(labels))]}
+            for side, tree in (("a", trees[0]), ("b", trees[1])):
+                place, at = _preorder(tree), verts[side == "b"][ranked].tolist()
+                order = sorted(range(len(labels)), key=lambda i: place[at[i]])
+                families[side] = list(zip(order, order[1:]))
+            for name in families:
+                rest = [ij for other, ijs in families.items() if other != name for ij in ijs]
+                short[name] += max(gap[i, j] for i, j in rest) < gap.max()
     assert sizes == {0, 1, 2}
+    assert all(kinds.values()), kinds
     assert all(short.values()), short
 
 
@@ -1204,29 +1151,16 @@ def test_greedy_grants_equal_the_whole_profile_argmin(cap, monkeypatch):
 
 @pytest.mark.parametrize("cap", [1, 5])
 def test_blocked_epsilon_keeps_every_result(cap, monkeypatch):
-    """Capped blocks change no result.  Inside ``_Pair._eps_rows`` no
-    leaf-table strip spans more rows than a tile side, and no tile that
-    reaches ``inf_norm_diff`` holds more than the cap."""
+    """Capped blocks (the row gaps behind the matching, greedy's grant
+    search) change no result."""
     pairs = _shared_eps_pairs()
     steps = harness.PAIR_STEPS
     want = [{m: _run(step, methods._Pair(a, b)) for m, step in steps.items()} for a, b in pairs]
-    strips, tiles = [], []
-    inside = _spy_inside_eps_rows(monkeypatch, lambda tree, p, q: strips.append(len(p)))
-
-    def recording_inf_norm_diff(x, y):
-        if inside:
-            tiles.append(x.entries.size)
-        return inf_norm_diff(x, y)
-
     monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
-    monkeypatch.setattr(methods, "inf_norm_diff", recording_inf_norm_diff)
     for (a, b), expected in zip(pairs, want):
         pair = methods._Pair(a, b)
         for m, step in steps.items():
             _assert_same(_run(step, pair), expected[m])
-    assert strips and tiles
-    assert max(strips) <= math.isqrt(cap)
-    assert max(tiles) <= cap
 
 
 def test_lone_calls_on_a_known_500_pair_allocate_little(tmp_path):

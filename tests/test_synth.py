@@ -257,6 +257,25 @@ def test_gen_refuses_a_count_that_is_no_integer_and_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_integer_parameters_are_integers():
+    # the check counts and seeds go through: no string, no float
+    tree = random_base_tree(9, 0)
+    for make in (
+        lambda: random_base_tree("5", 0),
+        lambda: random_base_tree(5.5, 0),
+        lambda: random_base_tree(9, "0"),
+        lambda: assign_labels(tree, 0.5, "x"),
+        lambda: assign_labels(tree, 0.5, 1.0),
+        lambda: assign_labels(tree, 0.5, 0, unknown_base="9"),
+    ):
+        with pytest.raises(errors.ValidationError, match="must be an integer"):
+            make()
+    same = random_base_tree(np.int64(9), np.int64(0))
+    assert same.scalars.tolist() == tree.scalars.tolist()
+    labeled = assign_labels(tree, 0.5, np.int64(3), unknown_base=np.int64(50))
+    assert labeled.labels.items() == assign_labels(tree, 0.5, 3, unknown_base=50).labels.items()
+
+
 def test_float_parameters_are_finite_real_numbers():
     # no string, none past the reals; the same conversion in every spec
     for make in (
