@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
+from .core import _real_array
 
 __all__ = ["Assignment", "solve"]
 
@@ -159,12 +160,12 @@ def solve(cost) -> Assignment:
     """Minimum-total-cost maximum matching of a dense cost matrix.
 
     Empty instances (no rows or no columns) yield an empty assignment.
-    Raises NonFiniteCost on a ragged or non-numeric matrix, on NaN or
-    infinite entries, and on entries so large that the padding or the dual
-    potentials would overflow.
+    Raises NonFiniteCost on a ragged or non-numeric matrix (a numeric
+    string is no number), on NaN or infinite entries, and on entries so
+    large that the padding or the dual potentials would overflow.
     """
     try:
-        c = np.asarray(cost, dtype=np.float64)
+        c = _real_array(cost)
     except (TypeError, ValueError):
         raise errors.NonFiniteCost("cost must be a matrix of numbers") from None
     if c.ndim != 2:

@@ -31,11 +31,16 @@ use the smallest unsigned dtype that holds a vertex id: one byte up to 256
 vertices, two up to 65,536, four above.  A query touching an internal
 vertex reads the table at one leaf below each side and keeps the
 shallowest of that LCA and the two query vertices.  Blocks over leaves
-alone skip those checks: ``leaf_rows`` checks the vertices and resolves
-their table rows once, each ``leaf_lcas`` block is two takes on the
-table and ``leaf_lca_pairs`` one.  There is no size cutoff, and the table
-stays cached on its tree, so a process holds one per tree it has queried:
-34 MB a tree at L = 4096.  Pickling drops the cache; a scaled copy shares it.
+alone skip those checks and are read here alone: ``leaf_rows`` checks the
+vertices and resolves their table rows once, ``leaf_scalars`` gives the
+LCA scalars of a rows x columns block, ``leaf_scalar_pairs`` those of
+paired rows, and ``leaf_distances`` a block's path distances, each row's
+own vertex being its diagonal cell.  ``_legs`` sums every path distance,
+of a block or of ``path_distance_many``, so the two agree bit for bit.
+There is no size cutoff, and the table stays cached on its tree, so a
+process holds one per tree it has queried: 34 MB a tree at L = 4096.
+Pickling drops the cache; a scaled copy shares it and reads its own
+scalars.
 """
 
 from __future__ import annotations
@@ -61,6 +66,19 @@ __all__ = [
     "inf_norm_diff",
     "classify_agreement",
 ]
+
+
+def _real_array(values) -> np.ndarray:
+    """``values`` as a float64 array, the one conversion of every array of
+    numbers taken in (tree scalars, matrix cells, assignment costs).  Raises
+    TypeError on a str or bytes cell, which numpy would parse, or on a
+    complex one, and TypeError or ValueError on any other non-number or on
+    ragged rows; each caller names its own error type."""
+    a = np.asarray(values)
+    kind = a.dtype.kind
+    if kind not in "biufO" or (kind == "O" and any(isinstance(x, (str, bytes)) for x in a.flat)):
+        raise TypeError("cells must be numbers")
+    return a.astype(np.float64, copy=False)
 
 
 def _build_leaf_table(tree: "MergeTree") -> tuple[np.ndarray, ...]:
@@ -115,7 +133,7 @@ class MergeTree:
 
     def __init__(self, scalars: Sequence[float], parents: Sequence[int | None]):
         try:
-            s = np.asarray(scalars, dtype=np.float64)
+            s = _real_array(scalars)
         except (TypeError, ValueError):
             raise errors.ValidationError("scalars must be real numbers") from None
         if s.ndim != 1 or len(s) == 0:
@@ -280,7 +298,7 @@ class MergeTree:
 
     def leaf_rows(self, vs) -> np.ndarray:
         """The leaf-table rows of the childless vertices ``vs``, checked once
-        here so that :meth:`leaf_lcas` can gather blocks without checks."""
+        here so that the ``leaf_*`` reads below gather without checks."""
         try:
             vs = np.asarray(vs)
         except ValueError:
@@ -294,14 +312,24 @@ class MergeTree:
             raise errors.InvalidVertex(f"vertex {bad} is not childless")
         return rows
 
-    def leaf_lcas(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """LCA ids of leaf-table rows p (one per row) and q (one per column),
-        both from :meth:`leaf_rows`, in the table's own dtype: two takes."""
-        return self._leaf_table()[3].take(p, axis=0).take(q, axis=1)
+    def leaf_scalars(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """LCA scalars of leaf-table rows p (one per row) and q (one per
+        column), both from :meth:`leaf_rows`: two takes on the table, one on
+        the scalars."""
+        return self._scalars.take(self._leaf_table()[3].take(p, axis=0).take(q, axis=1))
 
-    def leaf_lca_pairs(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """:meth:`leaf_lcas` of p[i] and q[i] alone, for each i: one take."""
-        return self._leaf_table()[3][p, q]
+    def leaf_scalar_pairs(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """:meth:`leaf_scalars` of p[i] and q[i] alone, for each i: one take each."""
+        return self._scalars.take(self._leaf_table()[3][p, q])
+
+    def leaf_distances(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Path distances between leaf-table rows p (one per row) and q (one
+        per column), bit for bit :meth:`path_distance_many`'s: the
+        :meth:`leaf_scalars` block and each row's own scalar, whose vertex
+        is the row's diagonal cell."""
+        own = self._leaf_table()[3].diagonal()
+        s = self._scalars
+        return self._legs(self.leaf_scalars(p, q), s.take(own.take(p))[:, None], s.take(own.take(q)))
 
     def scaled(self, k: int) -> MergeTree:
         """This tree with every scalar times 2**k, built by the constructor
@@ -324,11 +352,15 @@ class MergeTree:
         sl = s[self.lca_many(us, vs)]  # which checks the ids
         if sl.size == 0:
             return sl
-        us, vs = np.asarray(us), np.asarray(vs)
-        # summed as two non-negative legs; addition commutes, so swapping
-        # u and v gives the bit-identical result
+        return self._legs(sl, s[np.asarray(us)], s[np.asarray(vs)])
+
+    def _legs(self, sl: np.ndarray, su: np.ndarray, sv: np.ndarray) -> np.ndarray:
+        """Path lengths from LCA scalars sl to end scalars su and sv, the one
+        rule for every path distance: summed as two non-negative legs, and
+        addition commutes, so swapping the ends gives the same bits;
+        NonFiniteCost past float64."""
         with np.errstate(over="ignore"):
-            d = (sl - s[us]) + (sl - s[vs])
+            d = (sl - su) + (sl - sv)
         if self.extent[0] >= 2.0**1020 and not np.isfinite(d).all():  # else d < 2**1023
             raise errors.NonFiniteCost("a path distance is past float64")
         return d
@@ -472,7 +504,7 @@ def _float_matrix(entries, shape: tuple[int, int]) -> np.ndarray:
     """``entries`` as a float64 array: LabelMismatch unless they form a
     matrix of ``shape``, ValidationError if its cells are not all numbers."""
     try:
-        e = np.asarray(entries, dtype=np.float64)
+        e = _real_array(entries)
     except (TypeError, ValueError):
         try:  # ragged rows give an object array of another shape, or none
             formed = np.asarray(entries, dtype=object).shape == shape

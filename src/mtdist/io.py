@@ -338,7 +338,7 @@ def read_matrix_csv(path) -> DistanceMatrix:
     if len(records) != len(ids) + 1:
         msg = f"{len(records) - 1} rows where the header lists {len(ids)} members"
         raise errors.MtreeSyntaxError(records[len(rows)][0] + 1, msg)
-    return DistanceMatrix(ids, np.asarray(rows, dtype=np.float64).reshape(len(ids), len(ids)))
+    return DistanceMatrix(ids, np.reshape(rows, (len(ids),) * 2))
 
 
 # ---------------------------------------------------------------------------

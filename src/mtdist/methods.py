@@ -30,8 +30,9 @@ the per-tree pairwise leaf distance matrices are compared instead
 (| ||D1(i)||_2 - ||D2(j)||_2 |).  Their public helpers,
 ``unknown_to_known_distances`` and ``pairwise_leaf_distances``, alone call
 ``path_distance_many`` and so ``lca_many``; every other read of the trees (S,
-delta, epsilon, induced matrices, greedy's profiles) takes leaf-table cells
-through ``leaf_rows``, ``leaf_lcas`` and ``leaf_lca_pairs``.
+delta, epsilon, induced matrices, greedy's profiles) checks its leaves once
+with ``leaf_rows`` and takes blocks from the tree's own leaf reads,
+``leaf_scalars``, ``leaf_scalar_pairs`` and ``leaf_distances``.
 
 All three run on one private pair context, ``_Pair``: it holds the label
 split, the pivot and the unknown lists, and owns the steps the estimators
@@ -119,7 +120,6 @@ from .core import (
     Agreement,
     LabeledMatrix,
     LabeledMergeTree,
-    MergeTree,
     classify_agreement,
     inf_norm_diff,
 )
@@ -203,8 +203,9 @@ class MethodResult:
     def _induced(self, side: int) -> LabeledMatrix:
         labels, trees, verts = self.unified
         v = verts[side][np.argsort(np.asarray(labels, dtype=np.int64))]
-        labels = tuple(sorted(labels))
-        return LabeledMatrix(labels, labels, _lca_scalars(trees[side], v, v))
+        labels, tree = tuple(sorted(labels)), trees[side]
+        rows = tree.leaf_rows(v)
+        return LabeledMatrix(labels, labels, tree.leaf_scalars(rows, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +226,6 @@ def _require_leaves(lt: LabeledMergeTree, labels: Sequence[int]) -> np.ndarray:
     return verts
 
 
-def _lca_scalars(tree: MergeTree, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entry (i, j) = scalar(lca(rows[i], cols[j])) of leaves, from the leaf table."""
-    return tree.scalars.take(tree.leaf_lcas(tree.leaf_rows(rows), tree.leaf_rows(cols)))
-
-
-def _merge_heights(lt: LabeledMergeTree, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return _lca_scalars(lt.tree, rows, cols) - lt.tree.scalars[rows][:, None]
-
-
 def build_s_matrix(
     lt: LabeledMergeTree,
     row_labels: Sequence[int],
@@ -244,7 +236,8 @@ def build_s_matrix(
     col_labels = tuple(col_labels)
     rows = _require_leaves(lt, row_labels)
     cols = _require_leaves(lt, col_labels)
-    entries = _merge_heights(lt, rows, cols)
+    tree = lt.tree
+    entries = tree.leaf_scalars(tree.leaf_rows(rows), tree.leaf_rows(cols)) - tree.scalars[rows][:, None]
     return SMatrix(row_labels, col_labels, entries, entries.sum(axis=1))
 
 
@@ -356,21 +349,6 @@ def _closest_rows(d1: np.ndarray, d2_rows, n2: int) -> np.ndarray:
     return np.argmin(gaps, axis=1)
 
 
-def _leaf_distance_rows(tree: MergeTree, rows: np.ndarray, cols: np.ndarray):
-    """``index -> `` path distances from leaves ``rows[index]`` to leaves
-    ``cols``, bit for bit ``tree.path_distance_many``'s, read from the leaf
-    table without per-call checks."""
-    s = tree.scalars
-    p, q = tree.leaf_rows(rows), tree.leaf_rows(cols)
-    s_rows, s_cols = s[rows], s[cols]
-
-    def gather(index) -> np.ndarray:
-        sl = s.take(tree.leaf_lcas(p[index], q))
-        return (sl - s_rows[index, None]) + (sl - s_cols)
-
-    return gather
-
-
 def _row_norm_weights(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """W(i, j) = | ||d1[i]||_2 - ||d2[j]||_2 | (column spaces differ)."""
     n1 = np.sqrt(np.einsum("ij,ij->i", d1, d1))
@@ -403,9 +381,8 @@ def _delta_map(pivot: LabeledMergeTree, removed: Sequence[int]) -> dict[int, flo
         raise errors.DisagreementEmptyTree("cannot compare a tree with no leaves")
     right = np.searchsorted(survivors, rows)  # the first survivor at or after
     sides = (survivors[np.maximum(right - 1, 0)], survivors[np.minimum(right, len(survivors) - 1)])
-    s = tree.scalars
-    lowest = np.minimum(*(s.take(tree.leaf_lca_pairs(rows, side)) for side in sides))
-    return dict(zip(removed, (lowest - s[at]).tolist()))
+    lowest = np.minimum(*(tree.leaf_scalar_pairs(rows, side) for side in sides))
+    return dict(zip(removed, (lowest - tree.scalars[at]).tolist()))
 
 
 class _Pair:
@@ -528,7 +505,7 @@ class _Pair:
             partners.append(successor)
         q = np.stack(partners, axis=1)
         a, b = (
-            LabeledMatrix(labels, (0, 1, 2), t.scalars.take(t.leaf_lca_pairs(r[:, None], r[q])))
+            LabeledMatrix(labels, (0, 1, 2), t.leaf_scalar_pairs(r[:, None], r[q]))
             for t, r in zip(trees, rows)
         )
         return inf_norm_diff(a, b)
@@ -648,9 +625,11 @@ def _greedy(p: _Pair) -> MethodResult:
         piv_nk, oth_nk = (c[newly] for c in (cols if p.pivot_is_a else cols[::-1]))
         # candidate receivers: leaves of the smaller tree, by smallest label
         cand = list(dict.fromkeys(oth.leaf_index()[2].tolist()))
-        ds_rows = _leaf_distance_rows(oth.tree, np.asarray(cand, dtype=np.int64), oth_nk)
-        dmat = _leaf_distance_rows(piv.tree, piv.labels.vertices_of(unmatched), piv_nk)(slice(None))
-        for label, c in zip(unmatched, _closest_rows(dmat, ds_rows, len(cand)).tolist()):
+        pt, ot = piv.tree, oth.tree
+        dmat = pt.leaf_distances(pt.leaf_rows(piv.labels.vertices_of(unmatched)), pt.leaf_rows(piv_nk))
+        cand_rows, nk_rows = ot.leaf_rows(np.asarray(cand, dtype=np.int64)), ot.leaf_rows(oth_nk)
+        closest = _closest_rows(dmat, lambda index: ot.leaf_distances(cand_rows[index], nk_rows), len(cand))
+        for label, c in zip(unmatched, closest.tolist()):
             grants[label] = oth.labels.labels_of(cand[c])[0]
     return p.result(pairs_ab, unmatched, grants=grants)
 

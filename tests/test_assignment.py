@@ -353,6 +353,23 @@ def test_malformed_costs_raise_nonfinite(cost):
 
 @pytest.mark.parametrize(
     "cost",
+    [
+        [["1", "2"], ["3", "0"]],
+        [[b"1", b"2"], [b"3", b"0"]],
+        np.array([["1", "2"], ["3", "0"]]),
+        [[1.0, "2"], [3.0, 0.0]],
+        np.array([[1.0, b"2"], [3.0, 0.0]], dtype=object),
+    ],
+    ids=["str", "bytes", "numpy-str", "mixed", "object"],
+)
+def test_numeric_string_costs_raise_nonfinite(cost):
+    """numpy would parse each of these as [[1, 2], [3, 0]]; a string is no number."""
+    with pytest.raises(errors.NonFiniteCost, match="matrix of numbers"):
+        solve(cost)
+
+
+@pytest.mark.parametrize(
+    "cost",
     [[[1e308], [1e308]], [[1e308, -1e308], [1e308, -1e308]], [[-1e308, 1e308]]],
     ids=["sentinel", "spread", "wide"],
 )

@@ -116,6 +116,22 @@ def test_malformed_trees_refused_at_construction(scalars, parents, error):
         MergeTree(scalars, parents)
 
 
+_NUMERIC_TEXT = {
+    "str": ["1.5", "0"],
+    "bytes": [b"1.5", b"0"],
+    "numpy-str": np.array(["1.5", "0"]),
+    "mixed": [1.5, "0"],
+    "object": np.array([1.5, b"0"], dtype=object),
+}
+
+
+@pytest.mark.parametrize("scalars", _NUMERIC_TEXT.values(), ids=_NUMERIC_TEXT)
+def test_numeric_string_scalars_refused(scalars):
+    """numpy would parse each of these as [1.5, 0.0]; a string is no number."""
+    with pytest.raises(errors.ValidationError, match="real numbers"):
+        MergeTree(scalars, [None, 0])
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_scalar_rejected(bad):
     with pytest.raises(errors.ValidationError, match="vertex 1 has a non-finite scalar"):
@@ -378,8 +394,9 @@ def test_leaf_lcas_equal_lca_many_on_leaf_blocks(which):
     tree = _lca_tree(which)
     leaves = np.asarray([v for v in range(tree.n_vertices) if not tree.children(v)])
     rows = tree.leaf_rows(leaves)
-    got = tree.leaf_lcas(rows[::-1], rows[1:])
-    assert np.array_equal(got, tree.lca_many(leaves[::-1, None], leaves[None, 1:]))
+    got = tree.leaf_scalars(rows[::-1], rows[1:])
+    want = tree.scalars[tree.lca_many(leaves[::-1, None], leaves[None, 1:])]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert tree.leaf_rows(leaves[:0]).size == 0
 
 
@@ -502,7 +519,8 @@ def test_vertex_queries_match_a_parent_walk_or_raise_mtdist_errors(tree_parents,
     assert (rows is None) == (ids is None)
     if rows is not None:  # the table's diagonal holds each row's own vertex
         assert rows.shape == ids[0].shape
-        assert tree.leaf_lca_pairs(rows, rows).tolist() == ids[0].tolist()
+        assert tree._leaf_table()[3][rows, rows].tolist() == ids[0].tolist()
+        assert tree.leaf_scalar_pairs(rows, rows).tobytes() == tree.scalars[ids[0].astype(int)].tobytes()
 
 
 # -- induced matrices ----------------------------------------------------------
@@ -625,6 +643,12 @@ def test_labeled_matrix_refuses_ragged_and_non_numeric_entries():
         LabeledMatrix((1,), (1,), [["x"]])
     with pytest.raises(errors.ValidationError):
         LabeledMatrix((1,), (1, 2), [[1.0, [2.0]]])
+
+
+@pytest.mark.parametrize("cells", _NUMERIC_TEXT.values(), ids=_NUMERIC_TEXT)
+def test_labeled_matrix_refuses_numeric_string_entries(cells):
+    with pytest.raises(errors.ValidationError, match="not all numbers"):
+        LabeledMatrix((1,), (1, 2), [cells])
 
 
 def test_inf_norm_label_mismatch():

@@ -415,6 +415,15 @@ def test_distance_matrix_refuses_ragged_and_non_numeric_values():
         DistanceMatrix(("a",), [["x"]])
 
 
+@pytest.mark.parametrize(
+    "values", [[["0"]], [[b"0"]], np.array([["0"]]), np.array([["0"]], dtype=object)],
+    ids=["str", "bytes", "numpy-str", "object"],
+)
+def test_distance_matrix_refuses_numeric_string_values(values):
+    with pytest.raises(errors.ValidationError, match="not all numbers"):
+        DistanceMatrix(("a",), values)
+
+
 def test_matrix_csv_rejects_short_row(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("id,a,b\na,0.0\nb,1.0,0.0\n")

@@ -55,16 +55,15 @@ def _leaf_index_sets(tree):
 
 @pytest.mark.parametrize("max_vertices, dtype", [(41, np.uint8), (601, np.uint16)])
 def test_leaf_reads_equal_lca_many_and_path_distance_many(max_vertices, dtype):
-    """The estimators' leaf reader gives ``lca_many``'s scalars and
+    """The trees' leaf reads give ``lca_many``'s scalars and
     ``path_distance_many``'s distances byte for byte."""
     for lt in random_pair(0, max_vertices=max_vertices):
         tree = lt.tree
         for rows, cols in _leaf_index_sets(tree):
+            p, q = tree.leaf_rows(rows), tree.leaf_rows(cols)
             pairs = (
-                (methods._lca_scalars(tree, rows, cols),
-                 tree.scalars[tree.lca_many(rows[:, None], cols[None, :])]),
-                (methods._leaf_distance_rows(tree, rows, cols)(slice(None)),
-                 tree.path_distance_many(rows[:, None], cols[None, :])),
+                (tree.leaf_scalars(p, q), tree.scalars[tree.lca_many(rows[:, None], cols[None, :])]),
+                (tree.leaf_distances(p, q), tree.path_distance_many(rows[:, None], cols[None, :])),
             )
             for got, want in pairs:
                 assert (got.dtype, got.shape) == (want.dtype, (len(rows), len(cols)))
@@ -789,7 +788,7 @@ def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypat
     a, b = _PARTIAL_PAIRS[index]
     cells: dict[tuple[str, int], int] = {}
     in_delta = []
-    delta_map, pair_reader = methods._delta_map, MergeTree.leaf_lca_pairs
+    delta_map, pair_reader = methods._delta_map, MergeTree.leaf_scalar_pairs
 
     def read(tree, p, q):
         kind = ("delta" if in_delta else "eps", id(tree))
@@ -804,7 +803,7 @@ def test_lone_estimator_gathers_known_block_once_and_extra_rows(index, monkeypat
             in_delta.pop()
 
     monkeypatch.setattr(methods, "_delta_map", flagged_delta_map)
-    monkeypatch.setattr(MergeTree, "leaf_lca_pairs", read)
+    monkeypatch.setattr(MergeTree, "leaf_scalar_pairs", read)
     pair = methods._Pair(a, b)
     trees = (pair.a.tree, pair.b.tree)
     assert trees == (a.tree, b.tree) and a.tree is not b.tree
@@ -907,6 +906,12 @@ def _same_shape(rng, lt: LabeledMergeTree) -> LabeledMergeTree:
     return LabeledMergeTree(MergeTree(scalars, [None] + parents[1:]), lt.labels)
 
 
+def _merge_heights(tree: MergeTree, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The dense merge heights of leaves ``rows`` above leaves ``cols``."""
+    block = tree.leaf_scalars(tree.leaf_rows(rows), tree.leaf_rows(cols))
+    return block - tree.scalars[rows][:, None]
+
+
 def test_delta_map_takes_the_dense_block_min_bit_for_bit():
     """``_delta_map`` equals the row min of the dense merge-height block
     against every surviving leaf, by ``float.hex``, on random pairs of all
@@ -940,7 +945,7 @@ def test_delta_map_takes_the_dense_block_min_bit_for_bit():
                 methods._delta_map(piv, removed)
             continue
         at, kept = (piv.labels.vertices_of(ls) for ls in (removed, survivors))
-        dense = methods._merge_heights(piv, at, kept).min(axis=1)
+        dense = _merge_heights(piv.tree, at, kept).min(axis=1)
         got = methods._delta_map(piv, removed)
         assert [got[l].hex() for l in removed] == [h.hex() for h in dense.tolist()]
         seen["shared leaf"] += bool(set(at.tolist()) & set(kept.tolist()))
@@ -951,7 +956,7 @@ def test_delta_map_takes_the_dense_block_min_bit_for_bit():
             right = [v for v in order if place[v] > place[r]]
             if left and right and r not in order:
                 nearest = np.array([left[-1], right[0]])
-                hl, hr = methods._merge_heights(piv, np.array([r]), nearest)[0]
+                hl, hr = _merge_heights(piv.tree, np.array([r]), nearest)[0]
                 lower["left"] += hl < hr
                 lower["right"] += hr < hl
     assert cases == set(Agreement)
