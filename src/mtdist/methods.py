@@ -92,10 +92,11 @@ from the constructors and share only the labels and leaf tables.
 Greedy's grant search needs, per unmatched pivot leaf, only the first
 candidate whose profile is closest to the leaf's.  ``_closest_rows``
 brackets every gap through one matrix product per block of candidates, with
-a margin from the floating-point dot-product bound, and recomputes with the
-matching's own subtract-and-einsum arithmetic only the candidates that can
-still be closest.  So the grants keep every bit, and the candidates x labels
-profile matrix is never held whole.
+a margin from the floating-point dot-product bound, and takes the exact gaps
+of only the candidates that can still be closest from ``_row_gaps``, which
+also weighs the matching.  So every squared profile gap comes from one
+function, the grants keep every bit, and the candidates x labels profile
+matrix is never held whole.
 
 ``oracle_min_objective`` exhaustively minimizes the same objective over every
 trim subset and bijection on small instances, using its own naive traversal
@@ -319,8 +320,9 @@ def _closest_rows(d1: np.ndarray, d2_rows, n2: int) -> np.ndarray:
     of the interval ends, and 8 (K + 2) smallest subnormals cover products
     that underflow.  So E lies in [G~ - m, G~ + m], and every j whose E is
     least in its row has a lower end at or below the row's least upper end.
-    Those j keep their rows, gathered once, and their exact E picks the
-    first least j.  A block holds at most _BLOCK_CELLS cells, or d1.size
+    Every j that some row keeps is gathered once, ``_row_gaps`` takes its
+    exact E against every row, and each row's first least E among the j it
+    kept picks its j.  A block holds at most _BLOCK_CELLS cells, or d1.size
     when d1 is larger, so d1 is read once per block of at least its rows.
     """
     n1, k = d1.shape
@@ -338,15 +340,10 @@ def _closest_rows(d1: np.ndarray, d2_rows, n2: int) -> np.ndarray:
         lower[:, block] = g - m
         np.minimum(least, (g + m).min(axis=1), out=least)
     # a NaN least keeps its whole row, and so does a NaN lower end
-    ii, jj = np.nonzero(~(lower > least[:, None]))
-    kept, at = np.unique(jj, return_inverse=True)
-    d2 = d2_rows(kept)
-    gaps = lower  # every lower end has been read
-    gaps.fill(np.inf)
-    for chunk in _row_blocks(len(ii), k):
-        diff = d1[ii[chunk]] - d2[at[chunk]]
-        gaps[ii[chunk], jj[chunk]] = np.einsum("ij,ij->i", diff, diff)
-    return np.argmin(gaps, axis=1)
+    keep = ~(lower > least[:, None])
+    kept = np.flatnonzero(keep.any(axis=0))
+    gaps = np.where(keep[:, kept], _row_gaps(d1, d2_rows(kept)), np.inf)
+    return kept[np.argmin(gaps, axis=1)]
 
 
 def _row_norm_weights(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:

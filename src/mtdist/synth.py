@@ -113,16 +113,10 @@ def random_base_tree(max_vertices: int, seed: int) -> MergeTree:
     return MergeTree(scalars, parents)
 
 
-def assign_labels(
-    tree: MergeTree,
-    fraction: float,
-    seed: int,
-    *,
-    unknown_base: int = UNKNOWN_LABEL_BASE,
-) -> LabeledMergeTree:
+def assign_labels(tree: MergeTree, fraction: float, seed: int) -> LabeledMergeTree:
     """Label ceil(fraction * #leaves) leaves 1..k; the rest get fresh labels."""
     fraction = errors.real(fraction, "fraction")
-    seed, unknown_base = errors.integer(seed, "seed"), errors.integer(unknown_base, "unknown_base")
+    seed = errors.integer(seed, "seed")
     if not 0.0 <= fraction <= 1.0:
         raise errors.ValidationError("fraction must lie in [0, 1]")
     rng = random.Random(_child_seed(seed, "labels"))
@@ -131,7 +125,7 @@ def assign_labels(
     chosen = sorted(rng.sample(leaves, k))
     chosen_set = set(chosen)
     mapping = {i + 1: leaf for i, leaf in enumerate(chosen)}
-    nxt = unknown_base + 1
+    nxt = UNKNOWN_LABEL_BASE + 1
     for leaf in leaves:
         if leaf not in chosen_set:
             mapping[nxt] = leaf

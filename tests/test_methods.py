@@ -1040,9 +1040,9 @@ def _gap_inputs():
     shapes += [tuple(int(x) for x in rng.integers(1, 40, size=3)) for _ in range(20)]
     for i, (n1, n2, k) in enumerate(shapes):
         if i % 2:
-            yield (rng.integers(0, 4, (n, k)).astype(float) for n in (n1, n2))
+            yield tuple(rng.integers(0, 4, (n, k)).astype(float) for n in (n1, n2))
         else:
-            yield (rng.normal(size=(n, k)) * 10.0 for n in (n1, n2))
+            yield tuple(rng.normal(size=(n, k)) * 10.0 for n in (n1, n2))
 
 
 @pytest.mark.parametrize("cap", [1, 7, methods._BLOCK_CELLS, 1 << 17])
@@ -1073,17 +1073,43 @@ def _tie_inputs():
         yield dmat, ds
 
 
+def _non_finite_inputs():
+    """Small integer profiles with NaN, +inf and -inf cells in some rows on
+    both sides: a NaN or infinite row makes a NaN least or NaN lower ends,
+    and same-sign infinities make NaN gaps, which the argmin takes first.
+    Then finite profiles, integer multiples of 2^509 whose sums of squares
+    overflow, so a least gap can be finite with a NaN lower end."""
+    rng = np.random.default_rng(13)
+
+    def side(n, k):
+        d = rng.integers(0, 4, (n, k)).astype(float)
+        bad = rng.random((n, k)) < rng.choice([0.02, 0.1, 0.3])
+        d[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+        return d
+
+    for _ in range(40):
+        n1, n2, k = rng.integers(1, 30, size=3)
+        yield side(n1, k), side(n2, k)
+    for _ in range(40):
+        n1, n2, k = rng.integers(1, (30, 30, 12))
+        yield tuple(rng.integers(-3, 4, (n, k)) * 2.0**509 for n in (n1, n2))
+
+
 @pytest.mark.parametrize("cap", [1, 5, methods._BLOCK_CELLS])
 def test_closest_rows_equal_row_gaps_argmin(cap, monkeypatch):
     """Greedy's receivers through the product filter are the first-index
-    argmin of the exact row gaps, on random and on tie-heavy shapes."""
+    argmin of the exact row gaps, on random, tie-heavy and non-finite
+    shapes."""
     monkeypatch.setattr(methods, "_BLOCK_CELLS", cap)
     ties = 0
-    for dmat, ds in [*_gap_inputs(), *_tie_inputs()]:
-        gaps = methods._row_gaps(dmat, ds)
-        got = methods._closest_rows(dmat, lambda index: ds[index], len(ds))
+    finite = [*_gap_inputs(), *_tie_inputs()]
+    for i, (dmat, ds) in enumerate([*finite, *_non_finite_inputs()]):
+        with np.errstate(all=None if i < len(finite) else "ignore"):
+            gaps = methods._row_gaps(dmat, ds)
+            got = methods._closest_rows(dmat, lambda index: ds[index], len(ds))
         assert got.tolist() == np.argmin(gaps, axis=1).tolist()
-        ties += int(np.sum(gaps == gaps.min(axis=1, keepdims=True)) > len(gaps))
+        if i < len(finite):
+            ties += int(np.sum(gaps == gaps.min(axis=1, keepdims=True)) > len(gaps))
     assert ties >= 4
 
 

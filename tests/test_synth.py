@@ -83,7 +83,8 @@ def test_assign_labels_ceiling_rule():
 def test_assign_labels_zero_fraction_disagrees():
     t = random_base_tree(9, 6)
     a = assign_labels(t, 0.0, 1)
-    b = assign_labels(t, 0.0, 2, unknown_base=2 * UNKNOWN_LABEL_BASE)
+    b = assign_labels(t, 0.0, 2)  # its unknowns moved to a second member's range
+    b = LabeledMergeTree(t, LabelTable({l + UNKNOWN_LABEL_BASE: v for l, v in b.labels.items()}))
     assert classify_agreement(a, b).case is Agreement.DISAGREEMENT
 
 
@@ -266,14 +267,13 @@ def test_integer_parameters_are_integers():
         lambda: random_base_tree(9, "0"),
         lambda: assign_labels(tree, 0.5, "x"),
         lambda: assign_labels(tree, 0.5, 1.0),
-        lambda: assign_labels(tree, 0.5, 0, unknown_base="9"),
     ):
         with pytest.raises(errors.ValidationError, match="must be an integer"):
             make()
     same = random_base_tree(np.int64(9), np.int64(0))
     assert same.scalars.tolist() == tree.scalars.tolist()
-    labeled = assign_labels(tree, 0.5, np.int64(3), unknown_base=np.int64(50))
-    assert labeled.labels.items() == assign_labels(tree, 0.5, 3, unknown_base=50).labels.items()
+    labeled = assign_labels(tree, 0.5, np.int64(3))
+    assert labeled.labels.items() == assign_labels(tree, 0.5, 3).labels.items()
 
 
 def test_float_parameters_are_finite_real_numbers():
