@@ -29,9 +29,10 @@ every subtree form a contiguous run in DFS order, so each internal vertex
 fills the blocks between its children's runs, exactly L^2 writes.  Cells
 use the smallest unsigned dtype that holds a vertex id: one byte up to 256
 vertices, two up to 65,536, four above.  A query touching an internal
-vertex reads the table at one leaf below each side and keeps the
-shallowest of that LCA and the two query vertices.  Blocks over leaves
-alone skip those checks and are read here alone: ``leaf_rows`` checks the
+vertex reads the table at one leaf below each side and keeps the one of
+that LCA and the two query vertices with the largest scalar (they lie on
+one root path, where scalars fall strictly).  Blocks over leaves alone
+skip those checks and are read here alone: ``leaf_rows`` checks the
 vertices and resolves their table rows once, ``leaf_scalars`` gives the
 LCA scalars of a rows x columns block, ``leaf_scalar_pairs`` those of
 paired rows, and ``leaf_distances`` a block's path distances, each row's
@@ -82,10 +83,9 @@ def _real_array(values) -> np.ndarray:
 
 
 def _build_leaf_table(tree: "MergeTree") -> tuple[np.ndarray, ...]:
-    """(pos, lo, depth, table): the table's rows are the childless vertices
-    in DFS order and table[i, j] is the LCA of rows i and j; pos maps a
-    vertex to its row (-1 off those rows), lo[v] is the first row below v
-    and depth[v] counts the edges from the root to v."""
+    """(pos, lo, table): the table's rows are the childless vertices in DFS
+    order and table[i, j] is the LCA of rows i and j; pos maps a vertex to
+    its row (-1 off those rows) and lo[v] is the first row below v."""
     n = tree.n_vertices
     children = tree._children
     n_rows = sum(1 for kids in children if not kids)
@@ -93,7 +93,6 @@ def _build_leaf_table(tree: "MergeTree") -> tuple[np.ndarray, ...]:
     rows: list[int] = []  # childless vertices in DFS order
     lo = [0] * n  # the rows below v are lo[v]:hi[v]
     hi = [0] * n
-    depth = [0] * n  # the root's; construction checked that the walk reaches the rest
     stack: list[tuple[int, bool]] = [(tree.root, False)]
     while stack:
         v, done = stack.pop()
@@ -105,7 +104,6 @@ def _build_leaf_table(tree: "MergeTree") -> tuple[np.ndarray, ...]:
         elif not done:
             stack.append((v, True))
             for c in reversed(kids):
-                depth[c] = depth[v] + 1
                 stack.append((c, False))
         else:
             lo[v] = lo[kids[0]]
@@ -117,7 +115,7 @@ def _build_leaf_table(tree: "MergeTree") -> tuple[np.ndarray, ...]:
     np.fill_diagonal(table, rows)
     pos = np.full(n, -1, dtype=np.int64)
     pos[rows] = np.arange(n_rows)
-    return pos, np.asarray(lo), np.asarray(depth), table
+    return pos, np.asarray(lo), table
 
 
 class MergeTree:
@@ -277,17 +275,17 @@ class MergeTree:
         if 0 in shape:
             return np.zeros(shape, dtype=np.int64)
         self._check_ids(us, vs)
-        pos, lo, depth, table = self._leaf_table()
+        pos, lo, table = self._leaf_table()
         p = pos[us]
         q = pos[vs]
         if p.min() >= 0 and q.min() >= 0:  # leaves only: read the table
             return table[p, q].astype(np.int64)
         # w joins a leaf below u and one below v: it lies strictly above both
-        # unless one is an ancestor of the other, and then that one lies
-        # above w, so the shallowest of the three is the LCA
+        # unless one is an ancestor of the other, and then that one lies above
+        # w.  All three lie on one root path, so the largest scalar is the LCA
         w = table[lo[us], lo[vs]].astype(np.int64)
-        w = np.where(depth[us] < depth[w], us, w)
-        return np.where(depth[vs] < depth[w], vs, w)
+        w = np.where(self._scalars[us] > self._scalars[w], us, w)
+        return np.where(self._scalars[vs] > self._scalars[w], vs, w)
 
     def _check_ids(self, *arrays: np.ndarray) -> None:
         """Raise InvalidVertex unless every (non-empty) array holds vertex ids."""
@@ -316,18 +314,18 @@ class MergeTree:
         """LCA scalars of leaf-table rows p (one per row) and q (one per
         column), both from :meth:`leaf_rows`: two takes on the table, one on
         the scalars."""
-        return self._scalars.take(self._leaf_table()[3].take(p, axis=0).take(q, axis=1))
+        return self._scalars.take(self._leaf_table()[2].take(p, axis=0).take(q, axis=1))
 
     def leaf_scalar_pairs(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """:meth:`leaf_scalars` of p[i] and q[i] alone, for each i: one take each."""
-        return self._scalars.take(self._leaf_table()[3][p, q])
+        return self._scalars.take(self._leaf_table()[2][p, q])
 
     def leaf_distances(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Path distances between leaf-table rows p (one per row) and q (one
         per column), bit for bit :meth:`path_distance_many`'s: the
         :meth:`leaf_scalars` block and each row's own scalar, whose vertex
         is the row's diagonal cell."""
-        own = self._leaf_table()[3].diagonal()
+        own = self._leaf_table()[2].diagonal()
         s = self._scalars
         return self._legs(self.leaf_scalars(p, q), s.take(own.take(p))[:, None], s.take(own.take(q)))
 
@@ -589,7 +587,8 @@ def inf_norm_diff(a: LabeledMatrix, b: LabeledMatrix) -> float:
     """Maximum absolute entrywise difference, aligned by label.
 
     Diagonal entries participate.  Raises LabelMismatch unless both matrices
-    index the same row and column label sets (any order).
+    index the same row and column label sets (any order), and NonFiniteCost
+    when the maximum is past float64.
     """
     same = a.row_labels == b.row_labels and a.col_labels == b.col_labels
     if not same and (
@@ -605,5 +604,9 @@ def inf_norm_diff(a: LabeledMatrix, b: LabeledMatrix) -> float:
         ci = [b.col_labels.index(l) for l in a.col_labels]
         bb = b.entries[np.ix_(ri, ci)]
     # abs in place: one matrix-sized temporary, not two
-    diff = a.entries - bb
-    return float(np.max(np.abs(diff, out=diff)))
+    with np.errstate(over="ignore"):
+        diff = a.entries - bb
+    worst = float(np.max(np.abs(diff, out=diff)))
+    if np.isinf(worst):
+        raise errors.NonFiniteCost("an entry difference is past float64")
+    return worst

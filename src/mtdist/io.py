@@ -282,8 +282,11 @@ class DistanceMatrix:
 
     def check(self) -> None:
         v = self.values
-        # a failed pair is NaN on both sides; an infinity matches only itself
-        if not np.isclose(v, v.T, rtol=0.0, atol=1e-9, equal_nan=True).all():
+        # a failed pair is NaN on both sides; an infinity matches only itself,
+        # and a difference past float64 is no match either
+        with np.errstate(over="ignore"):
+            symmetric = np.isclose(v, v.T, rtol=0.0, atol=1e-9, equal_nan=True).all()
+        if not symmetric:
             raise errors.ValidationError("matrix is not symmetric")
         if not np.all(np.abs(np.diag(v)) <= 1e-9):
             raise errors.ValidationError("diagonal is not zero")
@@ -357,13 +360,13 @@ def _write_p6(pixels: np.ndarray, path) -> None:
 
 
 def write_heatmap(matrix: DistanceMatrix, path) -> None:
-    """Linear grayscale, minimum value white, maximum black; NaN red."""
-    v = matrix.values
+    """Linear grayscale, minimum value white, maximum black; NaN red.  Levels
+    are taken in halves, so no difference of finite values leaves float64."""
+    v = matrix.values / 2
     finite = np.isfinite(v)
     if finite.any():
         lo = float(v[finite].min())
-        hi = float(v[finite].max())
-        span = hi - lo
+        span = float(v[finite].max()) - lo
     else:
         lo, span = 0.0, 0.0
     if span == 0.0:
@@ -377,14 +380,15 @@ def write_heatmap(matrix: DistanceMatrix, path) -> None:
 
 
 def write_comparison_heatmap(ours: DistanceMatrix, base: DistanceMatrix, path) -> None:
-    """Per-cell trichotomy of two matrices over the same members."""
+    """Per-cell trichotomy of two matrices over the same members; ties are
+    taken in halves, so no difference of finite values leaves float64."""
     if ours.member_ids != base.member_ids:
         raise errors.LabelMismatch("comparison needs identical member lists")
-    a, b = ours.values, base.values
+    a, b = ours.values / 2, base.values / 2
     finite = np.isfinite(a) & np.isfinite(b)
     pixels = np.empty(a.shape + (3,), dtype=np.float64)
     pixels[:] = _NAN_RGB
-    equal = finite & (np.abs(a - b) <= TIE_TOL * np.maximum(1.0, np.abs(b)))
+    equal = finite & (np.abs(a - b) <= TIE_TOL * np.maximum(0.5, np.abs(b)))
     better = finite & ~equal & (a < b)
     worse = finite & ~equal & (a > b)
     pixels[equal] = _EQUAL_RGB

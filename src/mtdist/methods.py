@@ -30,21 +30,21 @@ the per-tree pairwise leaf distance matrices are compared instead
 (| ||D1(i)||_2 - ||D2(j)||_2 |).  Their public helpers,
 ``unknown_to_known_distances`` and ``pairwise_leaf_distances``, alone call
 ``path_distance_many`` and so ``lca_many``; every other read of the trees (S,
-delta, epsilon, induced matrices, greedy's profiles) checks its leaves once
-with ``leaf_rows`` and takes blocks from the tree's own leaf reads,
-``leaf_scalars``, ``leaf_scalar_pairs`` and ``leaf_distances``.
+delta, epsilon, induced matrices, greedy's profiles) takes blocks from the
+tree's own leaf reads, ``leaf_scalars``, ``leaf_scalar_pairs`` and
+``leaf_distances``, at leaf-table rows that ``leaf_rows`` resolved once.
 
 All three run on one private pair context, ``_Pair``: it holds the label
 split, the pivot and the unknown lists, and owns the steps the estimators
 share, namely the bipartite matching of pivot unknowns against the other
-tree's, epsilon over (vertex in a, vertex in b) pairs, and the result record.
-Each public estimator is a thin wrapper that builds a fresh ``_Pair`` and
-runs the estimator's own step (``_elm``, ``_mmb``, ``_greedy``) on it:
-trimming, nothing, or granting labels between the matching and the
-objective.  ``_Pair.match`` memoises its result by the tuple of pivot rows,
-so several estimators run on one ``_Pair`` (as the harness's comparison
-does) solve each distinct matching once: ``greedy`` reuses ``mmb``'s, and
-``elm`` reuses it whenever it trims nothing.
+tree's, epsilon over (row in a's leaf table, row in b's) pairs, and the
+result record.  Each public estimator is a thin wrapper that builds a fresh
+``_Pair`` and runs the estimator's own step (``_elm``, ``_mmb``,
+``_greedy``) on it: trimming, nothing, or granting labels between the
+matching and the objective.  ``_Pair.matching`` matches every pivot unknown
+once per pair, so estimators run on one ``_Pair`` (as the harness's
+comparison does) solve each distinct matching once: ``mmb``, ``greedy`` and
+an ``elm`` that trims nothing read it; an ``elm`` that trims solves its own.
 
 ``_Pair.result`` is the one place a configuration is scored and the one way
 a value leaves the pair: it takes delta for every unmatched pivot label that
@@ -79,8 +79,8 @@ where the inputs allow: a row gap block holds at least one row pair, and a
 grant-search block as much as the unmatched leaves' own profiles when those
 are larger.  So no pair holds an n1 x n2 x K tensor and, at benchmark
 sizes, no temporary is large enough to be memory-mapped.  A result keeps the
-labels and vertices its epsilon was taken over, and gathers its induced
-matrices from them, in sorted label order, only when read.
+labels and leaf-table rows its epsilon was taken over, and gathers its
+induced matrices from them, in sorted label order, only when read.
 
 A pair computes at one scale, ``_Pair.shift``: when the larger half span of
 its trees lies outside [2^-503, 2^497), or a scalar's magnitude reaches
@@ -175,8 +175,8 @@ class MethodResult:
     existing label of the leaf that received it on the other side.
     ``induced_a``/``induced_b`` are the two induced matrices over the known
     plus matched (and granted) labels, in sorted label order.  They are
-    gathered on first read from ``unified``: those labels, both trees, and
-    each label's vertex per side.
+    gathered on first read from ``unified``: those labels, the two given
+    trees, and each label's leaf-table row per side.
     """
 
     distance: float
@@ -202,11 +202,10 @@ class MethodResult:
         return self._induced(1)
 
     def _induced(self, side: int) -> LabeledMatrix:
-        labels, trees, verts = self.unified
-        v = verts[side][np.argsort(np.asarray(labels, dtype=np.int64))]
-        labels, tree = tuple(sorted(labels)), trees[side]
-        rows = tree.leaf_rows(v)
-        return LabeledMatrix(labels, labels, tree.leaf_scalars(rows, rows))
+        labels, trees, rows = self.unified
+        r = rows[side][np.argsort(np.asarray(labels, dtype=np.int64))]
+        labels = tuple(sorted(labels))
+        return LabeledMatrix(labels, labels, trees[side].leaf_scalars(r, r))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +385,11 @@ class _Pair:
     """The work every estimator shares for one (a, b) pair: the label split,
     the pivot and its counterpart, their unknown labels, the matching,
     epsilon and the result record.  ``a``, ``b``, ``piv`` and ``oth`` are
-    the trees at the pair's scale."""
+    the trees at the pair's scale.  A leaf goes by its leaf-table row."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self._lap = perf_counter()  # the set-up goes to the first record
         self.given = (a, b)  # at the caller's scale, as results report them
-        self._matches: dict[tuple[int, ...], tuple] = {}
         self.info = info = classify_agreement(a, b)
         # The canonical pivot has more unknowns, ties to the lexicographically
         # smaller unknown-label list.  Unknown labels are one-sided by
@@ -429,22 +427,16 @@ class _Pair:
     piv = property(lambda self: self._trees[0 if self.pivot_is_a else 1])
     oth = property(lambda self: self._trees[1 if self.pivot_is_a else 0])
 
-    def match(
-        self, piv_rows: tuple[int, ...]
-    ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-        """Bipartite matching of the listed pivot unknowns against every
-        unknown of the other tree; returns (side-A, side-B) label pairs and
-        the pivot labels left unmatched.  Solved once per row tuple: a later
-        estimator on the same pair asking for the same rows gets the
-        memoised result."""
-        found = self._matches.get(piv_rows)
-        if found is None:
-            found = self._matches[piv_rows] = self._solve_match(piv_rows)
-        return found
+    @functools.cached_property
+    def matching(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """The matching of every pivot unknown, solved once for the pair."""
+        return self._solve_match(self.piv_unknown)
 
     def _solve_match(
         self, piv_rows: tuple[int, ...]
     ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """Bipartite matching of the listed pivot unknowns against the other
+        tree's: (side-A, side-B) label pairs and the pivot labels left over."""
         oth_rows = self.oth_unknown
         if not oth_rows:
             return (), piv_rows
@@ -463,25 +455,24 @@ class _Pair:
         return tuple(pairs), tuple(piv_rows[i] for i in asn.unmatched_rows)
 
     @functools.cached_property
-    def _known_vertices(self) -> tuple[np.ndarray, np.ndarray]:
-        known = self.info.known
-        return self.a.labels.vertices_of(known), self.b.labels.vertices_of(known)
+    def _known_rows(self) -> tuple[np.ndarray, ...]:
+        return tuple(t.tree.leaf_rows(t.labels.vertices_of(self.info.known)) for t in self._trees)
 
     def columns(self, pairs_ab: Sequence[tuple[int, int]], grants: Mapping | None = None) -> tuple:
         """The known labels, the matched ones under their side-A names, then
-        the granted pivot labels, with their vertices in a and in b in that
-        order; ``grants`` maps a pivot label to a label of the other tree's
-        leaf that received it."""
+        the granted pivot labels, with their leaf-table rows in a and in b in
+        that order, which hold for the given trees too; ``grants`` maps a
+        pivot label to a label of the other tree's leaf that received it."""
         at = {la: (la, lb) for la, lb in pairs_ab}
         for label, anchor in (grants or {}).items():  # it sits on the anchor's leaf
             at[label] = (label, anchor) if self.pivot_is_a else (anchor, label)
         sides = list(zip(*at.values())) or [(), ()]  # side-A labels, side-B labels
-        extra = (t.labels.vertices_of(ls) for t, ls in zip((self.a, self.b), sides))
-        cols = list(map(np.concatenate, zip(self._known_vertices, extra)))
-        return self.info.known + tuple(at), cols
+        extra = (t.tree.leaf_rows(t.labels.vertices_of(ls)) for t, ls in zip(self._trees, sides))
+        rows = list(map(np.concatenate, zip(self._known_rows, extra)))
+        return self.info.known + tuple(at), rows
 
-    def _epsilon(self, labels: tuple[int, ...], cols: Sequence[np.ndarray]) -> float:
-        """Epsilon over ``labels`` at vertices ``cols`` (one array per tree):
+    def _epsilon(self, labels: tuple[int, ...], rows: Sequence[np.ndarray]) -> float:
+        """Epsilon over ``labels`` at leaf-table ``rows`` (one array per tree):
         each label against itself and against its successor in each tree's
         leaf-table order (the last is its own): 3n cells for 3n - 2 of the
         n^2 label pairs.  With A, B the LCA-scalar matrices and
@@ -493,7 +484,6 @@ class _Pair:
         subtraction is monotone and odd, max |fl(A - B)| is the dense one's,
         bit for bit."""
         trees = (self.a.tree, self.b.tree)
-        rows = [t.leaf_rows(v) for t, v in zip(trees, cols)]
         partners = [np.arange(len(labels))]  # column 0: the label itself
         for r in rows:  # columns 1 and 2: its successor in a's order, in b's
             order = np.argsort(r, kind="stable")
@@ -528,8 +518,8 @@ class _Pair:
         deltas = _delta_map(self.piv, removed)
         if self.shift:
             deltas = {l: self.unscaled(d) for l, d in deltas.items()}
-        labels, cols = self.columns(pairs_ab, grants)
-        eps = self.unscaled(self._epsilon(labels, cols))
+        labels, rows = self.columns(pairs_ab, grants)
+        eps = self.unscaled(self._epsilon(labels, rows))
         now = perf_counter()
         wall_time, self._lap = now - self._lap, now
         return MethodResult(
@@ -545,7 +535,7 @@ class _Pair:
             trimmed=frozenset(trimmed),
             wall_time=wall_time,
             assigned_labels=grants,
-            unified=(labels, tuple(t.tree for t in self.given), tuple(cols)),
+            unified=(labels, tuple(t.tree for t in self.given), tuple(rows)),
         )
 
 
@@ -595,16 +585,16 @@ def greedy_distance(a: LabeledMergeTree, b: LabeledMergeTree) -> MethodResult:
 
 def _elm(p: _Pair) -> MethodResult:
     k = len(p.piv_unknown) - len(p.oth_unknown)
-    trimmed = ()
-    if k:  # with nothing to trim, S would rank rows for nothing
-        trimmed = select_trim(build_s_matrix(p.piv, p.piv_unknown, p.piv.leaf_labels()), k)
+    if not k:  # the pair's own matching, which leaves nothing unmatched
+        return p.result(p.matching[0])
+    trimmed = select_trim(build_s_matrix(p.piv, p.piv_unknown, p.piv.leaf_labels()), k)
     cut = set(trimmed)
-    pairs_ab, _ = p.match(tuple(l for l in p.piv_unknown if l not in cut))
+    pairs_ab, _ = p._solve_match(tuple(l for l in p.piv_unknown if l not in cut))
     return p.result(pairs_ab, trimmed, trimmed=trimmed)
 
 
 def _mmb(p: _Pair) -> MethodResult:
-    return p.result(*p.match(p.piv_unknown))
+    return p.result(*p.matching)
 
 
 def _greedy(p: _Pair) -> MethodResult:
@@ -612,20 +602,20 @@ def _greedy(p: _Pair) -> MethodResult:
         raise errors.DisagreementUnsupported(
             "baseline needs embedding coordinates when no labels are shared"
         )
-    pairs_ab, unmatched = p.match(p.piv_unknown)
+    pairs_ab, unmatched = p.matching
     piv, oth = p.piv, p.oth
     grants: dict[int, int] = {}
     if unmatched:
         # newly known = original known plus matched labels, by unified name
-        labels, cols = p.columns(pairs_ab)
+        labels, rows = p.columns(pairs_ab)
         newly = np.argsort(np.asarray(labels, dtype=np.int64))
-        piv_nk, oth_nk = (c[newly] for c in (cols if p.pivot_is_a else cols[::-1]))
+        piv_nk, oth_nk = (r[newly] for r in (rows if p.pivot_is_a else rows[::-1]))
         # candidate receivers: leaves of the smaller tree, by smallest label
         cand = list(dict.fromkeys(oth.leaf_index()[2].tolist()))
         pt, ot = piv.tree, oth.tree
-        dmat = pt.leaf_distances(pt.leaf_rows(piv.labels.vertices_of(unmatched)), pt.leaf_rows(piv_nk))
-        cand_rows, nk_rows = ot.leaf_rows(np.asarray(cand, dtype=np.int64)), ot.leaf_rows(oth_nk)
-        closest = _closest_rows(dmat, lambda index: ot.leaf_distances(cand_rows[index], nk_rows), len(cand))
+        dmat = pt.leaf_distances(pt.leaf_rows(piv.labels.vertices_of(unmatched)), piv_nk)
+        cand_rows = ot.leaf_rows(np.asarray(cand, dtype=np.int64))
+        closest = _closest_rows(dmat, lambda index: ot.leaf_distances(cand_rows[index], oth_nk), len(cand))
         for label, c in zip(unmatched, closest.tolist()):
             grants[label] = oth.labels.labels_of(cand[c])[0]
     return p.result(pairs_ab, unmatched, grants=grants)

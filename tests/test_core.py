@@ -64,6 +64,14 @@ def test_scaled_copy_shares_the_leaf_table():
     small = LabeledMergeTree(labeled.tree.scaled(-3), labeled.labels)
     assert small.labels is labeled.labels and small.leaf_labels() == (5, 6)
     assert small.tree.scalars.tolist() == [0.375, 0.125, -0.25]
+    # a query on internal vertices reads the copy's own scalars over the table
+    tree = random_base_tree(41, 0)
+    everyone = np.arange(tree.n_vertices)  # 20 of the 41 are internal
+    want = tree.lca_many(everyone[:, None], everyone[None, :])
+    for k in (600, -600):
+        copy = tree.scaled(k)
+        assert copy._leaf_table() is tree._leaf_table()
+        assert np.array_equal(copy.lca_many(everyone[:, None], everyone[None, :]), want)
 
 
 @pytest.mark.filterwarnings("error")
@@ -250,7 +258,7 @@ def test_lca_matches_bruteforce(which):
     for u, v in itertools.combinations(range(tree.n_vertices), 2):
         assert tree.lca(u, v) == _brute_lca(tree, u, v)
     _assert_lca_many_matches_bruteforce(tree)
-    pos, _, _, table = tree._leaf_lca  # one table over the childless vertices
+    pos, _, table = tree._leaf_lca  # one table over the childless vertices
     childless = [v for v in range(tree.n_vertices) if not tree.children(v)]
     assert table.shape == (len(childless), len(childless))
     assert sorted(np.flatnonzero(pos >= 0).tolist()) == childless
@@ -299,7 +307,7 @@ def test_leaf_table_dtype_and_pickle_round_trip():
     payload = pickle.dumps(tree)
     leaves = np.asarray(tree.leaves)
     before = tree.lca_many(leaves[:, None], leaves[None, :])
-    pos, _, _, table = tree._leaf_lca
+    pos, _, table = tree._leaf_lca
     assert table.dtype == np.uint8 and table.shape == (len(leaves), len(leaves))
     assert pos[leaves].min() >= 0 and np.all(np.delete(pos, leaves) == -1)
     assert pickle.dumps(tree) == payload  # the table never travels
@@ -308,7 +316,7 @@ def test_leaf_table_dtype_and_pickle_round_trip():
     assert np.array_equal(copy.lca_many(leaves[:, None], leaves[None, :]), before)
     big = MergeTree([2.0] + [1.0] * 299, [None] + [0] * 299)
     big.lca_many([1], [2])
-    assert big._leaf_lca[3].dtype == np.uint16
+    assert big._leaf_lca[2].dtype == np.uint16
 
 
 def test_leaf_labels_found_once_and_never_pickled():
@@ -519,7 +527,7 @@ def test_vertex_queries_match_a_parent_walk_or_raise_mtdist_errors(tree_parents,
     assert (rows is None) == (ids is None)
     if rows is not None:  # the table's diagonal holds each row's own vertex
         assert rows.shape == ids[0].shape
-        assert tree._leaf_table()[3][rows, rows].tolist() == ids[0].tolist()
+        assert tree._leaf_table()[2][rows, rows].tolist() == ids[0].tolist()
         assert tree.leaf_scalar_pairs(rows, rows).tobytes() == tree.scalars[ids[0].astype(int)].tobytes()
 
 
@@ -616,6 +624,14 @@ def test_inf_norm_aligns_by_label_not_position():
     a = LabeledMatrix((1, 2), (1, 2), np.array([[0.0, 5.0], [5.0, 1.0]]))
     b = LabeledMatrix((2, 1), (2, 1), np.array([[1.0, 5.0], [5.0, 0.0]]))
     assert inf_norm_diff(a, b) == 0.0
+
+
+def test_inf_norm_refuses_a_difference_past_float64():
+    a = LabeledMatrix((1,), (1,), [[1e308]])
+    b = LabeledMatrix((1,), (1,), [[-1e308]])
+    with pytest.raises(errors.NonFiniteCost, match="past float64"):
+        inf_norm_diff(a, b)
+    assert inf_norm_diff(a, LabeledMatrix((1,), (1,), [[-7e307]])) == 1.7e308
 
 
 def test_labeled_matrix_refuses_duplicate_labels_and_wrong_shape():

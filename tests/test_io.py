@@ -525,6 +525,35 @@ def test_matrix_checks():
             DistanceMatrix(("a", "b"), cells).check()
 
 
+def test_check_refuses_a_difference_past_float64():
+    """1e308 against -1e308 is no symmetric pair, though their difference
+    is past float64."""
+    lopsided = DistanceMatrix(("a", "b"), [[0.0, 1e308], [-1e308, 0.0]])
+    with pytest.raises(errors.ValidationError, match="not symmetric"):
+        lopsided.check()
+
+
+def _pixels(path, n: int) -> list[tuple[int, ...]]:
+    body = path.read_bytes()[len(f"P6\n{n} {n}\n255\n"):]
+    return [tuple(body[i : i + 3]) for i in range(0, len(body), 3)]
+
+
+def test_heatmap_levels_past_float64_span(tmp_path):
+    """From -1e308 (white) to 1e308 (black), 0 lies half way."""
+    m = DistanceMatrix(("a", "b"), [[0.0, 1e308], [-1e308, 0.0]])
+    write_heatmap(m, tmp_path / "h.ppm")
+    assert _pixels(tmp_path / "h.ppm", 2) == [(127,) * 3, (0,) * 3, (255,) * 3, (127,) * 3]
+
+
+def test_comparison_heatmap_ties_past_float64(tmp_path):
+    big = 1.7e308
+    ours = DistanceMatrix(("a", "b"), [[0.0, big], [-big, 0.0]])
+    base = DistanceMatrix(("a", "b"), [[0.0, -big], [big, 0.0]])
+    write_comparison_heatmap(ours, base, tmp_path / "c.ppm")
+    equal, better, worse = (128, 128, 128), (40, 80, 220), (235, 200, 30)
+    assert _pixels(tmp_path / "c.ppm", 2) == [equal, worse, better, equal]
+
+
 def test_heatmap_p6_header_and_uniform(tmp_path):
     m = DistanceMatrix(("a", "b"), np.array([[0.0, 3.0], [3.0, 0.0]]))
     path = tmp_path / "h.ppm"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -68,7 +69,7 @@ def test_leaf_reads_equal_lca_many_and_path_distance_many(max_vertices, dtype):
             for got, want in pairs:
                 assert (got.dtype, got.shape) == (want.dtype, (len(rows), len(cols)))
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert tree._leaf_lca[3].dtype == dtype
+        assert tree._leaf_lca[2].dtype == dtype
 
 
 def test_s_matrix_example1(example1):
@@ -773,6 +774,48 @@ def test_pair_keeps_no_matrix_after_every_step(index):
     assert all(arr.ndim < 2 for arr in held)
 
 
+def _side_names(r, lt: LabeledMergeTree, side: int) -> list[int]:
+    """Each of r's unified labels as named in lt, the tree on ``side`` (0 for
+    a, 1 for b): a matched label under its partner's name on b, and a
+    granted label, off the pivot, under its anchor's."""
+    to_b = {la: lb for lb, la in r.relabeling.items()}
+    names = []
+    for label in r.unified[0]:
+        if label in r.assigned_labels and label not in lt.leaf_index()[1]:
+            names.append(r.assigned_labels[label])
+        else:
+            names.append(to_b.get(label, label) if side else label)
+    return names
+
+
+def test_unified_rows_are_the_labels_leaf_table_rows():
+    """Each result keeps the given trees and, per side, its labels'
+    leaf-table rows: ``leaf_rows(vertices_of(...))`` of the labels as that
+    tree names them.  Covers all three agreement cases, pivots on either
+    side, matched and granted labels, and pairs computed at a shift."""
+    big = tuple(rescaled(lt, mul=2.0**600) for lt in random_pair(0, max_vertices=31))
+    seen = {"pivot b": 0, "shift": 0, "matched": 0, "granted": 0}
+    cases = set()
+    for a, b in [*_shared_eps_pairs(), big, big[::-1]]:
+        pair = methods._Pair(a, b)
+        cases.add(pair.info.case)
+        seen["pivot b"] += not pair.pivot_is_a
+        seen["shift"] += pair.shift != 0
+        steps = [pair.result, *(functools.partial(s, pair) for s in harness.PAIR_STEPS.values())]
+        for r in (_run(step) for step in [*steps, functools.partial(oracle_distance, a, b)]):
+            if isinstance(r, type):
+                continue
+            seen["matched"] += bool(r.relabeling)
+            seen["granted"] += bool(r.assigned_labels)
+            _, trees, rows = r.unified
+            assert trees[0] is a.tree and trees[1] is b.tree
+            for side, lt in enumerate((a, b)):
+                want = lt.tree.leaf_rows(lt.labels.vertices_of(_side_names(r, lt, side)))
+                assert rows[side].dtype == want.dtype and rows[side].tolist() == want.tolist()
+    assert cases == set(Agreement)
+    assert all(seen.values()), seen
+
+
 _PARTIAL_PAIRS = [
     pair for pair in _shared_eps_pairs() if classify_agreement(*pair).case is Agreement.PARTIAL
 ]
@@ -878,16 +921,16 @@ def test_known_eps_takes_the_dense_block_max_bit_for_bit():
             assert r.epsilon.hex() == inf_norm_diff(ma, mb).hex()
             kinds["matched"] += bool(r.relabeling)
             kinds["granted"] += bool(r.assigned_labels)
-            labels, trees, verts = r.unified
+            labels, _, rows = r.unified
             sizes.add(min(len(labels), 2))
             if len(labels) < 2:
                 continue
             gap = np.abs(ma.entries - mb.entries)
             ranked = np.argsort(np.asarray(labels, dtype=np.int64))  # ma's label order
             families = {"diagonal": [(i, i) for i in range(len(labels))]}
-            for side, tree in (("a", trees[0]), ("b", trees[1])):
-                place, at = _preorder(tree), verts[side == "b"][ranked].tolist()
-                order = sorted(range(len(labels)), key=lambda i: place[at[i]])
+            for side in ("a", "b"):  # leaf-table rows run in DFS order
+                at = rows[side == "b"][ranked].tolist()
+                order = sorted(range(len(labels)), key=lambda i: at[i])
                 families[side] = list(zip(order, order[1:]))
             for name in families:
                 rest = [ij for other, ijs in families.items() if other != name for ij in ijs]
@@ -1117,10 +1160,14 @@ def _reference_grants(a, b) -> dict[int, int]:
     """greedy's grants as taken before the filter: the whole candidates x
     labels profile matrix, and the argmin of its row gaps."""
     p = methods._Pair(a, b)
-    pairs_ab, unmatched = p.match(p.piv_unknown)
-    labels, cols = p.columns(pairs_ab)
+    pairs_ab, unmatched = p.matching
+    labels, rows = p.columns(pairs_ab)
     newly = np.argsort(np.asarray(labels, dtype=np.int64))
-    piv_nk, oth_nk = (c[newly] for c in (cols if p.pivot_is_a else cols[::-1]))
+    # each leaf-table row's vertex is its diagonal cell
+    piv_nk, oth_nk = (
+        t.tree._leaf_table()[2].diagonal()[r[newly]].astype(np.int64)
+        for t, r in zip((p.piv, p.oth), rows if p.pivot_is_a else rows[::-1])
+    )
     leaves = set(p.oth.tree.leaves)
     cand = [v for v in p.oth.labels.by_vertex if v in leaves]
     cand_v = np.asarray(cand, dtype=np.int64)
