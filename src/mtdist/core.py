@@ -588,7 +588,7 @@ def inf_norm_diff(a: LabeledMatrix, b: LabeledMatrix) -> float:
 
     Diagonal entries participate.  Raises LabelMismatch unless both matrices
     index the same row and column label sets (any order), and NonFiniteCost
-    when the maximum is past float64.
+    when the maximum is past float64 or NaN (a NaN cell, equal infinities).
     """
     same = a.row_labels == b.row_labels and a.col_labels == b.col_labels
     if not same and (
@@ -604,9 +604,9 @@ def inf_norm_diff(a: LabeledMatrix, b: LabeledMatrix) -> float:
         ci = [b.col_labels.index(l) for l in a.col_labels]
         bb = b.entries[np.ix_(ri, ci)]
     # abs in place: one matrix-sized temporary, not two
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         diff = a.entries - bb
     worst = float(np.max(np.abs(diff, out=diff)))
-    if np.isinf(worst):
-        raise errors.NonFiniteCost("an entry difference is past float64")
+    if not np.isfinite(worst):
+        raise errors.NonFiniteCost(f"an entry difference of {worst} is past float64 or NaN")
     return worst

@@ -385,7 +385,8 @@ class _Pair:
     """The work every estimator shares for one (a, b) pair: the label split,
     the pivot and its counterpart, their unknown labels, the matching,
     epsilon and the result record.  ``a``, ``b``, ``piv`` and ``oth`` are
-    the trees at the pair's scale.  A leaf goes by its leaf-table row."""
+    the trees at the pair's scale.  A leaf goes by its leaf-table row.
+    :meth:`oriented` is the one place where (pivot, other) meets (a, b)."""
 
     def __init__(self, a: LabeledMergeTree, b: LabeledMergeTree):
         self._lap = perf_counter()  # the set-up goes to the first record
@@ -397,7 +398,12 @@ class _Pair:
         # always differ and the choice is independent of argument order.
         ua, ub = info.unknown_a, info.unknown_b
         self.pivot_is_a = (-len(ua), ua) < (-len(ub), ub)
-        self.piv_unknown, self.oth_unknown = (ua, ub) if self.pivot_is_a else (ub, ua)
+        self.piv_unknown, self.oth_unknown = self.oriented(ua, ub)
+
+    def oriented(self, x, y) -> tuple:
+        """(x, y) when the pivot is a, else (y, x): the same call maps
+        (pivot, other) to (a, b) and (a, b) to (pivot, other)."""
+        return (x, y) if self.pivot_is_a else (y, x)
 
     @functools.cached_property
     def shift(self) -> int:
@@ -424,8 +430,8 @@ class _Pair:
 
     a = property(lambda self: self._trees[0])
     b = property(lambda self: self._trees[1])
-    piv = property(lambda self: self._trees[0 if self.pivot_is_a else 1])
-    oth = property(lambda self: self._trees[1 if self.pivot_is_a else 0])
+    piv = property(lambda self: self.oriented(*self._trees)[0])
+    oth = property(lambda self: self.oriented(*self._trees)[1])
 
     @functools.cached_property
     def matching(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -449,10 +455,8 @@ class _Pair:
             d2 = pairwise_leaf_distances(self.oth, oth_rows).entries
         weights = np.sqrt(_row_gaps(d1, d2)) if partial else _row_norm_weights(d1, d2)
         asn = assignment.solve(weights)
-        pairs = [(piv_rows[i], oth_rows[j]) for i, j in asn.pairs]
-        if not self.pivot_is_a:
-            pairs = [(o, p) for p, o in pairs]
-        return tuple(pairs), tuple(piv_rows[i] for i in asn.unmatched_rows)
+        pairs = tuple(self.oriented(piv_rows[i], oth_rows[j]) for i, j in asn.pairs)
+        return pairs, tuple(piv_rows[i] for i in asn.unmatched_rows)
 
     @functools.cached_property
     def _known_rows(self) -> tuple[np.ndarray, ...]:
@@ -465,7 +469,7 @@ class _Pair:
         pivot label to a label of the other tree's leaf that received it."""
         at = {la: (la, lb) for la, lb in pairs_ab}
         for label, anchor in (grants or {}).items():  # it sits on the anchor's leaf
-            at[label] = (label, anchor) if self.pivot_is_a else (anchor, label)
+            at[label] = self.oriented(label, anchor)
         sides = list(zip(*at.values())) or [(), ()]  # side-A labels, side-B labels
         extra = (t.tree.leaf_rows(t.labels.vertices_of(ls)) for t, ls in zip(self._trees, sides))
         rows = list(map(np.concatenate, zip(self._known_rows, extra)))
@@ -526,11 +530,7 @@ class _Pair:
             distance=max(0.5 * max(deltas.values(), default=0.0), eps),
             epsilon=eps,
             deltas=deltas,
-            matching=Matching(
-                pairs=tuple(sorted(pairs_ab)),
-                unmatched_a=unmatched_piv if self.pivot_is_a else (),
-                unmatched_b=() if self.pivot_is_a else unmatched_piv,
-            ),
+            matching=Matching(tuple(sorted(pairs_ab)), *self.oriented(unmatched_piv, ())),
             relabeling={lb: la for la, lb in pairs_ab},
             trimmed=frozenset(trimmed),
             wall_time=wall_time,
@@ -609,7 +609,7 @@ def _greedy(p: _Pair) -> MethodResult:
         # newly known = original known plus matched labels, by unified name
         labels, rows = p.columns(pairs_ab)
         newly = np.argsort(np.asarray(labels, dtype=np.int64))
-        piv_nk, oth_nk = (r[newly] for r in (rows if p.pivot_is_a else rows[::-1]))
+        piv_nk, oth_nk = (r[newly] for r in p.oriented(*rows))
         # candidate receivers: leaves of the smaller tree, by smallest label
         cand = list(dict.fromkeys(oth.leaf_index()[2].tolist()))
         pt, ot = piv.tree, oth.tree
@@ -648,10 +648,10 @@ def evaluate_configuration(
         raise errors.ValidationError("removed and each pair must be sequences of labels") from None
     if any(len(pair) != 2 for pair in pairs):
         raise errors.ValidationError("pairs must be (side-A label, side-B label) pairs")
-    piv = 0 if p.pivot_is_a else 1
+    pairs_po = [p.oriented(*pair) for pair in pairs]  # (pivot, other) labels
     for got, want in (
-        (removed + tuple(pair[piv] for pair in pairs), p.piv_unknown),
-        (tuple(pair[1 - piv] for pair in pairs), p.oth_unknown),
+        (removed + tuple(q for q, _ in pairs_po), p.piv_unknown),
+        (tuple(o for _, o in pairs_po), p.oth_unknown),
     ):
         try:
             same = len(got) == len(want) and set(got) == set(want)
@@ -729,7 +729,7 @@ def _oracle_search(p: _Pair) -> tuple[float, tuple[int, ...], tuple[tuple[int, i
         return worst
 
     piv = p.piv
-    piv_par, piv_s = (pa, sa) if p.pivot_is_a else (pb, sb)
+    piv_par, piv_s = p.oriented((pa, sa), (pb, sb))[0]
     k = len(p.piv_unknown) - len(p.oth_unknown)
 
     def delta_of(removed: tuple[int, ...]) -> float:
@@ -754,8 +754,7 @@ def _oracle_search(p: _Pair) -> tuple[float, tuple[int, ...], tuple[tuple[int, i
         survivors = [l for l in p.piv_unknown if l not in removed]
         dmax = delta_of(removed)
         for perm in itertools.permutations(p.oth_unknown):
-            pairs_po = tuple(zip(survivors, perm))
-            pairs_ab = pairs_po if p.pivot_is_a else tuple((o, q) for q, o in pairs_po)
+            pairs_ab = tuple(p.oriented(q, o) for q, o in zip(survivors, perm))
             value = max(0.5 * dmax, eps_of(pairs_ab))
             if value < best[0]:
                 best = (value, removed, pairs_ab)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import pickle
 
@@ -632,6 +633,23 @@ def test_inf_norm_refuses_a_difference_past_float64():
     with pytest.raises(errors.NonFiniteCost, match="past float64"):
         inf_norm_diff(a, b)
     assert inf_norm_diff(a, LabeledMatrix((1,), (1,), [[-7e307]])) == 1.7e308
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(math.nan, 1.0), (math.inf, math.inf), (-math.inf, 0.0)],
+    ids=["nan-one", "inf-inf", "neg-inf-zero"],
+)
+def test_inf_norm_refuses_a_non_finite_maximum(x, y):
+    """A NaN cell, equal infinities (whose difference is NaN) and an
+    infinite difference are refused with the typed error, with no
+    ``RuntimeWarning``, in either argument order and in a larger matrix."""
+    for p, q in ((x, y), (y, x)):
+        for grid in ([[p]], [[0.0, p], [1.0, 2.0]]):
+            other = [[q]] if len(grid) == 1 else [[0.0, q], [1.0, 2.0]]
+            labels = tuple(range(len(grid)))
+            with pytest.raises(errors.NonFiniteCost, match="past float64 or NaN"):
+                inf_norm_diff(LabeledMatrix(labels, labels, grid), LabeledMatrix(labels, labels, other))
 
 
 def test_labeled_matrix_refuses_duplicate_labels_and_wrong_shape():

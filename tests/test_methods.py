@@ -532,6 +532,43 @@ def test_distance_dominates_parts_and_symmetry(seed):
         assert fn(b, a).distance == r.distance
 
 
+def _renamed(m: LabeledMatrix, names: dict) -> tuple[list, bytes]:
+    """``m``'s labels renamed through ``names``, then sorted, and its
+    entries' bytes in that order."""
+    labels = np.asarray([names.get(l, l) for l in m.row_labels], dtype=np.int64)
+    order = np.argsort(labels)
+    return labels[order].tolist(), m.entries[np.ix_(order, order)].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_swapping_a_and_b_mirrors_every_record(seed):
+    """Each estimator's record on (b, a) mirrors its record on (a, b) bit for
+    bit: the same distance, epsilon, deltas, trimmed set and grants; the
+    matched pairs with their sides swapped, the unmatched sides swapped and
+    the relabeling inverted; and each induced matrix equal to the swapped
+    call's other one, once its matched labels go by a's names.  Pairs of
+    all three agreement cases; the two calls put the pivot on either side."""
+    steps = (elm_distance, mmb_distance, greedy_distance, full_agreement_distance, oracle_distance)
+    for fraction, size in ((0.0, 7), (0.5, 9), (0.5, 13), (1.0, 13)):
+        a, b = random_pair(seed, max_vertices=size, label_fraction=fraction)
+        for fn in steps:
+            r, s = _run(fn, a, b), _run(fn, b, a)
+            if isinstance(r, type):
+                assert s is r
+                continue
+            assert (s.distance.hex(), s.epsilon.hex()) == (r.distance.hex(), r.epsilon.hex())
+            assert {l: d.hex() for l, d in s.deltas.items()} == {l: d.hex() for l, d in r.deltas.items()}
+            assert (s.trimmed, s.assigned_labels) == (r.trimmed, r.assigned_labels)
+            assert s.matching.pairs == tuple(sorted((lb, la) for la, lb in r.matching.pairs))
+            assert (s.matching.unmatched_a, s.matching.unmatched_b) == (
+                r.matching.unmatched_b,
+                r.matching.unmatched_a,
+            )
+            assert s.relabeling == {la: lb for lb, la in r.relabeling.items()}
+            assert _renamed(s.induced_b, r.relabeling) == _renamed(r.induced_a, {})
+            assert _renamed(s.induced_a, r.relabeling) == _renamed(r.induced_b, {})
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_reported_configuration_reproduces_distance(seed):
     a, b = random_pair(seed, max_vertices=11)
