@@ -14,10 +14,12 @@ output byte-identical for any worker count.  ``distance_matrix`` and
 ``cmd_compare`` share one pair-mapping helper, so a comparison is one pass
 over the pairs with at most one pool.  Its pair record holds the cells of
 ``mmb``, ``greedy`` and ``elm``, run in turn on one pair context, and the
-pair's agreement case, from which the report is tallied.  Every ``METHODS``
-entry, the oracle's included, is a ``methods`` estimator whose record comes
-from ``_Pair.result``, so a cell's seconds are its record's ``wall_time``;
-nothing here times a call again.  ``cmd_bench`` times whole serial matrix
+pair's agreement case, from which the report is tallied.  Each win or tie
+is the verdict of ``io._verdicts``, the rule the comparison pixmaps are
+painted by, so report.json's greedy counts are their colour counts.  Every
+``METHODS`` entry, the oracle's included, is a ``methods`` estimator whose
+record comes from ``_Pair.result``, so a cell's seconds are its record's
+``wall_time``; nothing here times a call again.  ``cmd_bench`` times whole serial matrix
 runs (parsing excluded).
 """
 
@@ -39,8 +41,8 @@ import numpy as np
 from . import errors, methods, synth
 from .core import Agreement, LabeledMergeTree, classify_agreement  # noqa: F401 re-export
 from .io import (
-    TIE_TOL,
     DistanceMatrix,
+    _verdicts,
     read_mtree_file,
     write_comparison_heatmap,
     write_heatmap,
@@ -392,15 +394,6 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _gt(x: float, y: float) -> bool:
-    return x > y + TIE_TOL * max(1.0, abs(y))
-
-
-def _tally(counts: dict[str, int], x: float, y: float, more: str, less: str, tie: str) -> None:
-    """Count x against y under ``more``, ``less`` or ``tie``."""
-    counts[more if _gt(x, y) else less if _gt(y, x) else tie] += 1
-
-
 def cmd_compare(
     inputs: Sequence[str | Path],
     out_dir: str | Path,
@@ -414,11 +407,14 @@ def cmd_compare(
     which every count is tallied; its pair context runs ``mmb``, ``greedy``
     and ``elm`` (see ``PAIR_STEPS``), so the CSVs equal three ``cmd_matrix``
     runs.  Always writes per-method CSVs, the two comparison pixmaps, and
-    report.json; ``heatmap`` adds per-method grayscale pixmaps.  Pairs with
-    disjoint label sets cannot run the baseline; they are compared
-    first-vs-second method only and reported separately.  Any other pair a
-    method could not compute is listed in ``failures`` and left out of the
-    win/tie counts.
+    report.json; ``heatmap`` adds per-method grayscale pixmaps.  Every
+    verdict is ``io._verdicts(ours, base)``: ``elm`` and ``mmb`` against
+    ``greedy`` as the base, ties within ``TIE_TOL * max(1, |base|)``.  Pairs
+    with disjoint label sets cannot run the baseline; they are judged ``elm``
+    against ``mmb`` as the base and reported separately.  Any pair a method
+    could not compute is listed in ``failures`` and left out of every count;
+    every other value is finite, so each greedy-comparable count is the
+    number of upper cells of one colour in a comparison pixmap.
     """
     corpus = load_corpus(inputs)
     ids = tuple(mid for mid, _ in corpus)
@@ -437,11 +433,13 @@ def cmd_compare(
         if any(err is not None for _, _, err in cells.values()):
             continue
         m1, m2, g = (cells[m][0] for m in ("elm", "mmb", "greedy"))
-        if disjoint:
-            _tally(dis_counts, m1, m2, "M1>M2", "M2>M1", "ties")
-        else:
-            _tally(counts, g, m1, "G>M1", "M1>G", "ties_m1")
-            _tally(counts, g, m2, "G>M2", "M2>G", "ties_m2")
+        # ours, the base, the tally, and its keys for the verdicts -1, 0 and 1
+        judged = [(m1, m2, dis_counts, ("M2>M1", "ties", "M1>M2"))] if disjoint else [
+            (m1, g, counts, ("G>M1", "ties_m1", "M1>G")),
+            (m2, g, counts, ("G>M2", "ties_m2", "M2>G")),
+        ]
+        for ours, base, tally, keys in judged:
+            tally[keys[int(_verdicts(ours, base)) + 1]] += 1
 
     matrices: dict[str, DistanceMatrix] = {}
     walls: dict[str, float] = {}

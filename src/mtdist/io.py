@@ -27,9 +27,14 @@ every scalar bit.
 Distance matrices go to RFC-4180-style CSV ("." decimal separator, no locale
 dependence) with member identifiers as header row and first column.
 Heatmaps are binary portable pixmaps (P6), one pixel per matrix cell:
-grayscale maps the minimum value to white and the maximum to black, and the
-three-color comparison variant paints cells blue where the first method's
-value is smaller, yellow where larger, gray where equal; NaN cells are red.
+grayscale maps the minimum value to white and the maximum to black; NaN
+cells are red.  The comparison variant paints each cell by the one verdict
+rule, ``_verdicts(ours, base)``: blue where the first matrix (ours) is below
+the second (the base), yellow above, gray tied, red where either is not
+finite.  Two values tie when their gap is at most ``TIE_TOL * max(1,
+|base|)``.  ``mtdist compare`` takes greedy as the base and tallies
+report.json's counts through the same function, so on the greedy-comparable
+pairs no method failed on, each count is a colour's count of upper cells.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ __all__ = [
 
 _HEADER = "mtree 1"
 
-# Two distances this close (relative) tie, in comparison pixmaps and counts.
+# Two distances this close, relative to the base, tie (see ``_verdicts``).
 TIE_TOL = 1e-9
 
 
@@ -379,19 +384,24 @@ def write_heatmap(matrix: DistanceMatrix, path) -> None:
     _write_p6(np.clip(pixels, 0, 255), path)
 
 
+def _verdicts(ours, base) -> np.ndarray:
+    """-1, 0 or 1 where ``ours`` is below, tied with or above ``base``, NaN
+    where either is not finite.  A tie is a gap of at most ``TIE_TOL *
+    max(1, |base|)``, taken in halves, so the gap is finite if both are."""
+    b = np.divide(base, 2.0)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, as is every non-finite gap's verdict
+        gap = np.divide(ours, 2.0) - b
+    tied = np.abs(gap) <= TIE_TOL * np.maximum(0.5, np.abs(b))
+    return np.where(np.isfinite(gap), np.where(tied, 0.0, np.sign(gap)), np.nan)
+
+
 def write_comparison_heatmap(ours: DistanceMatrix, base: DistanceMatrix, path) -> None:
-    """Per-cell trichotomy of two matrices over the same members; ties are
-    taken in halves, so no difference of finite values leaves float64."""
+    """Each cell's ``_verdicts`` colour: blue where ``ours`` is below
+    ``base``, yellow above, gray tied, red where either is not finite."""
     if ours.member_ids != base.member_ids:
         raise errors.LabelMismatch("comparison needs identical member lists")
-    a, b = ours.values / 2, base.values / 2
-    finite = np.isfinite(a) & np.isfinite(b)
-    pixels = np.empty(a.shape + (3,), dtype=np.float64)
-    pixels[:] = _NAN_RGB
-    equal = finite & (np.abs(a - b) <= TIE_TOL * np.maximum(0.5, np.abs(b)))
-    better = finite & ~equal & (a < b)
-    worse = finite & ~equal & (a > b)
-    pixels[equal] = _EQUAL_RGB
-    pixels[better] = _BETTER_RGB
-    pixels[worse] = _WORSE_RGB
+    verdicts = _verdicts(ours.values, base.values)
+    pixels = np.full(verdicts.shape + (3,), _NAN_RGB, dtype=np.float64)
+    for verdict, rgb in ((-1, _BETTER_RGB), (0, _EQUAL_RGB), (1, _WORSE_RGB)):
+        pixels[verdicts == verdict] = rgb
     _write_p6(pixels, path)

@@ -51,58 +51,14 @@ a value leaves the pair: it takes delta for every unmatched pivot label that
 was not granted (so greedy has none) and epsilon over the known, matched
 and granted labels, builds the objective and laps the pair's clock, so
 each record's ``wall_time`` is its own step's.  The set-up goes to the first
-record; a step that raises leaves its time to the next.  Delta
-(``_delta_map``, and the oracle's ``delta_of``) refuses a leafless tree
-against a disjoint-label one with ``DisagreementEmptyTree``: every pivot leaf
-is then removed, with none left to measure a merge height from.
+record; a step that raises leaves its time to the next.
 
-What a pair needs of a tree's leaves comes from the tree's leaf index
-(``LabeledMergeTree.leaf_index``: leaf labels ascending, as a set, and their
-vertices), found once per tree: S's columns when they are the tree's own
-``leaf_labels()`` (no per-label leaf check), delta's survivors and greedy's
-candidate receivers.  Delta reads two leaf-table cells per removed leaf, not
-a removed x survivors block: the LCA of a removed leaf with its nearest
-surviving leaf on either side in the table's DFS order, the lower of which
-is the lowest LCA with any survivor (``_delta_map``), so every merge height
-keeps its bits.  The oracle's ``delta_of`` scans every survivor and stays
-the reference.
-
-Epsilon has one rule for every result (``_Pair._epsilon``): over its n
-known, matched and granted labels it reads 3n cells per tree, each label's
-LCA scalar with itself and with its successor in each tree's leaf-table
-(DFS) order, and compares the two n x 3 matrices with ``inf_norm_diff``.
-The largest gap of the dense n x n matrices lies on one of those label
-pairs, and rounded subtraction is monotone, so epsilon is the dense one's
-bit for bit.  The row gaps behind the matching and the blocks of greedy's
-grant search each hold at most ``_BLOCK_CELLS`` cells (64 KiB of float64)
-where the inputs allow: a row gap block holds at least one row pair, and a
-grant-search block as much as the unmatched leaves' own profiles when those
-are larger.  So no pair holds an n1 x n2 x K tensor and, at benchmark
-sizes, no temporary is large enough to be memory-mapped.  A result keeps the
-labels and leaf-table rows its epsilon was taken over, and gathers its
-induced matrices from them, in sorted label order, only when read.
-
-A pair computes at one scale, ``_Pair.shift``: when the larger half span of
-its trees lies outside [2^-503, 2^497), or a scalar's magnitude reaches
-2^1022, ``_Pair`` works on both trees times a power of two that brings them
-in range, so no square, sum or difference leaves float64, and scales each
-value leaving it back exactly (NonFiniteCost past float64).  The copies come
-from the constructors and share only the labels and leaf tables.
-
-Greedy's grant search needs, per unmatched pivot leaf, only the first
-candidate whose profile is closest to the leaf's.  ``_closest_rows``
-brackets every gap through one matrix product per block of candidates, with
-a margin from the floating-point dot-product bound, and takes the exact gaps
-of only the candidates that can still be closest from ``_row_gaps``, which
-also weighs the matching.  So every squared profile gap comes from one
-function, the grants keep every bit, and the candidates x labels profile
-matrix is never held whole.
-
-``oracle_min_objective`` exhaustively minimizes the same objective over every
-trim subset and bijection on small instances, using its own naive traversal
-primitives, and is the reference the heuristics are judged against.
-``oracle_distance`` records the first configuration that reaches that
-minimum through ``_Pair.result``, like every other estimator.
+Each rule is stated once, at the function that applies it: delta from each
+removed leaf's leaf-order neighbours at ``_delta_map``, epsilon from 3n
+neighbour cells per tree at ``_Pair._epsilon``, block sizes at
+``_BLOCK_CELLS``, the pair's scale at ``_Pair.shift``, greedy's bracketed
+grant search at ``_closest_rows``, and the exhaustive reference at
+``oracle_min_objective``.
 """
 
 from __future__ import annotations
@@ -288,7 +244,7 @@ def _row_blocks(stop: int, row_cells: int):
 
 def _row_gaps(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """G(i, j) = || d1[i] - d2[j] ||_2^2 over shared columns, in blocks of
-    d2's rows and d1's rows."""
+    d2's rows and d1's rows, so no n1 x n2 x K tensor is ever held."""
     out = np.empty((len(d1), len(d2)))
     k = d1.shape[1]
     for cols in _row_blocks(len(d2), k):
@@ -679,7 +635,8 @@ _ORACLE_MAX_UNKNOWN = 8
 
 
 def oracle_min_objective(a: LabeledMergeTree, b: LabeledMergeTree) -> float:
-    """Exhaustive minimum of the shared objective on small instances.
+    """Exhaustive minimum of the shared objective on small instances: the
+    reference the heuristics are judged against.
 
     Enumerates every trim subset of the required size and every bijection
     between the surviving unknown leaves, scoring each configuration with
@@ -733,6 +690,7 @@ def _oracle_search(p: _Pair) -> tuple[float, tuple[int, ...], tuple[tuple[int, i
     k = len(p.piv_unknown) - len(p.oth_unknown)
 
     def delta_of(removed: tuple[int, ...]) -> float:
+        # every survivor scanned: the reference for _delta_map's neighbour rule
         worst = 0.0
         removed_set = set(removed)
         for r in removed:

@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import shutil
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from mtdist.harness import (
     distance_matrix,
     load_corpus,
 )
-from mtdist.io import read_matrix_csv
+from mtdist.io import read_matrix_csv, write_comparison_heatmap
 
 from conftest import FIXTURES
 
@@ -232,13 +233,15 @@ def test_compare_disjoint_pairs_reported_separately(tmp_path):
     assert report.failures == []  # the baseline's refusals are documented
 
 
+# a cherry whose labels 7 and 8 example1_a does not carry: a disjoint-label pair
+_THREE = "mtree 1\nv 0 2.0\nv 1 0.0 7\nv 2 0.5 8\ne 1 0\ne 2 0\n"
+
+
 def _write_compare_corpus_with_leafless_member(root):
     # every pair is disjoint-label; the single vertex has no leaves, so elm
     # and mmb fail on the two pairs that include it
     shutil.copy(FIXTURES / "example1_a.mtree", root / "example1_a.mtree")
-    (root / "three.mtree").write_text(
-        "mtree 1\nv 0 2.0\nv 1 0.0 7\nv 2 0.5 8\ne 1 0\ne 2 0\n"
-    )
+    (root / "three.mtree").write_text(_THREE)
     (root / "single.mtree").write_text("mtree 1\nv 0 1.0\n")
     return sorted(str(p) for p in root.glob("*.mtree"))
 
@@ -415,6 +418,63 @@ def test_compare_report_on_mixed_corpus(tmp_path):
     assert report.disagreement_counts == {"M1>M2": 0, "M2>M1": 1, "ties": 2}
     assert (report.greedy_pair_count, report.disagreement_pair_count) == (3, 7)
     assert report.averages == {"avg_vertices": 4.6, "avg_leaves": 2.6, "avg_unknown_gap": 2.0}
+
+
+# (ours, base) distances at the tie threshold.  The first is the pair on
+# which report.json once counted a tie while the pixmap painted elm larger;
+# the rest came from a seeded search (numpy default_rng(40); base
+# log-uniform on [0.05, 50]; ours = base +- 1e-9 * max(1, base) * (1 +- 1e-6))
+# on which the two tie rules then in use disagreed.
+_NEAR_THRESHOLD = [
+    (1.154703439072685, 1.1547034379179815),
+    (1.724929922941764, 1.724929924666694),
+    (0.40520769525434147, 0.4052076962543415),
+    (33.47596125027346, 33.475961216797494),
+    (0.33222434941091294, 0.3322243484109129),
+]
+_BLUE, _GRAY, _YELLOW = (40, 80, 220), (128, 128, 128), (235, 200, 30)
+
+
+def _upper_colours(path, n: int) -> Counter:
+    """How many cells above the diagonal of an n x n pixmap have each colour."""
+    body = path.read_bytes()[len(f"P6\n{n} {n}\n255\n"):]
+    return Counter(tuple(body[3 * (i * n + j) : 3 * (i * n + j) + 3]) for i, j in harness._pairs(n))
+
+
+def _stub_pair_steps(monkeypatch, **distances):
+    for method, value in distances.items():
+        record = SimpleNamespace(distance=value, wall_time=0.0)
+        monkeypatch.setitem(harness.PAIR_STEPS, method, lambda pair, r=record: r)
+
+
+@pytest.mark.parametrize("ours,base", _NEAR_THRESHOLD)
+def test_report_counts_are_the_comparison_pixmaps_colour_counts(ours, base, monkeypatch, tmp_path):
+    _stub_pair_steps(monkeypatch, elm=ours, mmb=ours, greedy=base)
+    report = cmd_compare(_example_files(1), tmp_path)
+    assert report.failures == [] and report.greedy_pair_count == 1
+    c = report.counts
+    for method, keys in (("elm", ("G>M1", "ties_m1", "M1>G")), ("mmb", ("G>M2", "ties_m2", "M2>G"))):
+        colours = _upper_colours(tmp_path / f"compare_{method}_vs_greedy.ppm", 2)
+        assert [c[k] for k in keys] == [colours[rgb] for rgb in (_BLUE, _GRAY, _YELLOW)], method
+
+
+@pytest.mark.parametrize("ours,base", _NEAR_THRESHOLD)
+def test_disjoint_counts_judge_elm_against_mmb_as_the_base(ours, base, monkeypatch, tmp_path):
+    """On a disjoint-label pair, elm is judged against mmb as the base, by
+    the rule the comparison pixmaps are painted by."""
+    shutil.copy(FIXTURES / "example1_a.mtree", tmp_path / "example1_a.mtree")
+    (tmp_path / "three.mtree").write_text(_THREE)
+    _stub_pair_steps(monkeypatch, elm=ours, mmb=base, greedy=float("nan"))
+    out = tmp_path / "out"
+    report = cmd_compare(sorted(str(p) for p in tmp_path.glob("*.mtree")), out)
+    assert report.failures == [] and report.disagreement_pair_count == 1
+    elm, mmb = (read_matrix_csv(out / f"distances_{m}.csv") for m in ("elm", "mmb"))
+    write_comparison_heatmap(elm, mmb, tmp_path / "elm_vs_mmb.ppm")
+    colours = _upper_colours(tmp_path / "elm_vs_mmb.ppm", 2)
+    keys = ("M2>M1", "ties", "M1>M2")
+    assert [report.disagreement_counts[k] for k in keys] == [
+        colours[rgb] for rgb in (_BLUE, _GRAY, _YELLOW)
+    ]
 
 
 def test_compare_classifies_each_pair_once(small_ensemble, monkeypatch, tmp_path):

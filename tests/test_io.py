@@ -21,7 +21,9 @@ from mtdist import (
     write_mtree,
 )
 from mtdist.io import (
+    TIE_TOL,
     _ascii_number,
+    _verdicts,
     read_matrix_csv,
     write_comparison_heatmap,
     write_heatmap,
@@ -577,6 +579,23 @@ def test_comparison_heatmap_colors(tmp_path):
     assert cells[0] == (128, 128, 128)  # equal on the diagonal
     assert cells[1] == (40, 80, 220)    # ours smaller
     assert cells[2] == (235, 200, 30)   # ours larger
+
+
+def test_verdicts_tie_within_the_base_scaled_tolerance():
+    """-1, 0, 1 as ours is below, tied with or above the base, the tolerance
+    scaled by max(1, |base|); NaN where either is not finite, inf - inf
+    included, without a warning."""
+    big = 1.7e308
+    cases = [  # ours, base, verdict
+        (1.0, 2.0, -1), (3.0, 2.0, 1),
+        (2.0 + 1e-9, 2.0, 0), (2.0 + 3e-9, 2.0, 1), (2.0 - 3e-9, 2.0, -1),
+        (0.5 + 0.9 * TIE_TOL, 0.5, 0), (0.5 + 1.1 * TIE_TOL, 0.5, 1), (0.5 - 1.1 * TIE_TOL, 0.5, -1),
+        (-big, big, -1), (big * (1 - 0.5 * TIE_TOL), big, 0), (-0.0, 0.0, 0),
+        (np.nan, 1.0, np.nan), (1.0, np.inf, np.nan), (np.inf, np.inf, np.nan), (-np.inf, np.inf, np.nan),
+    ]
+    ours, base, want = zip(*cases)
+    np.testing.assert_array_equal(_verdicts(ours, base), want)
+    assert all(_verdicts(x, y) == w for x, y, w in cases[:11])  # one scalar pair at a time
 
 
 def test_comparison_heatmap_all_equal(tmp_path):

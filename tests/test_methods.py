@@ -532,6 +532,32 @@ def test_distance_dominates_parts_and_symmetry(seed):
         assert fn(b, a).distance == r.distance
 
 
+def test_no_estimator_solve_is_wide(monkeypatch):
+    """Every ``assignment.solve`` an estimator makes has at least as many
+    rows (pivot unknowns) as columns (the other tree's): the pivot has the
+    more unknowns, and ``elm`` trims it down to the other's count.  Over
+    pairs of all three agreement cases (a full pair solves nothing), with
+    the pivot on either side and ``elm`` both trimming and not."""
+    solve, shapes, trims = methods.assignment.solve, [], set()
+
+    def recording(cost):
+        shapes.append(np.shape(cost))
+        return solve(cost)
+
+    monkeypatch.setattr(methods.assignment, "solve", recording)
+    for seed in range(12):
+        for fraction, size in ((0.0, 9), (0.5, 13), (1.0, 13)):
+            a, b = random_pair(seed, max_vertices=size, label_fraction=fraction)
+            for x, y in ((a, b), (b, a)):
+                for fn in _methods_for(classify_agreement(x, y).case):
+                    r = fn(x, y)
+                    if fn is elm_distance:
+                        trims.add(bool(r.trimmed))
+    assert trims == {False, True}
+    assert {rows > cols for rows, cols in shapes} == {False, True}  # square and tall
+    assert all(rows >= cols for rows, cols in shapes), shapes
+
+
 def _renamed(m: LabeledMatrix, names: dict) -> tuple[list, bytes]:
     """``m``'s labels renamed through ``names``, then sorted, and its
     entries' bytes in that order."""
