@@ -409,7 +409,7 @@ def cmd_compare(
     runs.  Always writes per-method CSVs, the two comparison pixmaps, and
     report.json; ``heatmap`` adds per-method grayscale pixmaps.  Every
     verdict is ``io._verdicts(ours, base)``: ``elm`` and ``mmb`` against
-    ``greedy`` as the base, ties within ``TIE_TOL * max(1, |base|)``.  Pairs
+    ``greedy`` as the base, ties within ``1e-9 * max(1, |base|)``.  Pairs
     with disjoint label sets cannot run the baseline; they are judged ``elm``
     against ``mmb`` as the base and reported separately.  Any pair a method
     could not compute is listed in ``failures`` and left out of every count;
